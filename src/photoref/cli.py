@@ -25,6 +25,7 @@ import yaml
 
 from . import __version__
 from .cavity import (
+    _eigen_extrema,
     finesse,
     fpi_characteristics,
     opo_optimal_levels,
@@ -271,11 +272,9 @@ def _run_opo_spectrum(runner: _Runner) -> None:
     detunings = [float(d) for d in section["detunings"]]
     best_rows = []
     for delta in detunings:
-        s_xx, s_yy, s_xy = opo_spectrum_matrix(sigma, delta, omega)
-        mean = 0.5 * (s_xx + s_yy)
-        radius = np.sqrt((0.5 * (s_xx - s_yy)) ** 2 + s_xy**2)
-        squeezed = eta * (mean - radius) + (1.0 - eta)
-        antisqueezed = eta * (mean + radius) + (1.0 - eta)
+        lo, hi = _eigen_extrema(*opo_spectrum_matrix(sigma, delta, omega))
+        squeezed = eta * lo + (1.0 - eta)
+        antisqueezed = eta * hi + (1.0 - eta)
         write_columns_csv(
             runner.path(f"opo_spectrum_delta{_fmt(delta)}.csv"),
             ["omega", "squeezed_db", "antisqueezed_db"],

@@ -15,7 +15,7 @@ import copy
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -24,6 +24,9 @@ import yaml
 from .cavity import FpiCavity, SqueezerCavity
 from .coupler import CouplerGeometry, coupling_length
 from .material import (
+    DEFAULT_MODE_TARGETS,
+    DEFAULT_PHOTOREFRACTION,
+    JUNDT_CLN_EXTRAORDINARY,
     MaterialModel,
     PhotorefractionParams,
     SellmeierCoefficients,
@@ -38,158 +41,17 @@ class ConfigError(ValueError):
     """Configuration failed validation; the message names the field path."""
 
 
-# Schema tree: nested dicts; None marks a scalar/list leaf, "*" matches any key.
-_SELLMEIER_KEYS = {
-    k: None
-    for k in ("a1", "a2", "a3", "a4", "a5", "a6", "b1", "b2", "b3", "b4",
-              "t_low", "t_high")
-}
-
-_SCHEMA: dict[str, Any] = {
-    "material": {
-        "sellmeier": _SELLMEIER_KEYS,
-        "modes": {"*": {"wavelength_nm": None, "temperature_c": None, "n_eff": None}},
-    },
-    "photorefraction": {
-        "*": {"a": None, "b": None, "c": None, "tau_build_s": None,
-              "tau_dark_s": None, "tau_erase_s": None}
-    },
-    "devices": {
-        "fpi": {
-            "length_mm": None,
-            "facet_reflectivity_probe": None,
-            "facet_reflectivity_pump": None,
-            "angled_facets": None,
-            "probe_mode": None,
-            "pump_mode": None,
-        },
-        "squeezer": {"length_mm": None, "mirror_r1": None, "mirror_r2": None,
-                     "mode": None},
-        "coupler": {
-            "interaction_length_mm": None,
-            "waveguide_separation_um": None,
-            "design_wavelength_nm": None,
-            "coupling_constant_per_mm": {"*": None},
-        },
-        "homodyne_coupler": {
-            "balanced": None,
-            "interaction_length_mm": None,
-            "waveguide_separation_um": None,
-            "design_wavelength_nm": None,
-            "coupling_constant_per_mm": {"*": None},
-        },
-        "qpm": {
-            "length_mm": None,
-            "poling_period_um": None,
-            "telecom_shift_fraction": None,
-            "calibration": {
-                "temperature_c": None,
-                "pump_wavelength_nm": None,
-                "degeneracy_wavelength_nm": None,
-                "reference_pump_power_mw": None,
-            },
-        },
-    },
-    "run": {
-        "seed": None,
-        "output_dir": None,
-        "fpi_trace": {
-            "temperature_c": None,
-            "probe_wavelength_nm": None,
-            "sample_period_s": None,
-            "duration_s": None,
-            "schedule": None,
-        },
-        "fpi_char": {"temperature_c": None, "wavelengths_nm": None},
-        "coupler_sweep": {
-            "temperatures_c": None,
-            "probe_wavelength_nm": None,
-            "pump_powers_mw": None,
-            "noise_fraction": None,
-        },
-        "homodyne": {
-            "reflectivity": None,
-            "squeezing_db": None,
-            "lo_amplitude_sq": None,
-            "phases_rad": None,
-        },
-        "opo_spectrum": {
-            "initial_squeezing_db": None,
-            "detunings": None,
-            "detection_efficiency": None,
-            "omega_max": None,
-            "omega_step": None,
-        },
-        "spdc_spectrum": {
-            "temperatures_c": None,
-            "pump_wavelength_nm": None,
-            "pump_powers_mw": None,
-            "wavelength_span_nm": None,
-            "points": None,
-            "background": None,
-        },
-        "squeeze_budget": {
-            "temperature_c": None,
-            "probe_wavelength_nm": None,
-            "initial_levels_db": None,
-            "pump_powers_mw": None,
-            "mu0_per_sqrt_mw": None,
-            "spdc_pump_wavelength_nm": None,
-            "spdc_pump_powers_mw": None,
-        },
-        "fit_dn": {"probe_wavelength_nm": None, "inputs": None},
-        "fit_fpi": {
-            "input": None,
-            "temperature_c": None,
-            "probe_wavelength_nm": None,
-            "pump_on_time_s": None,
-            "mask_intervals_s": None,
-        },
-    },
-}
-
 DEFAULT_CONFIG: dict[str, Any] = {
     "material": {
-        "sellmeier": {
-            "a1": 5.35583,
-            "a2": 0.100473,
-            "a3": 0.20692,
-            "a4": 100.0,
-            "a5": 11.34927,
-            "a6": 1.5334e-2,
-            "b1": 4.629e-7,
-            "b2": 3.862e-8,
-            "b3": -0.89e-8,
-            "b4": 2.657e-5,
-            "t_low": 24.5,
-            "t_high": 570.82,
-        },
+        "sellmeier": asdict(JUNDT_CLN_EXTRAORDINARY),
         "modes": {
-            "fundamental-telecom": {
-                "wavelength_nm": 1550.0,
-                "temperature_c": 30.0,
-                "n_eff": 2.13,
-            },
-            "fundamental-nir": {
-                "wavelength_nm": 775.0,
-                "temperature_c": 30.0,
-                "n_eff": 2.18,
-            },
+            mode: {"wavelength_nm": lam, "temperature_c": t, "n_eff": n_eff}
+            for mode, (lam, t, n_eff) in DEFAULT_MODE_TARGETS.items()
         },
     },
     "photorefraction": {
-        "30.0": {
-            "a": 1.1e-4, "b": 10.0, "c": 0.02,
-            "tau_build_s": 5.0, "tau_dark_s": 1.0e4, "tau_erase_s": 10.0,
-        },
-        "60.0": {
-            "a": 3.0e-5, "b": 10.0, "c": 0.02,
-            "tau_build_s": 5.0, "tau_dark_s": 1.0e4, "tau_erase_s": 10.0,
-        },
-        "90.0": {
-            "a": 1.5e-7, "b": 10.0, "c": 0.02,
-            "tau_build_s": 5.0, "tau_dark_s": 1.0e4, "tau_erase_s": 10.0,
-        },
+        repr(t): {k: v for k, v in asdict(params).items() if k != "temperature_c"}
+        for t, params in DEFAULT_PHOTOREFRACTION.items()
     },
     "devices": {
         "fpi": {
@@ -295,6 +157,45 @@ DEFAULT_CONFIG: dict[str, Any] = {
 }
 
 
+# Maps keyed by data rather than by field name: any key is allowed, and each
+# entry has the shape of the default entries.  Temperature keys are also
+# canonicalized before merging, so that "30" and "30.0" are one key.
+_TEMPERATURE_MAPS = (
+    "photorefraction",
+    "devices.coupler.coupling_constant_per_mm",
+    "devices.homodyne_coupler.coupling_constant_per_mm",
+    "run.spdc_spectrum.pump_wavelength_nm",
+)
+_KEYED_MAPS = _TEMPERATURE_MAPS + ("material.modes",)
+
+# Keys that may be set but have no default; a None default would change the
+# resolved configuration and with it every config hash.
+_OPTIONAL_KEYS = (
+    "devices.qpm.poling_period_um",
+    "devices.homodyne_coupler.interaction_length_mm",
+)
+
+
+def _derive_schema(tree: Any, path: str = "") -> Any:
+    """Schema tree: nested dicts; None marks a scalar/list leaf, "*" matches any key."""
+    if not isinstance(tree, Mapping):
+        return None
+    if path in _KEYED_MAPS:
+        return {"*": _derive_schema(next(iter(tree.values())), f"{path}.*")}
+    schema = {
+        key: _derive_schema(value, f"{path}.{key}" if path else key)
+        for key, value in tree.items()
+    }
+    for optional in _OPTIONAL_KEYS:
+        section, _, key = optional.rpartition(".")
+        if section == path:
+            schema[key] = None
+    return schema
+
+
+_SCHEMA: dict[str, Any] = _derive_schema(DEFAULT_CONFIG)
+
+
 def _walk_unknown(user: Mapping, schema: Mapping, path: str, unknown: list[str]) -> None:
     wildcard = "*" in schema
     for key, value in user.items():
@@ -330,22 +231,15 @@ def _normalize_temperature_keys(section: Mapping, path: str) -> dict[str, Any]:
 
 def _normalize_temperature_maps(tree: dict) -> None:
     """Canonicalize every temperature-keyed mapping in place."""
-    if "photorefraction" in tree:
-        tree["photorefraction"] = _normalize_temperature_keys(
-            tree["photorefraction"], "photorefraction"
-        )
-    for name in ("coupler", "homodyne_coupler"):
-        device = tree.get("devices", {}).get(name, {})
-        if "coupling_constant_per_mm" in device:
-            device["coupling_constant_per_mm"] = _normalize_temperature_keys(
-                device["coupling_constant_per_mm"],
-                f"devices.{name}.coupling_constant_per_mm",
-            )
-    spdc = tree.get("run", {}).get("spdc_spectrum", {})
-    if isinstance(spdc.get("pump_wavelength_nm"), Mapping):
-        spdc["pump_wavelength_nm"] = _normalize_temperature_keys(
-            spdc["pump_wavelength_nm"], "run.spdc_spectrum.pump_wavelength_nm"
-        )
+    for path in _TEMPERATURE_MAPS:
+        *sections, key = path.split(".")
+        node = tree
+        for depth, name in enumerate(sections, start=1):
+            node = node.get(name, {})
+            if not isinstance(node, Mapping):
+                raise ConfigError(f"{'.'.join(sections[:depth])}: expected a mapping")
+        if isinstance(node.get(key), Mapping):
+            node[key] = _normalize_temperature_keys(node[key], path)
 
 
 @dataclass
@@ -403,14 +297,18 @@ class Config:
             )
         entry = table[key]
         try:
+            # Time constants left out fall back to the PhotorefractionParams defaults.
+            times = {
+                name: float(entry[name])
+                for name in ("tau_build_s", "tau_dark_s", "tau_erase_s")
+                if name in entry
+            }
             return PhotorefractionParams(
                 a=float(entry["a"]),
                 b=float(entry["b"]),
                 c=float(entry["c"]),
-                tau_build_s=float(entry.get("tau_build_s", 5.0)),
-                tau_dark_s=float(entry.get("tau_dark_s", 1.0e4)),
-                tau_erase_s=float(entry.get("tau_erase_s", 10.0)),
                 temperature_c=float(temperature_c),
+                **times,
             )
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"photorefraction[{key!r}]: {exc}") from None

@@ -156,17 +156,15 @@ def measured_squeezing_vs_residual_pump(
     probe_wavelength_nm: float,
     initial_squeezing_db: float,
     pump_powers_mw,
-    pump_during_calibration: bool = False,
 ) -> SweepData:
     """Measured squeezing (dB) as residual pump unbalances the homodyne coupler.
 
     The coupler must be balanced at zero pump (reflectivity 1/2 within
     1e-6).  For each residual power the splitting ratio moves to R(P) and
     the noise at the squeezed phase is normalized by the shot-noise
-    calibration, evaluated at R(0) or at R(P) depending on whether the pump
-    was present during calibration.  With an ideal coherent LO the vacuum
-    noise is splitting-independent, so the two calibration variants
-    coincide; both are kept for contract completeness.
+    calibration at R(0).  With an ideal coherent LO the vacuum noise is
+    splitting-independent, so calibrating with the pump present would give
+    the same levels.
     """
     r0 = coupler_reflectivity(geometry, 0.0)
     if abs(r0 - 0.5) > 1e-6:
@@ -184,7 +182,6 @@ def measured_squeezing_vs_residual_pump(
         noise = homodyne_noise(
             HomodyneConfig(reflectivity=float(r_p), squeezing_parameter=s)
         )
-        r_cal = float(r_p) if pump_during_calibration else float(r0)
-        shot = homodyne_noise(HomodyneConfig(reflectivity=r_cal))
+        shot = homodyne_noise(HomodyneConfig(reflectivity=float(r0)))
         levels[i] = 10.0 * math.log10(noise / shot)
     return SweepData(powers, levels)

@@ -206,7 +206,19 @@ def read_sweep_csv(path) -> SweepData:
 
 
 def write_columns_csv(path, header: list[str], columns: Iterable, comments=()) -> None:
-    """Write aligned columns as CSV with 17-significant-digit floats."""
+    """Write aligned columns as CSV with 17-significant-digit floats.
+
+    Raises FloatingPointError, before the file is opened, when a column holds
+    a non-finite value; the message names the column and the data row (from 1).
+    """
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    for name, column in zip(header, columns):
+        bad = np.flatnonzero(~np.isfinite(column))
+        if len(bad):
+            raise FloatingPointError(
+                f"{path}: column {name!r} row {bad[0] + 1}: non-finite value "
+                f"{float(column[bad[0]])}"
+            )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 from scipy.signal import find_peaks
 
-from .cavity import FpiCavity, finesse
+from .cavity import FpiCavity, _golden_min, finesse
 from .coupler import CouplerGeometry, coupler_reflectivity
 from .data import SweepData, Trace
 from .material import PhotorefractionParams
@@ -278,27 +278,13 @@ def first_monotone_branch(geometry: CouplerGeometry) -> ReflectivityBranch:
     else:
         # Refine the extremum inside the bracketing cells by golden section.
         i = int(flips[0])
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
         sign = -1.0 if direction > 0 else 1.0
-
-        def objective(db):
-            return sign * coupler_reflectivity(geometry, db)
-
-        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc, fd = objective(c), objective(d)
-        while b - a > 1e-12:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = objective(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = objective(d)
-        db_ext = 0.5 * (a + b)
+        db_ext, _ = _golden_min(
+            lambda db: sign * coupler_reflectivity(geometry, db),
+            grid[max(i - 1, 0)],
+            grid[min(i + 1, len(grid) - 1)],
+            tol=1e-12,
+        )
     r0 = float(coupler_reflectivity(geometry, 0.0))
     r_ext = float(coupler_reflectivity(geometry, db_ext))
     return ReflectivityBranch(db_ext, r0, r_ext, bool(direction > 0))

@@ -108,11 +108,18 @@ JUNDT_CLN_EXTRAORDINARY = SellmeierCoefficients(
 )
 
 
-def _check_dispersion_range(wavelength_nm: float, temperature_c: float) -> None:
+def _check_dispersion_range(wavelength_nm, temperature_c: float) -> None:
+    """Raise for a wavelength (scalar or array) or temperature outside the range.
+
+    The message names the first offending wavelength; NaN is out of range.
+    """
     lo, hi = WAVELENGTH_RANGE_NM
-    if not lo <= wavelength_nm <= hi:
+    lam = np.asarray(wavelength_nm, dtype=float)
+    outside = ~((lam >= lo) & (lam <= hi))
+    if outside.any():
         raise ValueError(
-            f"wavelength {wavelength_nm} nm outside validated range [{lo}, {hi}] nm"
+            f"wavelength {float(lam[outside].flat[0])} nm outside validated range "
+            f"[{lo}, {hi}] nm"
         )
     lo, hi = TEMPERATURE_RANGE_C
     if not lo <= temperature_c <= hi:
@@ -181,11 +188,9 @@ def refractive_index(
     else:
         known = ", ".join(sorted(model.mode_offsets)) or "none"
         raise KeyError(f"unknown mode id {mode!r} (registered: {known})")
-    scalar = np.isscalar(wavelength_nm)
-    for lam in np.atleast_1d(wavelength_nm):
-        _check_dispersion_range(float(lam), temperature_c)
+    _check_dispersion_range(wavelength_nm, temperature_c)
     n = model.coefficients.index(wavelength_nm, temperature_c) + offset
-    return float(n) if scalar else n
+    return float(n) if np.isscalar(wavelength_nm) else n
 
 
 # Default calibration targets for the guided modes of the reference device:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coupler import DB_PER_NEPER
 from .data import SweepData
 from .material import MaterialModel, PhotorefractionParams, delta_n_steady, refractive_index
 
@@ -28,8 +29,6 @@ __all__ = [
     "effective_squeezing_vs_power",
     "DB_PER_NEPER",
 ]
-
-DB_PER_NEPER = 20.0 * math.log10(math.e)
 
 
 @dataclass(frozen=True)
@@ -192,32 +191,27 @@ def degeneracy_power(
     temperature_c: float,
     photorefraction: PhotorefractionParams,
     max_power_mw: float = 100.0,
-    tol: float = 1e-9,
 ) -> float | None:
-    """Pump power at which the mismatch at degeneracy crosses zero, by bisection.
+    """Pump power at which the mismatch at degeneracy crosses zero.
 
-    Returns None when no sign change exists on [0, max_power_mw].
+    The mismatch is affine in the index shift dn, so its values at zero and
+    at ``max_power_mw`` give the root dn*; inverting dn(P) = -a*P/(b + c*P)
+    gives P* = -b*dn*/(a + c*dn*).  Returns None when the mismatch does not
+    change sign on [0, max_power_mw].
     """
     def mismatch_at(p):
         pt = SpdcOperatingPoint(pump_wavelength_nm, temperature_c, p)
         return qpm_mismatch(device, pt, 2.0 * pump_wavelength_nm, photorefraction)
 
-    lo, hi = 0.0, float(max_power_mw)
-    f_lo, f_hi = mismatch_at(lo), mismatch_at(hi)
+    f_lo, f_hi = mismatch_at(0.0), mismatch_at(float(max_power_mw))
     if f_lo == 0.0:
         return 0.0
     if f_lo * f_hi > 0:
         return None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = mismatch_at(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    dn_max = delta_n_steady(photorefraction, float(max_power_mw))
+    dn_root = dn_max * f_lo / (f_lo - f_hi)
+    a, b, c = photorefraction.a, photorefraction.b, photorefraction.c
+    return -b * dn_root / (a + c * dn_root)
 
 
 def effective_squeezing_vs_power(

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -242,3 +244,25 @@ class TestMaskedFit:
         fitted = json.loads((out / "fit_fpi.json").read_text())
         expected = -1.1e-4 * 5.0 / (10.0 + 0.02 * 5.0)
         assert fitted["fitted"]["delta_n_total"] == pytest.approx(expected, rel=0.02)
+
+
+class TestGenerateDatasets:
+    def test_fits_read_the_output_directory(self, tmp_path, monkeypatch):
+        """--out elsewhere works from a working directory without out/."""
+        script = Path(__file__).resolve().parents[1] / "scripts" / "generate_datasets.py"
+        spec = importlib.util.spec_from_file_location("generate_datasets", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        out = tmp_path / "datasets"
+        workdir = tmp_path / "cwd"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        monkeypatch.setattr(sys, "argv", ["generate_datasets.py", "--out", str(out)])
+        assert module.main() == 0
+        assert not (workdir / "out").exists()
+        assert sorted(p.name for p in out.glob("fit_dn_T*.json")) == [
+            "fit_dn_T30.json", "fit_dn_T60.json", "fit_dn_T90.json",
+        ]
+        assert (out / "fit_fpi.json").exists()
+        moved = yaml.safe_load((out / "generate_datasets_config.yaml").read_text())
+        assert moved["run"]["fit_fpi"]["input"] == str(out / "fpi_trace.csv")

@@ -78,6 +78,65 @@ class TestParsing:
         assert fresh.tau_build_s == 5.0  # fallback for a new temperature
 
 
+class TestDerivedSchema:
+    def test_resolved_example_with_optional_keys_accepted(self, tmp_path):
+        payload = yaml.safe_load(parse_config(EXAMPLE).to_yaml())
+        payload["devices"]["qpm"]["poling_period_um"] = 19.5
+        payload["devices"]["homodyne_coupler"]["interaction_length_mm"] = 5.0
+        config = parse_config(write_config(tmp_path, payload), strict=True)
+        assert config.qpm_section()["poling_period_um"] == 19.5
+        assert config.resolved["devices"]["homodyne_coupler"]["interaction_length_mm"] == 5.0
+
+    def test_new_keys_in_keyed_maps_accepted(self, tmp_path):
+        payload = {
+            "material": {
+                "modes": {
+                    "first-order-telecom": {
+                        "wavelength_nm": 1550.0, "temperature_c": 30.0, "n_eff": 2.12,
+                    }
+                }
+            },
+            "photorefraction": {"45": {"a": 1e-5, "b": 10.0, "c": 0.02}},
+            "devices": {
+                "coupler": {"coupling_constant_per_mm": {"45": 0.47}},
+                "homodyne_coupler": {"coupling_constant_per_mm": {"45": 0.47}},
+            },
+            "run": {"spdc_spectrum": {"pump_wavelength_nm": {"45": 772.0}}},
+        }
+        config = parse_config(write_config(tmp_path, payload), strict=True)
+        assert config.photorefraction(45.0).a == 1e-5
+        assert config.coupler_geometry(45.0).coupling_constant_per_mm == 0.47
+        assert config.homodyne_geometry(45.0).coupling_constant_per_mm == 0.47
+        assert config.run_section("spdc_spectrum")["pump_wavelength_nm"]["45.0"] == 772.0
+        assert "first-order-telecom" in config.material().mode_offsets
+
+    @pytest.mark.parametrize(
+        "payload, where",
+        [
+            ({"devcies": {}}, "devcies"),
+            ({"devices": {"coupler": {"interaction_lenght_mm": 4.3}}},
+             "devices.coupler.interaction_lenght_mm"),
+            ({"devices": {"qpm": {"calibration": {"temperature": 30.0}}}},
+             "devices.qpm.calibration.temperature"),
+            ({"photorefraction": {"30.0": {"tau_bulid_s": 5.0}}},
+             r"photorefraction\.30\.0\.tau_bulid_s"),
+        ],
+    )
+    def test_misspelled_key_rejected(self, tmp_path, payload, where):
+        path = write_config(tmp_path, payload)
+        with pytest.raises(ConfigError, match=f"unknown configuration keys: {where}$"):
+            parse_config(path, strict=True)
+
+    @pytest.mark.parametrize(
+        "payload, where",
+        [({"run": None}, "run"), ({"devices": {"coupler": [0.46]}}, "devices.coupler")],
+    )
+    def test_section_that_is_not_a_mapping_rejected(self, tmp_path, payload, where):
+        path = write_config(tmp_path, payload)
+        with pytest.raises(ConfigError, match=f"^{where}: expected a mapping$"):
+            parse_config(path)
+
+
 class TestRoundTrip:
     def test_serialize_parse_identity(self, tmp_path):
         config = parse_config(EXAMPLE)

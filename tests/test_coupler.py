@@ -187,14 +187,22 @@ class TestMeasuredSqueezing:
             assert np.all(sweep.value >= level - 1e-9)
 
     def test_calibration_variants_coincide_for_ideal_lo(self, params30):
+        # The sweep calibrates the shot noise at R(0); calibrating it with the
+        # residual pump present, at R(P), gives the same levels.
+        geometry = balanced_geometry()
         powers = [0.0, 3.0, 8.0]
-        without = measured_squeezing_vs_residual_pump(
-            balanced_geometry(), params30, 1550.0, -5.0, powers, False
+        sweep = measured_squeezing_vs_residual_pump(
+            geometry, params30, 1550.0, -5.0, powers
         )
-        with_pump = measured_squeezing_vs_residual_pump(
-            balanced_geometry(), params30, 1550.0, -5.0, powers, True
-        )
-        np.testing.assert_allclose(without.value, with_pump.value, atol=1e-12)
+        s = squeezing_parameter_from_db(-5.0)
+        with_pump = [
+            10.0 * math.log10(
+                homodyne_noise(HomodyneConfig(r, squeezing_parameter=s))
+                / homodyne_noise(HomodyneConfig(r))
+            )
+            for r in reflectivity_vs_pump(geometry, params30, 1550.0, powers).value
+        ]
+        np.testing.assert_allclose(sweep.value, with_pump, atol=1e-12)
 
     def test_unbalanced_design_rejected(self, params30, coupler30):
         with pytest.raises(ValueError, match="not balanced"):

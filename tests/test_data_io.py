@@ -6,6 +6,7 @@ from photoref.data import (
     Trace,
     read_sweep_csv,
     read_trace_csv,
+    write_columns_csv,
     write_sweep_csv,
     write_trace_csv,
 )
@@ -143,3 +144,14 @@ class TestCsvParsing:
         kept, _ = trace.unmasked()
         assert kept.max() == 119.0
         assert not np.any((kept >= 25.0) & (kept <= 85.0))
+
+
+class TestWriteRefusesNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_no_file_written(self, tmp_path, bad):
+        path = tmp_path / "columns.csv"
+        with pytest.raises(FloatingPointError, match="column 'value' row 3"):
+            write_columns_csv(
+                path, ["x", "value"], [[0.0, 1.0, 2.0], [1.0, 2.0, bad]], ["note"]
+            )
+        assert not path.exists()

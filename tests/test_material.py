@@ -44,11 +44,23 @@ class TestDispersion:
             refractive_index(material, 1550.0, 30.0, "tm99")
 
     @pytest.mark.parametrize(
-        "lam, t", [(300.0, 30.0), (2500.0, 30.0), (1550.0, 10.0), (1550.0, 250.0)]
+        "lam, t",
+        [(300.0, 30.0), (2500.0, 30.0), (1550.0, 10.0), (1550.0, 250.0),
+         (np.array([1500.0, 1600.0]), 250.0)],
     )
     def test_out_of_range_rejected(self, material, lam, t):
         with pytest.raises(ValueError, match="outside validated range"):
             refractive_index(material, lam, t, BULK_MODE)
+
+    def test_array_names_first_out_of_range_wavelength(self, material):
+        lam = np.array([1500.0, 2500.0, 1600.0, 300.0])
+        with pytest.raises(ValueError, match=r"wavelength 2500\.0 nm outside"):
+            refractive_index(material, lam, 30.0, BULK_MODE)
+
+    def test_array_with_nan_rejected(self, material):
+        lam = np.array([1500.0, math.nan, 1600.0])
+        with pytest.raises(ValueError, match="wavelength nan nm outside"):
+            refractive_index(material, lam, 30.0, BULK_MODE)
 
     @pytest.mark.parametrize("t", [20.0, 30.0, 90.0, 200.0])
     def test_index_above_unity(self, material, t):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -181,6 +182,30 @@ class TestSpectrum:
         assert power is not None
         assert 0.0 < power < 100.0
         assert power == pytest.approx(5.0, abs=1e-6)  # calibrated reference power
+
+    @staticmethod
+    def sign_change(device, params, lo, hi, points=1000):
+        """Brackets of the sign changes of the mismatch at degeneracy over a power scan."""
+        powers = np.linspace(lo, hi, points)
+        dk = np.array([
+            qpm_mismatch(device, SpdcOperatingPoint(PUMP_30, 30.0, p), 2 * PUMP_30, params)
+            for p in powers
+        ])
+        i = np.flatnonzero(np.sign(dk[:-1]) != np.sign(dk[1:]))
+        return [(powers[j], powers[j + 1]) for j in i]
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.3])
+    def test_degeneracy_power_matches_dense_scan(self, device_ref, params30, fraction):
+        device = dataclasses.replace(device_ref, telecom_shift_fraction=fraction)
+        power = degeneracy_power(device, PUMP_30, 30.0, params30)
+        [(lo, hi)] = self.sign_change(device, params30, 0.0, 100.0)
+        # Refine the bracket to about 1e-4 mW with a second scan inside it.
+        [(lo, hi)] = self.sign_change(device, params30, lo, hi)
+        assert lo - 1e-9 <= power <= hi + 1e-9
+
+    def test_degeneracy_power_none_below_crossing(self, device_ref, params30):
+        assert self.sign_change(device_ref, params30, 0.0, 4.0) == []
+        assert degeneracy_power(device_ref, PUMP_30, 30.0, params30, max_power_mw=4.0) is None
 
     def test_high_temperature_power_insensitivity(self, device_ref, params90):
         grid = np.linspace(1440.0, 1660.0, 3001)

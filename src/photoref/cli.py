@@ -20,7 +20,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
@@ -434,7 +433,6 @@ def _write_manifest(
             "photoref": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "pyyaml": yaml.__version__,
         },
         "wall_time_s": wall_time_s,

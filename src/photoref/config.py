@@ -196,7 +196,8 @@ def _derive_schema(tree: Any, path: str = "") -> Any:
 _SCHEMA: dict[str, Any] = _derive_schema(DEFAULT_CONFIG)
 
 
-def _walk_unknown(user: Mapping, schema: Mapping, path: str, unknown: list[str]) -> None:
+def _walk_schema(user: Mapping, schema: Mapping, path: str, unknown: list[str]) -> None:
+    """Collect the keys the schema lacks; a section that is not a mapping raises."""
     wildcard = "*" in schema
     for key, value in user.items():
         where = f"{path}.{key}" if path else str(key)
@@ -204,8 +205,10 @@ def _walk_unknown(user: Mapping, schema: Mapping, path: str, unknown: list[str])
             unknown.append(where)
             continue
         subschema = schema.get(key, schema.get("*"))
-        if isinstance(value, Mapping) and isinstance(subschema, Mapping):
-            _walk_unknown(value, subschema, where, unknown)
+        if isinstance(subschema, Mapping):
+            if not isinstance(value, Mapping):
+                raise ConfigError(f"{where}: expected a mapping")
+            _walk_schema(value, subschema, where, unknown)
 
 
 def _deep_merge(base: dict, override: Mapping) -> dict:
@@ -230,15 +233,16 @@ def _normalize_temperature_keys(section: Mapping, path: str) -> dict[str, Any]:
 
 
 def _normalize_temperature_maps(tree: dict) -> None:
-    """Canonicalize every temperature-keyed mapping in place."""
+    """Canonicalize every temperature-keyed mapping in place.
+
+    Sections are mappings wherever present: ``_walk_schema`` checked them.
+    """
     for path in _TEMPERATURE_MAPS:
         *sections, key = path.split(".")
         node = tree
-        for depth, name in enumerate(sections, start=1):
+        for name in sections:
             node = node.get(name, {})
-            if not isinstance(node, Mapping):
-                raise ConfigError(f"{'.'.join(sections[:depth])}: expected a mapping")
-        if isinstance(node.get(key), Mapping):
+        if key in node:
             node[key] = _normalize_temperature_keys(node[key], path)
 
 
@@ -273,14 +277,19 @@ class Config:
 
     def material(self) -> MaterialModel:
         section = self.resolved["material"]
-        coeffs = SellmeierCoefficients(**section["sellmeier"])
-        targets = {
-            mode: (entry["wavelength_nm"], entry["temperature_c"], entry["n_eff"])
-            for mode, entry in section["modes"].items()
-        }
         try:
+            coeffs = SellmeierCoefficients(
+                **{name: float(value) for name, value in section["sellmeier"].items()}
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"material.sellmeier: {exc}") from None
+        try:
+            targets = {
+                mode: (entry["wavelength_nm"], entry["temperature_c"], entry["n_eff"])
+                for mode, entry in section["modes"].items()
+            }
             return MaterialModel.calibrated(targets, coeffs)
-        except ValueError as exc:
+        except (TypeError, ValueError, KeyError) as exc:
             raise ConfigError(f"material.modes: {exc}") from None
 
     def photorefraction_temperatures(self) -> list[float]:
@@ -310,7 +319,7 @@ class Config:
                 temperature_c=float(temperature_c),
                 **times,
             )
-        except (ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError) as exc:
             raise ConfigError(f"photorefraction[{key!r}]: {exc}") from None
 
     def fpi_cavity(self, material: MaterialModel | None = None) -> FpiCavity:
@@ -325,7 +334,7 @@ class Config:
                 probe_mode=section["probe_mode"],
                 pump_mode=section["pump_mode"],
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"devices.fpi: {exc}") from None
 
     def squeezer_cavity(self, material: MaterialModel | None = None) -> SqueezerCavity:
@@ -338,7 +347,7 @@ class Config:
                 material=material or self.material(),
                 mode=section["mode"],
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"devices.squeezer: {exc}") from None
 
     def _coupling_constant(self, section_name: str, temperature_c: float) -> float:
@@ -350,35 +359,41 @@ class Config:
                 f"devices.{section_name}.coupling_constant_per_mm: no value at "
                 f"{temperature_c} C (configured: {known})"
             )
-        return float(table[key])
+        try:
+            return float(table[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"devices.{section_name}.coupling_constant_per_mm[{key!r}]: {exc}"
+            ) from None
 
     def coupler_geometry(self, temperature_c: float) -> CouplerGeometry:
         section = self.resolved["devices"]["coupler"]
+        k = self._coupling_constant("coupler", temperature_c)
         try:
             return CouplerGeometry(
-                coupling_constant_per_mm=self._coupling_constant("coupler", temperature_c),
+                coupling_constant_per_mm=k,
                 interaction_length_mm=float(section["interaction_length_mm"]),
                 waveguide_separation_um=section.get("waveguide_separation_um"),
                 design_wavelength_nm=float(section["design_wavelength_nm"]),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"devices.coupler: {exc}") from None
 
     def homodyne_geometry(self, temperature_c: float) -> CouplerGeometry:
         section = self.resolved["devices"]["homodyne_coupler"]
         k = self._coupling_constant("homodyne_coupler", temperature_c)
-        if section.get("balanced", True):
-            length = 1.5 * coupling_length(k)
-        else:
-            length = float(section["interaction_length_mm"])
         try:
+            if section.get("balanced", True):
+                length = 1.5 * coupling_length(k)
+            else:
+                length = float(section["interaction_length_mm"])
             return CouplerGeometry(
                 coupling_constant_per_mm=k,
                 interaction_length_mm=length,
                 waveguide_separation_um=section.get("waveguide_separation_um"),
                 design_wavelength_nm=float(section["design_wavelength_nm"]),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError, KeyError) as exc:
             raise ConfigError(f"devices.homodyne_coupler: {exc}") from None
 
     def qpm_section(self) -> dict[str, Any]:
@@ -389,8 +404,8 @@ def parse_config(path, strict: bool = False) -> Config:
     """Load, merge with defaults, and validate a configuration file.
 
     Raises :class:`ConfigError` for syntax errors (with line number),
-    invariant violations (with the field path), and unknown keys in strict
-    mode.
+    invariant violations and values of the wrong type (with the field
+    path), and unknown keys in strict mode.
     """
     path = Path(path)
     if not path.exists():
@@ -406,7 +421,7 @@ def parse_config(path, strict: bool = False) -> Config:
         raise ConfigError(f"{path}: top level must be a mapping")
 
     unknown: list[str] = []
-    _walk_unknown(user, _SCHEMA, "", unknown)
+    _walk_schema(user, _SCHEMA, "", unknown)
     if unknown:
         message = f"{path}: unknown configuration keys: " + ", ".join(sorted(unknown))
         if strict:
@@ -441,8 +456,13 @@ def _validate(config: Config) -> None:
     for key in homodyne_temps:
         config.homodyne_geometry(float(key))
     qpm = config.qpm_section()
-    if float(qpm["length_mm"]) <= 0:
+    period = qpm.get("poling_period_um")
+    try:
+        length = float(qpm["length_mm"])
+        period = None if period is None else float(period)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"devices.qpm: {exc}") from None
+    if length <= 0:
         raise ConfigError("devices.qpm.length_mm must be > 0")
-    if "poling_period_um" in qpm and qpm["poling_period_um"] is not None:
-        if float(qpm["poling_period_um"]) <= 0:
-            raise ConfigError("devices.qpm.poling_period_um must be > 0")
+    if period is not None and period <= 0:
+        raise ConfigError("devices.qpm.poling_period_um must be > 0")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .cavity import FpiCavity, _golden_min, finesse
 from .coupler import CouplerGeometry, coupler_reflectivity
@@ -473,6 +472,45 @@ def fit_delta_n_from_reflectivity(
 # Pipeline 2: index excursion and build-up time from a cavity trace.
 
 
+def _count_prominent_extrema(values: np.ndarray, prominence: float) -> int:
+    """Number of interior maxima and minima whose prominence is >= ``prominence``.
+
+    Prominence is as in SciPy's ``peak_prominences``: the height of an
+    extremum above the higher of the two lowest points reached on either
+    side before the signal passes the extremum's level (mirrored for a
+    minimum).  A zig-zag with hysteresis counts the same set: an extremum
+    is confirmed once the signal reverses from it by at least
+    ``prominence``; the first confirmed turn only ends the start-up leg,
+    and the final, unconfirmed leg is never counted.  Plateaus count once.
+    Unlike SciPy's ``find_peaks``, exact ties count once: two equal-height
+    maxima separated by a dip shallower than ``prominence`` are one
+    extremum here and two there.  Only the turning points reach the
+    Python loop.
+    """
+    x = np.asarray(values, dtype=float)
+    if len(x) < 3:
+        return 0
+    x = x[np.concatenate(([True], np.diff(x) != 0))]
+    steps = np.diff(x)
+    turning = np.flatnonzero(steps[:-1] * steps[1:] < 0) + 1
+    points = np.concatenate((x[:1], x[turning], x[-1:])).tolist()
+    high = low = points[0]
+    rising = None  # unknown until the first reversal by the prominence
+    confirmed = 0
+    for v in points:
+        if rising is not True and v - low >= prominence:
+            confirmed += 1
+            rising, high = True, v
+        elif rising is not False and high - v >= prominence:
+            confirmed += 1
+            rising, low = False, v
+        elif v > high:
+            high = v
+        elif v < low:
+            low = v
+    return max(confirmed - 1, 0)
+
+
 class OscillationEstimate(NamedTuple):
     """Index excursion bound from counting transmission half-oscillations."""
 
@@ -483,12 +521,13 @@ class OscillationEstimate(NamedTuple):
 def estimate_delta_n_from_oscillations(
     trace: Trace, cavity: FpiCavity, probe_wavelength_nm: float
 ) -> OscillationEstimate:
-    """Count interior extrema of the trace; each one is a half-oscillation.
+    """Count prominent interior extrema of the trace; each is a half-oscillation.
 
     A half-oscillation of the cavity transmission corresponds to an index
     step of lambda/(4L), so the count gives |dn_total| to within one
-    half-period quantum.  The trace is lightly smoothed first so that
-    detector noise does not masquerade as oscillations.
+    half-period quantum.  The trace is lightly smoothed first, and only
+    extrema with a prominence of at least 15 % of the smoothed range count,
+    so that detector noise does not masquerade as oscillations.
     """
     _, values = trace.unmasked()
     window = max(len(values) // 64, 1)
@@ -498,9 +537,7 @@ def estimate_delta_n_from_oscillations(
     prominence = 0.15 * (values.max() - values.min())
     if prominence == 0:
         return OscillationEstimate(0, 0.0)
-    peaks, _ = find_peaks(values, prominence=prominence)
-    troughs, _ = find_peaks(-values, prominence=prominence)
-    n_half = len(peaks) + len(troughs)
+    n_half = _count_prominent_extrema(values, prominence)
     quantum = probe_wavelength_nm / (4.0 * cavity.length_mm * 1e6)
     return OscillationEstimate(n_half, n_half * quantum)
 

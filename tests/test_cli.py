@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -201,6 +203,28 @@ class TestExitCodes:
             ["fit-dn", "--config", str(path), "--out", str(out), "--quiet"]
         ) == 1
 
+    @pytest.mark.parametrize(
+        "subcommand, payload, where",
+        [
+            ("fpi-char", {"photorefraction": {"30": {"a": None}}},
+             "photorefraction['30.0']"),
+            ("spdc-spectrum", {"run": {"spdc_spectrum": {"pump_wavelength_nm": 770.73}}},
+             "run.spdc_spectrum.pump_wavelength_nm: expected a mapping"),
+        ],
+    )
+    def test_malformed_value_is_validation_error(
+        self, tmp_path, caplog, subcommand, payload, where
+    ):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(payload))
+        with caplog.at_level("ERROR"):
+            code = main(
+                [subcommand, "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--quiet", "--strict"]
+            )
+        assert code == 1
+        assert any(where in rec.getMessage() for rec in caplog.records)
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, make_config, tmp_path):
@@ -266,3 +290,23 @@ class TestGenerateDatasets:
         assert (out / "fit_fpi.json").exists()
         moved = yaml.safe_load((out / "generate_datasets_config.yaml").read_text())
         assert moved["run"]["fit_fpi"]["input"] == str(out / "fpi_trace.csv")
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        """A fresh interpreter importing the CLI never loads SciPy."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        probe = (
+            "import sys, photoref.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert done.stdout.strip() == "[]"

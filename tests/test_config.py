@@ -129,11 +129,49 @@ class TestDerivedSchema:
 
     @pytest.mark.parametrize(
         "payload, where",
-        [({"run": None}, "run"), ({"devices": {"coupler": [0.46]}}, "devices.coupler")],
+        [
+            ({"run": None}, "run"),
+            ({"devices": {"coupler": [0.46]}}, "devices.coupler"),
+            ({"photorefraction": 770.73}, "photorefraction"),
+            ({"devices": {"coupler": {"coupling_constant_per_mm": 0.46}}},
+             "devices.coupler.coupling_constant_per_mm"),
+            ({"devices": {"homodyne_coupler": {"coupling_constant_per_mm": None}}},
+             "devices.homodyne_coupler.coupling_constant_per_mm"),
+            ({"run": {"spdc_spectrum": {"pump_wavelength_nm": 770.73}}},
+             "run.spdc_spectrum.pump_wavelength_nm"),
+            ({"material": {"sellmeier": [5.35]}}, "material.sellmeier"),
+            ({"photorefraction": {"30": 5.0}}, "photorefraction.30"),
+        ],
     )
     def test_section_that_is_not_a_mapping_rejected(self, tmp_path, payload, where):
         path = write_config(tmp_path, payload)
         with pytest.raises(ConfigError, match=f"^{where}: expected a mapping$"):
+            parse_config(path)
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize(
+        "payload, where",
+        [
+            ({"photorefraction": {"30": {"a": None}}}, r"photorefraction\['30.0'\]"),
+            ({"material": {"sellmeier": {"a1": None}}}, "material.sellmeier"),
+            ({"material": {"modes": {"fundamental-nir": {"n_eff": None}}}},
+             "material.modes"),
+            ({"devices": {"fpi": {"length_mm": None}}}, "devices.fpi"),
+            ({"devices": {"squeezer": {"mirror_r1": None}}}, "devices.squeezer"),
+            ({"devices": {"coupler": {"coupling_constant_per_mm": {"60": None}}}},
+             r"devices\.coupler\.coupling_constant_per_mm\['60.0'\]"),
+            ({"devices": {"homodyne_coupler": {"design_wavelength_nm": None}}},
+             "devices.homodyne_coupler"),
+            ({"devices": {"homodyne_coupler": {"balanced": False}}},
+             "devices.homodyne_coupler"),
+            ({"devices": {"qpm": {"length_mm": None}}}, "devices.qpm"),
+            ({"devices": {"qpm": {"poling_period_um": "wide"}}}, "devices.qpm"),
+        ],
+    )
+    def test_bad_value_names_its_path(self, tmp_path, payload, where):
+        path = write_config(tmp_path, payload)
+        with pytest.raises(ConfigError, match=f"^{where}: "):
             parse_config(path)
 
 

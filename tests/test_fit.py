@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import photoref.fit as fit_module
 from photoref.cavity import FpiCavity, simulate_fpi_trace
 from photoref.coupler import CouplerGeometry, coupler_reflectivity, reflectivity_vs_pump
 from photoref.data import SweepData, Trace
 from photoref.fit import (
     FitError,
     FitProblem,
+    _count_prominent_extrema,
     estimate_delta_n_from_oscillations,
     first_monotone_branch,
     fit_delta_n_from_reflectivity,
@@ -329,3 +333,105 @@ class TestFpiTracePipeline:
         trace, _ = synthetic_trace()
         with pytest.raises(ValueError, match="resonant cavity"):
             fit_fpi_trace(trace, cavity, LAM, 30.0)
+
+
+def scipy_extremum_count(values, prominence):
+    signal = pytest.importorskip("scipy.signal")
+    x = np.asarray(values, dtype=float)
+    peaks, _ = signal.find_peaks(x, prominence=prominence)
+    troughs, _ = signal.find_peaks(-x, prominence=prominence)
+    return len(peaks) + len(troughs)
+
+
+class TestProminentExtremaCounter:
+    """The numpy counter against SciPy's find_peaks, a test-only oracle."""
+
+    # The first example pays for importing scipy.signal.
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+            max_size=200,
+            unique=True,
+        ),
+        st.floats(1e-3, 500.0),
+    )
+    def test_matches_find_peaks_on_distinct_values(self, values, prominence):
+        assert _count_prominent_extrema(values, prominence) == scipy_extremum_count(
+            values, prominence
+        )
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 400),
+        st.floats(1.0, 40.0),
+        st.floats(0.0, 0.5),
+        st.floats(0.05, 2.0),
+    )
+    def test_matches_find_peaks_on_noisy_cosines(
+        self, seed, n, span, noise, prominence
+    ):
+        rng = np.random.default_rng(seed)
+        values = np.cos(np.linspace(0.0, span, n)) + noise * rng.standard_normal(n)
+        assert _count_prominent_extrema(values, prominence) == scipy_extremum_count(
+            values, prominence
+        )
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([0.0, 1.0, 1.0, 1.0, 0.0], 1),  # flat-topped peak counts once
+            ([3.0, 2.0, 1.0, 2.0, 3.0], 1),  # monotone ends are not extrema
+            ([0.0, 1.0, 0.8, 2.0, 0.0], 1),  # a shallow wiggle is not counted
+            ([0.0, 1.0, 2.0, 3.0], 0),
+            ([2.0, 2.0, 2.0], 0),
+        ],
+    )
+    def test_pinned_cases_agree_with_find_peaks(self, values, expected):
+        assert _count_prominent_extrema(values, 0.5) == expected
+        assert scipy_extremum_count(values, 0.5) == expected
+
+    def test_equal_height_tie_counts_once(self):
+        """Documented difference: find_peaks counts both tied maxima."""
+        values = [0.0, 1.0, 0.9, 1.0, 0.0]
+        assert _count_prominent_extrema(values, 0.5) == 1
+        assert scipy_extremum_count(values, 0.5) == 2
+
+    def test_constant_trace_has_no_half_periods(self):
+        cavity = make_trace_cavity()
+        trace = Trace(np.linspace(0.0, 24.0, 481), np.full(481, 0.8))
+        estimate = estimate_delta_n_from_oscillations(trace, cavity, LAM)
+        assert estimate == (0, 0.0)
+
+
+class TestResidualEvaluationCounts:
+    """Deterministic guard on fit work: exact residual-evaluation counts."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counter = [0]
+        original = fit_module._weighted_residual
+
+        def counting(problem, params):
+            counter[0] += 1
+            return original(problem, params)
+
+        monkeypatch.setattr(fit_module, "_weighted_residual", counting)
+        return counter
+
+    def test_seeded_noisy_trace_fit(self, calls):
+        trace, cavity = synthetic_trace(noise=0.02, rng=np.random.default_rng(4000))
+        fit_fpi_trace(trace, cavity, LAM, 30.0)
+        assert calls[0] == 1709
+
+    def test_seeded_noisy_sweep_fit(self, calls, coupler30):
+        sweep = synthetic_sweep(
+            TestDeltaNPipeline.truth,
+            coupler30,
+            TestDeltaNPipeline.powers,
+            0.01,
+            np.random.default_rng(1000),
+        )
+        fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
+        assert calls[0] == 38

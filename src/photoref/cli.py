@@ -130,46 +130,37 @@ def _qpm_device(runner: _Runner) -> QpmDevice:
     period = section.get("poling_period_um")
     if period is None:
         cal = section["calibration"]
-        params = config.photorefraction(float(cal["temperature_c"]))
-        shift = delta_n_steady(params, float(cal["reference_pump_power_mw"]))
+        params = config.photorefraction(cal["temperature_c"])
+        shift = delta_n_steady(params, cal["reference_pump_power_mw"])
         period = calibrate_poling_period(
             material,
-            float(cal["temperature_c"]),
-            float(cal["pump_wavelength_nm"]),
-            float(cal["degeneracy_wavelength_nm"]),
+            cal["temperature_c"],
+            cal["pump_wavelength_nm"],
+            cal["degeneracy_wavelength_nm"],
             pump_index_shift=shift,
         )
     return QpmDevice(
-        poling_period_um=float(period),
-        length_mm=float(section["length_mm"]),
+        poling_period_um=period,
+        length_mm=section["length_mm"],
         material=material,
-        telecom_shift_fraction=float(section.get("telecom_shift_fraction", 0.0)),
+        telecom_shift_fraction=section["telecom_shift_fraction"],
     )
 
 
 def _run_fpi_trace(runner: _Runner) -> None:
     config = runner.config
     section = config.run_section("fpi_trace")
-    temperature = float(section["temperature_c"])
-    schedule = PumpSchedule(
-        [
-            PumpSegment(
-                start_s=float(seg["start_s"]),
-                end_s=float(seg["end_s"]),
-                pump_power_mw=float(seg["pump_power_mw"]),
-                erasing_light=bool(seg.get("erasing_light", False)),
-            )
-            for seg in section["schedule"]
-        ]
-    )
+    temperature = section["temperature_c"]
+    # The schema walk left only known keys in each segment.
+    schedule = PumpSchedule([PumpSegment(**seg) for seg in section["schedule"]])
     trace = simulate_fpi_trace(
         config.fpi_cavity(),
         schedule,
         config.photorefraction(temperature),
-        probe_wavelength_nm=float(section["probe_wavelength_nm"]),
+        probe_wavelength_nm=section["probe_wavelength_nm"],
         temperature_c=temperature,
-        sample_period_s=float(section["sample_period_s"]),
-        duration_s=float(section["duration_s"]),
+        sample_period_s=section["sample_period_s"],
+        duration_s=section["duration_s"],
     )
     write_trace_csv(runner.path("fpi_trace.csv"), trace, runner.comments)
 
@@ -178,10 +169,9 @@ def _run_fpi_char(runner: _Runner) -> None:
     config = runner.config
     section = config.run_section("fpi_char")
     cavity = config.fpi_cavity()
-    temperature = float(section["temperature_c"])
+    temperature = section["temperature_c"]
     report = {}
     for lam in section["wavelengths_nm"]:
-        lam = float(lam)
         fsr_pm, fwhm_pm = fpi_characteristics(cavity, lam, temperature)
         r = cavity.reflectivity_at(lam)
         coefficient, conventional = finesse(r, r)
@@ -202,11 +192,11 @@ def _run_fpi_char(runner: _Runner) -> None:
 def _run_coupler_sweep(runner: _Runner) -> None:
     config = runner.config
     section = config.run_section("coupler_sweep")
-    probe = float(section["probe_wavelength_nm"])
-    powers = [float(p) for p in section["pump_powers_mw"]]
-    noise = float(section.get("noise_fraction", 0.0))
+    probe = section["probe_wavelength_nm"]
+    powers = section["pump_powers_mw"]
+    noise = section["noise_fraction"]
     rng = np.random.default_rng(runner.seed)
-    for temperature in [float(t) for t in section["temperatures_c"]]:
+    for temperature in section["temperatures_c"]:
         geometry = config.coupler_geometry(temperature)
         params = config.photorefraction(temperature)
         sweep = reflectivity_vs_pump(geometry, params, probe, powers)
@@ -236,10 +226,10 @@ def _run_coupler_sweep(runner: _Runner) -> None:
 
 def _run_homodyne(runner: _Runner) -> None:
     section = runner.config.run_section("homodyne")
-    reflectivity = float(section["reflectivity"])
-    s = squeezing_parameter_from_db(float(section["squeezing_db"]))
-    lo = float(section["lo_amplitude_sq"])
-    phases = np.asarray([float(p) for p in section["phases_rad"]])
+    reflectivity = section["reflectivity"]
+    s = squeezing_parameter_from_db(section["squeezing_db"])
+    lo = section["lo_amplitude_sq"]
+    phases = section["phases_rad"]
     levels = []
     for phi in phases:
         noise = homodyne_noise(
@@ -247,28 +237,25 @@ def _run_homodyne(runner: _Runner) -> None:
                 reflectivity=reflectivity,
                 lo_amplitude_sq=lo,
                 squeezing_parameter=s,
-                phase_rad=float(phi),
+                phase_rad=phi,
             )
         )
         levels.append(10.0 * math.log10(noise / lo))
     write_columns_csv(
         runner.path("homodyne.csv"),
         ["phase_rad", "value"],
-        [phases, np.asarray(levels)],
+        [phases, levels],
         runner.comments,
     )
 
 
 def _run_opo_spectrum(runner: _Runner) -> None:
     section = runner.config.run_section("opo_spectrum")
-    sigma = pump_parameter_for_squeezing_db(float(section["initial_squeezing_db"]))
-    eta = float(section["detection_efficiency"])
-    omega = np.arange(
-        0.0,
-        float(section["omega_max"]) + float(section["omega_step"]) / 2,
-        float(section["omega_step"]),
-    )
-    detunings = [float(d) for d in section["detunings"]]
+    sigma = pump_parameter_for_squeezing_db(section["initial_squeezing_db"])
+    eta = section["detection_efficiency"]
+    step = section["omega_step"]
+    omega = np.arange(0.0, section["omega_max"] + step / 2, step)
+    detunings = section["detunings"]
     best_rows = []
     for delta in detunings:
         lo, hi = _eigen_extrema(*opo_spectrum_matrix(sigma, delta, omega))
@@ -298,14 +285,14 @@ def _run_spdc_spectrum(runner: _Runner) -> None:
     section = config.run_section("spdc_spectrum")
     device = _qpm_device(runner)
     pump_map = section["pump_wavelength_nm"]
-    span = float(section["wavelength_span_nm"])
-    points = int(section["points"])
-    background = float(section.get("background", 0.0))
-    for temperature in [float(t) for t in section["temperatures_c"]]:
-        lam_p = float(pump_map[repr(temperature)])
+    span = section["wavelength_span_nm"]
+    points = section["points"]
+    background = section["background"]
+    for temperature in section["temperatures_c"]:
+        lam_p = pump_map[repr(temperature)]
         params = config.photorefraction(temperature)
         grid = np.linspace(2 * lam_p - span / 2, 2 * lam_p + span / 2, points)
-        for power in [float(p) for p in section["pump_powers_mw"]]:
+        for power in section["pump_powers_mw"]:
             point = SpdcOperatingPoint(lam_p, temperature, power)
             density = spdc_spectrum(device, point, params, grid, background)
             write_columns_csv(
@@ -321,12 +308,12 @@ def _run_spdc_spectrum(runner: _Runner) -> None:
 def _run_squeeze_budget(runner: _Runner) -> None:
     config = runner.config
     section = config.run_section("squeeze_budget")
-    temperature = float(section["temperature_c"])
-    probe = float(section["probe_wavelength_nm"])
+    temperature = section["temperature_c"]
+    probe = section["probe_wavelength_nm"]
     params = config.photorefraction(temperature)
     geometry = config.homodyne_geometry(temperature)
-    powers = [float(p) for p in section["pump_powers_mw"]]
-    for level in [float(x) for x in section["initial_levels_db"]]:
+    powers = section["pump_powers_mw"]
+    for level in section["initial_levels_db"]:
         sweep = measured_squeezing_vs_residual_pump(
             geometry, params, probe, level, powers
         )
@@ -335,10 +322,10 @@ def _run_squeeze_budget(runner: _Runner) -> None:
     ideal, degraded = effective_squeezing_vs_power(
         device,
         temperature,
-        float(section["spdc_pump_wavelength_nm"]),
+        section["spdc_pump_wavelength_nm"],
         params,
-        float(section["mu0_per_sqrt_mw"]),
-        [float(p) for p in section["spdc_pump_powers_mw"]],
+        section["mu0_per_sqrt_mw"],
+        section["spdc_pump_powers_mw"],
     )
     runner.write_sweep("squeeze_ideal.csv", ideal)
     runner.write_sweep("squeeze_photorefractive.csv", degraded)
@@ -351,11 +338,11 @@ def _run_fit_dn(runner: _Runner) -> None:
         raise ConfigError("run.fit_dn.inputs: no input sweeps configured")
     sweeps, geometries = {}, {}
     for entry in section["inputs"]:
-        temperature = float(entry["temperature_c"])
+        temperature = entry["temperature_c"]
         sweeps[temperature] = read_sweep_csv(entry["path"])
         geometries[temperature] = config.coupler_geometry(temperature)
     outcomes = fit_delta_n_from_reflectivity(
-        sweeps, geometries, float(section["probe_wavelength_nm"])
+        sweeps, geometries, section["probe_wavelength_nm"]
     )
     for temperature, outcome in sorted(outcomes.items()):
         tag = f"T{_fmt(temperature)}"
@@ -381,15 +368,14 @@ def _run_fit_fpi(runner: _Runner) -> None:
     if not section["input"]:
         raise ConfigError("run.fit_fpi.input: no input trace configured")
     trace = read_trace_csv(section["input"])
-    for interval in section.get("mask_intervals_s") or []:
-        trace = trace.with_masked_interval(float(interval[0]), float(interval[1]))
-    pump_on = section.get("pump_on_time_s")
+    for start, end in section["mask_intervals_s"]:
+        trace = trace.with_masked_interval(start, end)
     fit = fit_fpi_trace(
         trace,
         config.fpi_cavity(),
-        probe_wavelength_nm=float(section["probe_wavelength_nm"]),
-        temperature_c=float(section["temperature_c"]),
-        pump_on_time_s=None if pump_on is None else float(pump_on),
+        probe_wavelength_nm=section["probe_wavelength_nm"],
+        temperature_c=section["temperature_c"],
+        pump_on_time_s=section["pump_on_time_s"],
     )
     payload = fit.result.to_json_dict()
     payload["model"] = (

@@ -11,10 +11,12 @@ Unknown keys are rejected in strict mode and logged otherwise.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
 import logging
+import types
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -157,58 +159,112 @@ DEFAULT_CONFIG: dict[str, Any] = {
 }
 
 
-# Maps keyed by data rather than by field name: any key is allowed, and each
-# entry has the shape of the default entries.  Temperature keys are also
-# canonicalized before merging, so that "30" and "30.0" are one key.
-_TEMPERATURE_MAPS = (
-    "photorefraction",
-    "devices.coupler.coupling_constant_per_mm",
-    "devices.homodyne_coupler.coupling_constant_per_mm",
-    "run.spdc_spectrum.pump_wavelength_nm",
-)
-_KEYED_MAPS = _TEMPERATURE_MAPS + ("material.modes",)
+# Maps keyed by data rather than by field name: any key of the given type is
+# allowed, and each entry has the shape of the first default entry.  Float
+# keys are temperatures, canonicalized so that "30" and "30.0" are one key.
+_KEYED_MAPS = {
+    "photorefraction": float,
+    "devices.coupler.coupling_constant_per_mm": float,
+    "devices.homodyne_coupler.coupling_constant_per_mm": float,
+    "run.spdc_spectrum.pump_wavelength_nm": float,
+    "material.modes": str,
+}
 
-# Keys that may be set but have no default; a None default would change the
-# resolved configuration and with it every config hash.
-_OPTIONAL_KEYS = (
-    "devices.qpm.poling_period_um",
-    "devices.homodyne_coupler.interaction_length_mm",
-)
+# Leaves whose default hides their type: keys with no default (a None default
+# would change the resolved configuration and with it every config hash),
+# None and empty-list defaults, and an entry key that may be left out.  In a
+# list entry every key is required unless its type admits None.
+_DECLARED: dict[str, Any] = {
+    "devices.qpm.poling_period_um": float,
+    "devices.homodyne_coupler.interaction_length_mm": float,
+    "run.fpi_trace.schedule[].erasing_light": bool | None,
+    "run.fit_fpi.pump_on_time_s": float | None,
+    "run.fit_fpi.mask_intervals_s": [(float, float)],
+    "run.fit_dn.inputs": [{"path": str, "temperature_c": float}],
+}
 
 
 def _derive_schema(tree: Any, path: str = "") -> Any:
-    """Schema tree: nested dicts; None marks a scalar/list leaf, "*" matches any key."""
-    if not isinstance(tree, Mapping):
-        return None
-    if path in _KEYED_MAPS:
-        return {"*": _derive_schema(next(iter(tree.values())), f"{path}.*")}
-    schema = {
-        key: _derive_schema(value, f"{path}.{key}" if path else key)
-        for key, value in tree.items()
-    }
-    for optional in _OPTIONAL_KEYS:
-        section, _, key = optional.rpartition(".")
-        if section == path:
-            schema[key] = None
-    return schema
+    """Schema node: a scalar type, ``T | None``, ``[node]`` for a list, a tuple
+    of nodes for a fixed-length list, or a dict (a keyed map's one key is the
+    type of its keys)."""
+    if path in _DECLARED:
+        return _DECLARED[path]
+    if isinstance(tree, Mapping):
+        if path in _KEYED_MAPS:
+            entry = _derive_schema(next(iter(tree.values())), f"{path}.*")
+            return {_KEYED_MAPS[path]: entry}
+        schema = {
+            key: _derive_schema(value, f"{path}.{key}" if path else key)
+            for key, value in tree.items()
+        }
+        for declared, node in _DECLARED.items():
+            section, _, key = declared.rpartition(".")
+            if section == path:
+                schema.setdefault(key, node)
+        return schema
+    if isinstance(tree, list) and tree:
+        return [_derive_schema(tree[0], f"{path}[]")]
+    if tree is None or isinstance(tree, list):
+        raise TypeError(f"{path}: the default hides its type; declare it in _DECLARED")
+    return type(tree)
 
 
 _SCHEMA: dict[str, Any] = _derive_schema(DEFAULT_CONFIG)
 
 
-def _walk_schema(user: Mapping, schema: Mapping, path: str, unknown: list[str]) -> None:
-    """Collect the keys the schema lacks; a section that is not a mapping raises."""
-    wildcard = "*" in schema
-    for key, value in user.items():
-        where = f"{path}.{key}" if path else str(key)
-        if key not in schema and not wildcard:
-            unknown.append(where)
-            continue
-        subschema = schema.get(key, schema.get("*"))
-        if isinstance(subschema, Mapping):
-            if not isinstance(value, Mapping):
-                raise ConfigError(f"{where}: expected a mapping")
-            _walk_schema(value, subschema, where, unknown)
+def _coerce(value: Any, kind: type, where: str) -> Any:
+    """A scalar as ``kind``: a number may be a numeric string, an int integral."""
+    number = None
+    if kind in (int, float) and type(value) in (int, float, str):
+        with contextlib.suppress(ValueError, OverflowError):
+            number = float(value)  # PyYAML reads 1e-4 and 1.0e4 as strings
+    if type(value) is kind:
+        return value  # an int stays exact: seeds are u64
+    if kind is float and number is not None:
+        return number
+    if kind is int and number is not None and number.is_integer():
+        with contextlib.suppress(ValueError):
+            return int(value)  # exact for a string of digits
+        return int(number)
+    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+
+
+def _walk_schema(value: Any, node: Any, where: str, unknown: list[str]) -> Any:
+    """The user's value checked against ``node`` and coerced, with canonical
+    temperature keys; unknown keys go to ``unknown``, not into the result."""
+    if isinstance(node, types.UnionType):
+        if value is None:
+            return None
+        node = node.__args__[0]
+    if isinstance(node, Mapping):
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{where}: expected a mapping")
+        keyed = next((k for k in node if isinstance(k, type)), None)
+        out = {}
+        for key, item in value.items():
+            at = f"{where}.{key}" if where else str(key)
+            if keyed:
+                key = (repr if keyed is float else str)(_coerce(key, keyed, f"{at} (key)"))
+            sub = node.get(keyed or key)
+            if sub is None:
+                unknown.append(at)
+            else:
+                out[key] = _walk_schema(item, sub, at, unknown)
+        return out
+    if isinstance(node, (list, tuple)):
+        fixed = isinstance(node, tuple)
+        if not isinstance(value, list) or fixed and len(value) != len(node):
+            shape = f"a list of {len(node)}" if fixed else "a list"
+            raise ConfigError(f"{where}: expected {shape}, got {value!r}")
+        out = []
+        for i, (item, sub) in enumerate(zip(value, node if fixed else node * len(value))):
+            out.append(_walk_schema(item, sub, f"{where}[{i}]", unknown))
+            for key, leaf in sub.items() if isinstance(sub, Mapping) else ():
+                if key not in out[-1] and not isinstance(leaf, types.UnionType):
+                    raise ConfigError(f"{where}[{i}]: missing key {key!r}")
+        return out
+    return _coerce(value, node, where)
 
 
 def _deep_merge(base: dict, override: Mapping) -> dict:
@@ -221,34 +277,12 @@ def _deep_merge(base: dict, override: Mapping) -> dict:
     return out
 
 
-def _normalize_temperature_keys(section: Mapping, path: str) -> dict[str, Any]:
-    out = {}
-    for key, value in section.items():
-        try:
-            t = float(key)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}: key {key!r} is not a temperature") from None
-        out[repr(t)] = value
-    return out
-
-
-def _normalize_temperature_maps(tree: dict) -> None:
-    """Canonicalize every temperature-keyed mapping in place.
-
-    Sections are mappings wherever present: ``_walk_schema`` checked them.
-    """
-    for path in _TEMPERATURE_MAPS:
-        *sections, key = path.split(".")
-        node = tree
-        for name in sections:
-            node = node.get(name, {})
-        if key in node:
-            node[key] = _normalize_temperature_keys(node[key], path)
-
-
 @dataclass
 class Config:
-    """Validated configuration with builder helpers for the domain objects."""
+    """Validated configuration with builder helpers for the domain objects.
+
+    ``resolved`` holds only schema keys, with values of the schema's types.
+    """
 
     resolved: dict[str, Any]
     source_path: str | None = None
@@ -260,11 +294,11 @@ class Config:
 
     @property
     def seed(self) -> int:
-        return int(self.resolved["run"]["seed"])
+        return self.resolved["run"]["seed"]
 
     @property
     def output_dir(self) -> str:
-        return str(self.resolved["run"]["output_dir"])
+        return self.resolved["run"]["output_dir"]
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.resolved, sort_keys=True, default=str)
@@ -277,19 +311,14 @@ class Config:
 
     def material(self) -> MaterialModel:
         section = self.resolved["material"]
-        try:
-            coeffs = SellmeierCoefficients(
-                **{name: float(value) for name, value in section["sellmeier"].items()}
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"material.sellmeier: {exc}") from None
+        coeffs = SellmeierCoefficients(**section["sellmeier"])
         try:
             targets = {
                 mode: (entry["wavelength_nm"], entry["temperature_c"], entry["n_eff"])
                 for mode, entry in section["modes"].items()
             }
             return MaterialModel.calibrated(targets, coeffs)
-        except (TypeError, ValueError, KeyError) as exc:
+        except (ValueError, KeyError) as exc:
             raise ConfigError(f"material.modes: {exc}") from None
 
     def photorefraction_temperatures(self) -> list[float]:
@@ -305,49 +334,35 @@ class Config:
                 f"(configured: {known})"
             )
         entry = table[key]
+        # Time constants left out fall back to the PhotorefractionParams defaults.
+        times = {
+            name: entry[name]
+            for name in ("tau_build_s", "tau_dark_s", "tau_erase_s")
+            if name in entry
+        }
         try:
-            # Time constants left out fall back to the PhotorefractionParams defaults.
-            times = {
-                name: float(entry[name])
-                for name in ("tau_build_s", "tau_dark_s", "tau_erase_s")
-                if name in entry
-            }
             return PhotorefractionParams(
-                a=float(entry["a"]),
-                b=float(entry["b"]),
-                c=float(entry["c"]),
+                a=entry["a"],
+                b=entry["b"],
+                c=entry["c"],
                 temperature_c=float(temperature_c),
                 **times,
             )
-        except (TypeError, ValueError, KeyError) as exc:
+        except (ValueError, KeyError) as exc:
             raise ConfigError(f"photorefraction[{key!r}]: {exc}") from None
 
     def fpi_cavity(self, material: MaterialModel | None = None) -> FpiCavity:
         section = self.resolved["devices"]["fpi"]
         try:
-            return FpiCavity(
-                length_mm=float(section["length_mm"]),
-                facet_reflectivity_probe=float(section["facet_reflectivity_probe"]),
-                facet_reflectivity_pump=float(section["facet_reflectivity_pump"]),
-                material=material or self.material(),
-                angled_facets=bool(section["angled_facets"]),
-                probe_mode=section["probe_mode"],
-                pump_mode=section["pump_mode"],
-            )
-        except (TypeError, ValueError) as exc:
+            return FpiCavity(material=material or self.material(), **section)
+        except ValueError as exc:
             raise ConfigError(f"devices.fpi: {exc}") from None
 
     def squeezer_cavity(self, material: MaterialModel | None = None) -> SqueezerCavity:
         section = self.resolved["devices"]["squeezer"]
         try:
-            return SqueezerCavity(
-                length_mm=float(section["length_mm"]),
-                mirror_r1=float(section["mirror_r1"]),
-                mirror_r2=float(section["mirror_r2"]),
-                material=material or self.material(),
-                mode=section["mode"],
-            )
-        except (TypeError, ValueError) as exc:
+            return SqueezerCavity(material=material or self.material(), **section)
+        except ValueError as exc:
             raise ConfigError(f"devices.squeezer: {exc}") from None
 
     def _coupling_constant(self, section_name: str, temperature_c: float) -> float:
@@ -359,12 +374,7 @@ class Config:
                 f"devices.{section_name}.coupling_constant_per_mm: no value at "
                 f"{temperature_c} C (configured: {known})"
             )
-        try:
-            return float(table[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"devices.{section_name}.coupling_constant_per_mm[{key!r}]: {exc}"
-            ) from None
+        return table[key]
 
     def coupler_geometry(self, temperature_c: float) -> CouplerGeometry:
         section = self.resolved["devices"]["coupler"]
@@ -372,28 +382,28 @@ class Config:
         try:
             return CouplerGeometry(
                 coupling_constant_per_mm=k,
-                interaction_length_mm=float(section["interaction_length_mm"]),
-                waveguide_separation_um=section.get("waveguide_separation_um"),
-                design_wavelength_nm=float(section["design_wavelength_nm"]),
+                interaction_length_mm=section["interaction_length_mm"],
+                waveguide_separation_um=section["waveguide_separation_um"],
+                design_wavelength_nm=section["design_wavelength_nm"],
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"devices.coupler: {exc}") from None
 
     def homodyne_geometry(self, temperature_c: float) -> CouplerGeometry:
         section = self.resolved["devices"]["homodyne_coupler"]
         k = self._coupling_constant("homodyne_coupler", temperature_c)
         try:
-            if section.get("balanced", True):
+            if section["balanced"]:
                 length = 1.5 * coupling_length(k)
             else:
-                length = float(section["interaction_length_mm"])
+                length = section["interaction_length_mm"]
             return CouplerGeometry(
                 coupling_constant_per_mm=k,
                 interaction_length_mm=length,
-                waveguide_separation_um=section.get("waveguide_separation_um"),
-                design_wavelength_nm=float(section["design_wavelength_nm"]),
+                waveguide_separation_um=section["waveguide_separation_um"],
+                design_wavelength_nm=section["design_wavelength_nm"],
             )
-        except (TypeError, ValueError, KeyError) as exc:
+        except (ValueError, KeyError) as exc:
             raise ConfigError(f"devices.homodyne_coupler: {exc}") from None
 
     def qpm_section(self) -> dict[str, Any]:
@@ -413,6 +423,8 @@ def parse_config(path, strict: bool = False) -> Config:
     try:
         text = path.read_text(encoding="utf-8")
         user = yaml.safe_load(text) or {}
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = f" (line {mark.line + 1})" if mark is not None else ""
@@ -420,22 +432,21 @@ def parse_config(path, strict: bool = False) -> Config:
     if not isinstance(user, Mapping):
         raise ConfigError(f"{path}: top level must be a mapping")
 
+    # In strict mode an unknown key is reported first: a misspelled key in a
+    # list entry also leaves that entry's key missing.
     unknown: list[str] = []
-    _walk_schema(user, _SCHEMA, "", unknown)
+    try:
+        user = _walk_schema(user, _SCHEMA, "", unknown)
+    except ConfigError:
+        if not (strict and unknown):
+            raise
     if unknown:
         message = f"{path}: unknown configuration keys: " + ", ".join(sorted(unknown))
         if strict:
             raise ConfigError(message)
         log.warning("%s", message)
 
-    # Normalize temperature-keyed maps before merging so that a user "30"
-    # and the default "30.0" land on the same key and deep-merge properly.
-    user = copy.deepcopy(dict(user))
-    _normalize_temperature_maps(user)
-    resolved = _deep_merge(DEFAULT_CONFIG, user)
-    _normalize_temperature_maps(resolved)
-
-    config = Config(resolved=resolved, source_path=str(path))
+    config = Config(resolved=_deep_merge(DEFAULT_CONFIG, user), source_path=str(path))
     _validate(config)
     return config
 
@@ -447,22 +458,13 @@ def _validate(config: Config) -> None:
         config.photorefraction(t)
     config.fpi_cavity()
     config.squeezer_cavity()
-    coupler_temps = config.resolved["devices"]["coupler"]["coupling_constant_per_mm"]
-    for key in coupler_temps:
-        config.coupler_geometry(float(key))
-    homodyne_temps = config.resolved["devices"]["homodyne_coupler"][
-        "coupling_constant_per_mm"
-    ]
-    for key in homodyne_temps:
-        config.homodyne_geometry(float(key))
+    for name, build in (("coupler", config.coupler_geometry),
+                        ("homodyne_coupler", config.homodyne_geometry)):
+        for key in config.resolved["devices"][name]["coupling_constant_per_mm"]:
+            build(float(key))
     qpm = config.qpm_section()
-    period = qpm.get("poling_period_um")
-    try:
-        length = float(qpm["length_mm"])
-        period = None if period is None else float(period)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"devices.qpm: {exc}") from None
-    if length <= 0:
+    if qpm["length_mm"] <= 0:
         raise ConfigError("devices.qpm.length_mm must be > 0")
+    period = qpm.get("poling_period_um")
     if period is not None and period <= 0:
         raise ConfigError("devices.qpm.poling_period_um must be > 0")

@@ -130,13 +130,16 @@ def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     header: list[str] | None = None
     rows: list[tuple[int, list[str]]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
-            if header is None:
-                header = [cell.strip() for cell in row]
-                continue
-            rows.append((lineno, row))
+        try:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or (row[0].lstrip().startswith("#")):
+                    continue
+                if header is None:
+                    header = [cell.strip() for cell in row]
+                    continue
+                rows.append((lineno, row))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: no header row found")
     return header, rows

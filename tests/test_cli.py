@@ -207,9 +207,44 @@ class TestExitCodes:
         "subcommand, payload, where",
         [
             ("fpi-char", {"photorefraction": {"30": {"a": None}}},
-             "photorefraction['30.0']"),
+             "photorefraction.30.a: expected float, got None"),
             ("spdc-spectrum", {"run": {"spdc_spectrum": {"pump_wavelength_nm": 770.73}}},
              "run.spdc_spectrum.pump_wavelength_nm: expected a mapping"),
+            ("fpi-trace", {"run": {"fpi_trace": {"sample_period_s": None}}},
+             "run.fpi_trace.sample_period_s: expected float, got None"),
+            ("spdc-spectrum",
+             {"devices": {"qpm": {"calibration": {"temperature_c": None}}}},
+             "devices.qpm.calibration.temperature_c: expected float, got None"),
+            ("homodyne", {"run": {"homodyne": {"phases_rad": 0.5}}},
+             "run.homodyne.phases_rad: expected a list, got 0.5"),
+            ("fpi-char", {"run": {"seed": "abc"}}, "run.seed: expected int, got 'abc'"),
+            ("fit-fpi", {"run": {"fit_fpi": {"mask_intervals_s": [[1]]}}},
+             "run.fit_fpi.mask_intervals_s[0]: expected a list of 2, got [1]"),
+            ("coupler-sweep", {"run": {"coupler_sweep": {"temperatures_c": [30, "abc"]}}},
+             "run.coupler_sweep.temperatures_c[1]: expected float, got 'abc'"),
+            ("fpi-char", {"devices": {"fpi": {"angled_facets": "no"}}},
+             "devices.fpi.angled_facets: expected bool, got 'no'"),
+            ("fpi-trace",
+             {"run": {"fpi_trace": {"schedule": [
+                 {"start_s": 5.0, "end_s": 40.0, "pump_power_mw": 5.0,
+                  "erasing_light": "false"}]}}},
+             "run.fpi_trace.schedule[0].erasing_light: expected bool, got 'false'"),
+            ("spdc-spectrum", {"run": {"spdc_spectrum": {"points": 10.5}}},
+             "run.spdc_spectrum.points: expected int, got 10.5"),
+            ("fpi-char", {"run": {"output_dir": ["a"]}},
+             "run.output_dir: expected str, got ['a']"),
+            ("fit-fpi", {"run": {"fit_fpi": {"input": 5}}},
+             "run.fit_fpi.input: expected str, got 5"),
+            ("fpi-trace",
+             {"run": {"fpi_trace": {"schedule": [
+                 {"start_s": 5.0, "end_s": 40.0, "pump_power_mw": 5.0,
+                  "erasing_lite": True}]}}},
+             "unknown configuration keys: run.fpi_trace.schedule[0].erasing_lite"),
+            ("fit-dn",
+             {"run": {"fit_dn": {"inputs": [{"pth": "x.csv", "temperature_c": 30}]}}},
+             "unknown configuration keys: run.fit_dn.inputs[0].pth"),
+            ("fit-dn", {"run": {"fit_dn": {"inputs": [{"temperature_c": 30}]}}},
+             "run.fit_dn.inputs[0]: missing key 'path'"),
         ],
     )
     def test_malformed_value_is_validation_error(
@@ -224,6 +259,21 @@ class TestExitCodes:
             )
         assert code == 1
         assert any(where in rec.getMessage() for rec in caplog.records)
+
+
+    def test_unreadable_csv_fails_with_manifest(self, tmp_path):
+        """A CSV field over the csv module's limit is a validation error."""
+        trace = tmp_path / "trace.csv"
+        trace.write_text("time_s,value\n0," + "1" * 200_000 + "\n", encoding="utf-8")
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"run": {"fit_fpi": {"input": str(trace)}}}))
+        out = tmp_path / "out"
+        assert main(
+            ["fit-fpi", "--config", str(path), "--out", str(out), "--quiet"]
+        ) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith(f"{trace}: ")
 
 
 class TestDeterminism:

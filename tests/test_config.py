@@ -1,7 +1,12 @@
-import yaml
-import pytest
+import copy
+import types
 
-from photoref.config import Config, ConfigError, parse_config
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from photoref.config import _SCHEMA, Config, ConfigError, _derive_schema, parse_config
 
 EXAMPLE = "configs/example.yaml"
 
@@ -43,6 +48,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line"):
             parse_config(path)
 
+    def test_invalid_utf8_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"run:\n  seed: 1 \xff\n")
+        with pytest.raises(ConfigError, match=f"^{path}: 'utf-8' codec"):
+            parse_config(path)
+
     def test_invariant_violation_names_section(self, tmp_path):
         path = write_config(
             tmp_path, {"photorefraction": {"30.0": {"a": 1e-4, "b": 0.0, "c": 0.0}}}
@@ -61,6 +72,25 @@ class TestParsing:
             config = parse_config(path, strict=False)
         assert any("lenght_mm" in rec.message for rec in caplog.records)
         assert config.fpi_cavity().length_mm == 15.0  # default kept
+
+    @pytest.mark.parametrize(
+        "payload, where",
+        [
+            ({"photorefraction": {"30.0": {"a": 1e-4, "bogus": 1.0}}},
+             "photorefraction.30.0.bogus"),
+            ({"run": {"fpi_trace": {"schedule": [
+                {"start_s": 5.0, "end_s": 40.0, "pump_power_mw": 5.0,
+                 "erasing_lite": True}]}}},
+             "run.fpi_trace.schedule[0].erasing_lite"),
+        ],
+    )
+    def test_unknown_key_in_entry_lenient_ignored(self, tmp_path, caplog, payload, where):
+        with caplog.at_level("WARNING"):
+            config = parse_config(write_config(tmp_path, payload))
+        assert any(where in rec.message for rec in caplog.records)
+        assert config.photorefraction(30.0).a > 0
+        assert "bogus" not in config.resolved["photorefraction"]["30.0"]
+        assert "erasing_lite" not in config.run_section("fpi_trace")["schedule"][0]
 
     def test_temperature_keys_normalized_before_merge(self, tmp_path):
         # An integer key and a partial entry must merge with the defaults.
@@ -153,26 +183,143 @@ class TestMalformedValues:
     @pytest.mark.parametrize(
         "payload, where",
         [
-            ({"photorefraction": {"30": {"a": None}}}, r"photorefraction\['30.0'\]"),
-            ({"material": {"sellmeier": {"a1": None}}}, "material.sellmeier"),
+            ({"photorefraction": {"30": {"a": None}}}, "photorefraction.30.a"),
+            ({"material": {"sellmeier": {"a1": None}}}, "material.sellmeier.a1"),
             ({"material": {"modes": {"fundamental-nir": {"n_eff": None}}}},
-             "material.modes"),
-            ({"devices": {"fpi": {"length_mm": None}}}, "devices.fpi"),
-            ({"devices": {"squeezer": {"mirror_r1": None}}}, "devices.squeezer"),
+             "material.modes.fundamental-nir.n_eff"),
+            ({"devices": {"fpi": {"length_mm": None}}}, "devices.fpi.length_mm"),
+            ({"devices": {"squeezer": {"mirror_r1": None}}},
+             "devices.squeezer.mirror_r1"),
             ({"devices": {"coupler": {"coupling_constant_per_mm": {"60": None}}}},
-             r"devices\.coupler\.coupling_constant_per_mm\['60.0'\]"),
+             r"devices\.coupler\.coupling_constant_per_mm\.60"),
             ({"devices": {"homodyne_coupler": {"design_wavelength_nm": None}}},
-             "devices.homodyne_coupler"),
+             "devices.homodyne_coupler.design_wavelength_nm"),
             ({"devices": {"homodyne_coupler": {"balanced": False}}},
              "devices.homodyne_coupler"),
-            ({"devices": {"qpm": {"length_mm": None}}}, "devices.qpm"),
-            ({"devices": {"qpm": {"poling_period_um": "wide"}}}, "devices.qpm"),
+            ({"devices": {"qpm": {"length_mm": None}}}, "devices.qpm.length_mm"),
+            ({"devices": {"qpm": {"poling_period_um": "wide"}}},
+             "devices.qpm.poling_period_um"),
         ],
     )
     def test_bad_value_names_its_path(self, tmp_path, payload, where):
         path = write_config(tmp_path, payload)
         with pytest.raises(ConfigError, match=f"^{where}: "):
             parse_config(path)
+
+
+class TestLeafTypes:
+    @pytest.mark.parametrize(
+        "leaf, written, resolved",
+        [
+            (("devices", "fpi", "length_mm"), 12, 12.0),
+            (("devices", "fpi", "length_mm"), "1.2e1", 12.0),
+            (("run", "seed"), 2**64 - 1, 2**64 - 1),
+            (("run", "seed"), "18446744073709551615", 2**64 - 1),
+            (("run", "seed"), 7.0, 7),
+            (("run", "seed"), "1e3", 1000),
+            (("devices", "fpi", "angled_facets"), True, True),
+            (("run", "fit_fpi", "pump_on_time_s"), None, None),
+            (("run", "fit_fpi", "mask_intervals_s"), [[1, "2e0"]], [[1.0, 2.0]]),
+        ],
+    )
+    def test_leaf_coerced(self, tmp_path, leaf, written, resolved):
+        payload = value = {}
+        for key in leaf[:-1]:
+            value = value.setdefault(key, {})
+        value[leaf[-1]] = written
+        config = parse_config(write_config(tmp_path, payload), strict=True)
+        node = config.resolved
+        for key in leaf:
+            node = node[key]
+        assert node == resolved
+        assert type(node) is type(resolved)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"run": {"seed": True}}, "run.seed: expected int, got True"),
+            ({"devices": {"fpi": {"length_mm": True}}},
+             "devices.fpi.length_mm: expected float, got True"),
+            ({"devices": {"fpi": {"length_mm": 10**400}}},
+             "devices.fpi.length_mm: expected float"),
+            ({"devices": {"fpi": {"angled_facets": 0}}},
+             "devices.fpi.angled_facets: expected bool, got 0"),
+            ({"devices": {"fpi": {"probe_mode": 1}}},
+             "devices.fpi.probe_mode: expected str, got 1"),
+            ({"photorefraction": {"warm": {"a": 1e-4}}},
+             r"photorefraction\.warm \(key\): expected float, got 'warm'"),
+        ],
+    )
+    def test_leaf_rejected(self, tmp_path, payload, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            parse_config(write_config(tmp_path, payload))
+
+
+class TestDerivedSchemaTypes:
+    def test_every_leaf_has_a_concrete_type(self):
+        scalars = (bool, int, float, str)
+
+        def leaves(node, path):
+            if isinstance(node, dict):
+                for key, sub in node.items():
+                    yield from leaves(sub, f"{path}.{key}")
+            elif isinstance(node, (list, tuple)):
+                assert node, path
+                for sub in node:
+                    yield from leaves(sub, f"{path}[]")
+            else:
+                yield path, node
+
+        found = list(leaves(_SCHEMA, ""))
+        assert len(found) > 50
+        for path, node in found:
+            if isinstance(node, types.UnionType):
+                kind, none = node.__args__
+                assert kind in scalars and none is type(None), path
+            else:
+                assert node in scalars, path
+
+    @pytest.mark.parametrize("default", [None, []])
+    def test_untyped_default_rejected(self, default):
+        with pytest.raises(TypeError, match="new_leaf"):
+            _derive_schema({"run": {"new_leaf": default}})
+
+
+def _leaf_paths(tree, path=()):
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+EXAMPLE_TREE = yaml.safe_load(parse_config(EXAMPLE).to_yaml())
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)
+)
+YAML_VALUES = st.one_of(
+    SCALARS,
+    st.lists(SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=4), SCALARS, max_size=2),
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(leaf=st.sampled_from(sorted(_leaf_paths(EXAMPLE_TREE))), value=YAML_VALUES)
+    def test_one_bad_leaf_is_a_config_error(self, tmp_path_factory, leaf, value):
+        """Any YAML value at any leaf gives a Config or a ConfigError."""
+        payload = copy.deepcopy(EXAMPLE_TREE)
+        node = payload
+        for key in leaf[:-1]:
+            node = node[key]
+        node[leaf[-1]] = value
+        path = tmp_path_factory.mktemp("fuzz") / "config.yaml"
+        path.write_text(yaml.safe_dump(payload), encoding="utf-8")
+        try:
+            assert isinstance(parse_config(path), Config)
+        except ConfigError:
+            pass
 
 
 class TestRoundTrip:
@@ -193,6 +340,21 @@ class TestRoundTrip:
 
     def test_hash_stable_across_loads(self):
         assert parse_config(EXAMPLE).config_hash() == parse_config(EXAMPLE).config_hash()
+
+    def test_hash_equal_for_int_and_float_at_float_leaf(self, tmp_path):
+        hashes = set()
+        for written in (30, 30.0, "30", "3.0e1"):
+            payload = {"run": {"fpi_trace": {"temperature_c": written}}}
+            path = tmp_path / f"config_{len(hashes)}.yaml"
+            path.write_text(yaml.safe_dump(payload), encoding="utf-8")
+            hashes.add(parse_config(path).config_hash())
+        assert len(hashes) == 1
+
+    def test_numeric_strings_resolved_as_numbers(self):
+        """PyYAML reads the example's tau_dark_s: 1.0e4 as a string."""
+        resolved = parse_config(EXAMPLE).resolved["photorefraction"]
+        assert all(entry["tau_dark_s"] == 10000.0 for entry in resolved.values())
+        assert all(type(entry["tau_dark_s"]) is float for entry in resolved.values())
 
 
 class TestBuilders:

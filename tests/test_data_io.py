@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photoref.data import (
     SweepData,
@@ -144,6 +146,44 @@ class TestCsvParsing:
         kept, _ = trace.unmasked()
         assert kept.max() == 119.0
         assert not np.any((kept >= 25.0) & (kept <= 85.0))
+
+
+READERS = [read_trace_csv, read_sweep_csv]
+
+# Arbitrary bytes, and text behind each reader's header so rows get parsed.
+CSV_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.tuples(
+        st.sampled_from(["", "time_s,value\n", "pump_power_mW,value,sigma\n"]),
+        st.text(alphabet=st.sampled_from("0123456789.,-+eE#\"\r\n nainf\x00\xe9"),
+                max_size=200),
+    ).map(lambda parts: "".join(parts).encode("utf-8")),
+)
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize(
+        "content",
+        [b"time_s,value\n0,\xff\n", b"time_s,value\n0," + b"1" * 200_000 + b"\n"],
+        ids=["invalid-utf8", "oversized-field"],
+    )
+    def test_unreadable_file_names_path(self, tmp_path, reader, content):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"^{path}: "):
+            reader(path)
+
+    @pytest.mark.parametrize("reader", READERS)
+    @settings(max_examples=150, deadline=None)
+    @given(content=CSV_BYTES)
+    def test_fuzzed_file_returns_or_names_path(self, tmp_path_factory, reader, content):
+        path = tmp_path_factory.mktemp("fuzz") / "fuzz.csv"
+        path.write_bytes(content)
+        try:
+            reader(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
 
 
 class TestWriteRefusesNonFinite:

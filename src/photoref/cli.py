@@ -79,9 +79,17 @@ def _fmt(value: float) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` as JSON.
+
+    Raises FloatingPointError, before the file is opened, when it holds a NaN
+    or an infinity, which JSON cannot represent.
+    """
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"{path}: {exc}") from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 class _Runner:

@@ -16,6 +16,7 @@ import copy
 import hashlib
 import json
 import logging
+import math
 import types
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -214,15 +215,18 @@ _SCHEMA: dict[str, Any] = _derive_schema(DEFAULT_CONFIG)
 
 
 def _coerce(value: Any, kind: type, where: str) -> Any:
-    """A scalar as ``kind``: a number may be a numeric string, an int integral."""
+    """A scalar as ``kind``: a number may be a numeric string, an int integral
+    and a float finite."""
     number = None
     if kind in (int, float) and type(value) in (int, float, str):
         with contextlib.suppress(ValueError, OverflowError):
             number = float(value)  # PyYAML reads 1e-4 and 1.0e4 as strings
+    if kind is float and number is not None:
+        if math.isfinite(number):
+            return number
+        raise ConfigError(f"{where}: expected a finite float, got {value!r}")
     if type(value) is kind:
         return value  # an int stays exact: seeds are u64
-    if kind is float and number is not None:
-        return number
     if kind is int and number is not None and number.is_integer():
         with contextlib.suppress(ValueError):
             return int(value)  # exact for a string of digits
@@ -311,7 +315,10 @@ class Config:
 
     def material(self) -> MaterialModel:
         section = self.resolved["material"]
-        coeffs = SellmeierCoefficients(**section["sellmeier"])
+        try:
+            coeffs = SellmeierCoefficients(**section["sellmeier"])
+        except ValueError as exc:
+            raise ConfigError(f"material.sellmeier: {exc}") from None
         try:
             targets = {
                 mode: (entry["wavelength_nm"], entry["temperature_c"], entry["n_eff"])

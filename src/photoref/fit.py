@@ -1,11 +1,14 @@
 """Damped nonlinear least squares and the prebuilt fitting pipelines.
 
 The engine is a deterministic Levenberg-Marquardt loop (multiply/divide the
-damping by 10 on reject/accept) with forward finite-difference Jacobians
-and box constraints.  On top of it sit two pipelines: recovering the
-saturable index-shift law from coupler reflectivity sweeps, and recovering
-the total index excursion and build-up time from a cavity transmission
-trace.
+damping by 10 on reject/accept) with box constraints.  It uses the
+problem's analytic Jacobian when one is given and forward finite
+differences otherwise.  On top of it sit two pipelines, both with analytic
+Jacobians: recovering the saturable index-shift law from coupler
+reflectivity sweeps, and recovering the total index excursion and build-up
+time from a cavity transmission trace.  The trace fit scans a start grid in
+one broadcast cost evaluation, then descends from the cheapest grid points
+until a fit reaches the trace's noise floor.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ _MAX_DAMPING = 1e14
 _MIN_DAMPING = 1e-16
 _FD_RELATIVE_STEP = 1e-6
 _FD_ABSOLUTE_FLOOR = 1e-12
+_MAX_DESCENTS = 16  # LM descents per trace fit
 
 
 class FitError(RuntimeError):
@@ -52,9 +56,12 @@ class FitProblem:
     """A weighted residual function with bounded parameters.
 
     ``residual`` maps a parameter vector to (predictions - observations).
-    ``weights`` are per-point standard deviations; residuals are divided by
-    them.  The initial guess must lie inside the bounds and the number of
-    residuals must be at least the number of parameters.
+    ``jacobian``, when set, maps it to the derivatives of the (unweighted)
+    residual, one row per point and one column per parameter; without it
+    the engine takes forward finite differences.  ``weights`` are per-point
+    standard deviations; residuals are divided by them.  The initial guess
+    must lie inside the bounds and the number of residuals must be at least
+    the number of parameters.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
@@ -62,6 +69,7 @@ class FitProblem:
     lower_bounds: np.ndarray | None = None
     upper_bounds: np.ndarray | None = None
     weights: np.ndarray | None = None
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         p0 = np.atleast_1d(np.asarray(self.initial_guess, dtype=float))
@@ -147,6 +155,16 @@ def _fd_jacobian(problem: FitProblem, params: np.ndarray, r0: np.ndarray) -> np.
     return jac
 
 
+def _jacobian(problem: FitProblem, params: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Jacobian of the weighted residual: analytic if the problem has one."""
+    if problem.jacobian is None:
+        return _fd_jacobian(problem, params, r)
+    jac = np.asarray(problem.jacobian(params), dtype=float)
+    if problem.weights is not None:
+        jac = jac / problem.weights[:, None]
+    return jac
+
+
 def least_squares(
     problem: FitProblem,
     step_tol: float = 1e-10,
@@ -159,7 +177,10 @@ def least_squares(
     an accepted one; accepted steps never increase the residual norm.
     Convergence means the step or gradient tolerance was met; hitting the
     iteration limit returns the best point found with ``converged=False``.
-    Deterministic given identical inputs.
+    A parameter on a box bound whose gradient points out of the box is held
+    fixed for that step; one that ends on a bound is named in a warning,
+    because the Gauss-Newton covariance does not hold there.  Deterministic
+    given identical inputs.
     """
     params = problem.initial_guess.copy()
     r = _weighted_residual(problem, params)
@@ -171,13 +192,19 @@ def least_squares(
     history = [math.sqrt(cost)]
     warnings: list[str] = []
     damping: float | None = None
-    jac = _fd_jacobian(problem, params, r)
+    jac = _jacobian(problem, params, r)
     iterations = 0
     converged = False
 
     for _ in range(max_iter):
         gradient = jac.T @ r
-        if np.max(np.abs(gradient)) < grad_tol:
+        # A parameter on a bound that the gradient pushes outward is held out
+        # of the step, so that clipping does not stall the others beside it.
+        free = np.flatnonzero(
+            ~((params == problem.lower_bounds) & (gradient > 0)
+              | (params == problem.upper_bounds) & (gradient < 0))
+        )
+        if np.max(np.abs(gradient[free]), initial=0.0) < grad_tol:
             converged = True
             break
         hessian = jac.T @ jac
@@ -185,11 +212,13 @@ def least_squares(
         scale = np.where(diag > 0, diag, 1.0)
         if damping is None:
             damping = 1e-6 * float(np.max(scale))
+        reduced = hessian[np.ix_(free, free)]
         accepted = False
         while not accepted:
+            step = np.zeros_like(params)
             try:
-                step = np.linalg.solve(
-                    hessian + damping * np.diag(scale), -gradient
+                step[free] = np.linalg.solve(
+                    reduced + damping * np.diag(scale[free]), -gradient[free]
                 )
             except np.linalg.LinAlgError:
                 step = None
@@ -220,13 +249,21 @@ def least_squares(
         cost = cost_trial
         iterations += 1
         history.append(math.sqrt(cost))
-        jac = _fd_jacobian(problem, params, r)
+        jac = _jacobian(problem, params, r)
         if np.max(np.abs(effective_step)) < step_tol * (1.0 + np.max(np.abs(params))):
             converged = True
             break
     else:
         warnings.append(f"iteration limit ({max_iter}) reached")
 
+    for j in np.flatnonzero(
+        (params == problem.lower_bounds) | (params == problem.upper_bounds)
+    ):
+        side = "lower" if params[j] == problem.lower_bounds[j] else "upper"
+        warnings.append(
+            f"parameter {j} ends on its {side} bound ({params[j]:g}); "
+            "its covariance is not valid there"
+        )
     covariance = _gauss_newton_covariance(jac, cost, len(r), len(params), warnings)
     return FitResult(
         parameters=params,
@@ -431,6 +468,11 @@ def fit_delta_n_from_reflectivity(
             a_scaled, c = params
             return a_scaled * p / (gauge_b_mw + c * p) - dn_arr / scale
 
+        def jacobian(params, p=powers_arr):
+            a_scaled, c = params
+            shape = p / (gauge_b_mw + c * p)
+            return np.column_stack((shape, -a_scaled * shape * shape))
+
         positive = powers_arr > 0
         slope0 = (
             float(np.sum(dn_arr[positive] * powers_arr[positive])
@@ -446,6 +488,7 @@ def fit_delta_n_from_reflectivity(
             lower_bounds=np.array([0.0, 0.0]),
             upper_bounds=np.array([1.0 / scale, 100.0]),
             weights=np.asarray(sigmas) / scale if sigmas else None,
+            jacobian=jacobian,
         )
         result = least_squares(problem)
         a_fit = result.parameters[0] * scale
@@ -563,9 +606,16 @@ def fit_fpi_trace(
 
     The model is a first-order index relaxation driving the Airy
     transmission: dn(t) = dn_total*(1 - exp(-(t - t0)/tau)) inside
-    T(phi0 + 2*pi*L*dn/lambda), normalized to the pre-pump value.  The
-    cavity phase at pump-on is not known a priori, so several phase starts
-    are tried and the best fit kept.  Masked trace samples are ignored.
+    T(phi0 + 2*pi*L*dn/lambda), normalized to the pre-pump value.  Masked
+    trace samples are ignored.
+
+    The cavity phase at pump-on is not known a priori, so the starts come
+    from a scan: the cost over a (dn_total, tau, phi0) grid around the
+    fringe-count estimate, on the trace thinned to about 128 samples.  LM
+    descends from the grid points in order of rising cost, at most
+    ``_MAX_DESCENTS`` times, and keeps the best fit; it stops at the first
+    fit whose reduced chi-square reaches the noise floor estimated from the
+    trace's second differences.
 
     When the fitted excursion stays below lambda/(8L) no transmission
     oscillation is resolved; the returned magnitude is then only a bound
@@ -583,16 +633,29 @@ def fit_fpi_trace(
     if span <= 0:
         raise ValueError("trace must extend beyond the pump-on time")
     phase_scale = 2.0 * math.pi * cavity.length_mm * 1e6 / probe_wavelength_nm
-
-    def model(params):
-        dn_total, tau, phi0 = params
-        dn = dn_total * (1.0 - np.exp(-np.clip(t - t0, 0.0, None) / tau))
-        transmission = 1.0 / (1.0 + coefficient * np.sin(phi0 + phase_scale * dn) ** 2)
-        reference = 1.0 / (1.0 + coefficient * math.sin(phi0) ** 2)
-        return transmission / reference
+    elapsed = np.clip(t - t0, 0.0, None)
 
     def residual(params):
-        return model(params) - y
+        dn_total, tau, phi0 = params
+        dn = dn_total * (1.0 - np.exp(-elapsed / tau))
+        transmission = 1.0 / (1.0 + coefficient * np.sin(phi0 + phase_scale * dn) ** 2)
+        reference = 1.0 / (1.0 + coefficient * math.sin(phi0) ** 2)
+        return transmission / reference - y
+
+    def jacobian(params):
+        # dT/dpsi = -F*sin(2*psi)*T^2 at psi = phi0 + phase_scale*dn(t); the
+        # reference T(phi0) adds T*F*sin(2*phi0) to the phi0 column.
+        dn_total, tau, phi0 = params
+        decay = np.exp(-elapsed / tau)
+        psi = phi0 + phase_scale * dn_total * (1.0 - decay)
+        transmission = 1.0 / (1.0 + coefficient * np.sin(psi) ** 2)
+        reference = 1.0 / (1.0 + coefficient * math.sin(phi0) ** 2)
+        slope = -coefficient * np.sin(2.0 * psi) * transmission**2 / reference
+        return np.column_stack((
+            slope * phase_scale * (1.0 - decay),
+            slope * (-phase_scale * dn_total * decay * elapsed / tau**2),
+            slope + transmission * coefficient * math.sin(2.0 * phi0),
+        ))
 
     quantum = probe_wavelength_nm / (4.0 * cavity.length_mm * 1e6)
     estimate = estimate_delta_n_from_oscillations(trace, cavity, probe_wavelength_nm)
@@ -600,19 +663,59 @@ def fit_fpi_trace(
     lower = np.array([-5e-3, span * 1e-4, -2.0 * math.pi])
     upper = np.array([0.0, span * 1e2, 2.0 * math.pi])
 
+    # Scan: the cost over a (dn_total, tau, phi0) grid, on a thinned copy of
+    # the trace.  1 + F*sin^2(phi0 + a) is linear in (1, cos 2a, sin 2a), so
+    # one matrix product per dn_total value gives the model's denominator
+    # over the whole (phi0, tau, t) slice.
+    stride = max(len(t) // 128, 1)
+    elapsed_thin, y_thin = elapsed[::stride], y[::stride]
+    dn_grid = np.clip(dn_start + quantum * np.linspace(-1.5, 1.5, 13), lower[0], upper[0])
+    dn_grid = dn_grid[np.diff(dn_grid, prepend=-np.inf) > 0]  # clipping repeats a bound
+    tau_grid = span * np.geomspace(1e-2, 1.0, 12)
+    phi_grid = np.linspace(0.0, math.pi, 32, endpoint=False)
+    rise = 1.0 - np.exp(-elapsed_thin / tau_grid[:, None])  # (tau, t)
+    half = 0.5 * coefficient
+    mix = np.column_stack((
+        np.full(len(phi_grid), 1.0 + half),
+        -half * np.cos(2.0 * phi_grid),
+        half * np.sin(2.0 * phi_grid),
+    ))
+    norm = (1.0 + coefficient * np.sin(phi_grid) ** 2)[:, None]  # 1 / T(phi0)
+    costs = np.empty((len(dn_grid), len(tau_grid), len(phi_grid)))
+    inverse = np.empty((len(phi_grid), *rise.shape))  # (phi0, tau, t), reused
+    flat = inverse.reshape(len(phi_grid), -1)
+    for i, dn_total in enumerate(dn_grid):
+        angle = 2.0 * phase_scale * dn_total * rise.ravel()
+        basis = np.stack((np.ones_like(angle), np.cos(angle), np.sin(angle)))
+        np.reciprocal(np.dot(mix, basis, out=flat), out=flat)
+        # sum((norm*inverse - y)^2), expanded so that no model array is formed
+        squares = np.einsum("ijk,ijk->ij", inverse, inverse)
+        costs[i] = (norm * (norm * squares - 2.0 * (inverse @ y_thin))).T
+    costs += y_thin @ y_thin
+
+    # Noise variance from second differences (white noise of variance s^2
+    # gives them variance 6 s^2), over evenly spaced samples only, so that a
+    # masked gap does not count as curvature.
+    steps = np.diff(t)
+    even = np.isclose(steps[1:], steps[:-1], rtol=1e-6, atol=0.0)
+    second = np.diff(y, 2)[even]
+    noise_variance = float(np.mean(second**2)) / 6.0 if len(second) else 0.0
+
     best: FitResult | None = None
-    for phi0 in np.linspace(0.0, math.pi, 8, endpoint=False):
-        for tau0 in (span / 10.0, span / 3.0):
-            guess = np.array([dn_start, tau0, phi0])
-            problem = FitProblem(
-                residual=residual,
-                initial_guess=np.clip(guess, lower, upper),
-                lower_bounds=lower,
-                upper_bounds=upper,
-            )
-            candidate = least_squares(problem)
-            if best is None or candidate.residual_norm < best.residual_norm:
-                best = candidate
+    for index in np.argsort(costs, axis=None, kind="stable")[:_MAX_DESCENTS]:
+        i, j, k = np.unravel_index(index, costs.shape)
+        problem = FitProblem(
+            residual=residual,
+            initial_guess=np.array([dn_grid[i], tau_grid[j], phi_grid[k]]),
+            lower_bounds=lower,
+            upper_bounds=upper,
+            jacobian=jacobian,
+        )
+        candidate = least_squares(problem)
+        if best is None or candidate.residual_norm < best.residual_norm:
+            best = candidate
+        if candidate.residual_norm**2 / (len(t) - 3) <= 1.5 * noise_variance:
+            break
 
     dn_total, tau, phi0 = best.parameters
     if abs(dn_total) < quantum / 2.0:

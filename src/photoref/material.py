@@ -74,6 +74,21 @@ class SellmeierCoefficients:
     t_low: float
     t_high: float
 
+    def __post_init__(self):
+        # A real, finite index on a grid over the validated range: otherwise
+        # every mode offset calibrated from these coefficients is NaN.
+        wavelengths = np.linspace(*WAVELENGTH_RANGE_NM, 33)
+        temperatures = np.linspace(*TEMPERATURE_RANGE_C, 10)[:, None]
+        with np.errstate(all="ignore"):
+            n = self.index(wavelengths, temperatures)
+        bad = np.argwhere(~(np.isfinite(n) & (n > 0)))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(
+                f"no real refractive index at {wavelengths[j]:g} nm, "
+                f"{temperatures[i, 0]:g} C (n = {n[i, j]})"
+            )
+
     def index(self, wavelength_nm, temperature_c):
         """Bulk refractive index at a wavelength (nm) and temperature (C)."""
         lam = np.asarray(wavelength_nm, dtype=float) / 1000.0

@@ -245,6 +245,10 @@ class TestExitCodes:
              "unknown configuration keys: run.fit_dn.inputs[0].pth"),
             ("fit-dn", {"run": {"fit_dn": {"inputs": [{"temperature_c": 30}]}}},
              "run.fit_dn.inputs[0]: missing key 'path'"),
+            ("fpi-char", {"devices": {"fpi": {"length_mm": float("nan")}}},
+             "devices.fpi.length_mm: expected a finite float, got nan"),
+            ("fpi-char", {"material": {"sellmeier": {"a1": -100.0}}},
+             "material.sellmeier: no real refractive index"),
         ],
     )
     def test_malformed_value_is_validation_error(
@@ -274,6 +278,21 @@ class TestExitCodes:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["error"].startswith(f"{trace}: ")
+
+
+    def test_non_finite_json_is_numerical_failure(self, tmp_path, monkeypatch):
+        """A NaN bound for a JSON output exits 2 and leaves no such file."""
+        monkeypatch.setattr(
+            "photoref.cli.fpi_characteristics", lambda *args: (math.nan, 1.0)
+        )
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({}))
+        out = tmp_path / "out"
+        assert main(["fpi-char", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        assert not (out / "fpi_characteristics.json").exists()
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "not JSON compliant" in manifest["error"]
 
 
 class TestDeterminism:

@@ -199,6 +199,7 @@ class TestMalformedValues:
             ({"devices": {"qpm": {"length_mm": None}}}, "devices.qpm.length_mm"),
             ({"devices": {"qpm": {"poling_period_um": "wide"}}},
              "devices.qpm.poling_period_um"),
+            ({"material": {"sellmeier": {"a1": -100.0}}}, "material.sellmeier"),
         ],
     )
     def test_bad_value_names_its_path(self, tmp_path, payload, where):
@@ -248,6 +249,12 @@ class TestLeafTypes:
              "devices.fpi.probe_mode: expected str, got 1"),
             ({"photorefraction": {"warm": {"a": 1e-4}}},
              r"photorefraction\.warm \(key\): expected float, got 'warm'"),
+            ({"devices": {"fpi": {"length_mm": float("nan")}}},
+             "devices.fpi.length_mm: expected a finite float, got nan"),
+            ({"devices": {"fpi": {"length_mm": "-inf"}}},
+             "devices.fpi.length_mm: expected a finite float, got '-inf'"),
+            ({"photorefraction": {"inf": {"a": 1e-4}}},
+             r"photorefraction\.inf \(key\): expected a finite float, got 'inf'"),
         ],
     )
     def test_leaf_rejected(self, tmp_path, payload, message):

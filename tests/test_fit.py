@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -80,6 +81,61 @@ class TestLeastSquares:
         )
         result = least_squares(problem)
         assert result.parameters[0] <= 1.5 + 1e-12
+
+    def test_parameter_on_bound_held_and_named(self):
+        x = np.linspace(0.0, 5.0, 20)
+        y = 2.0 + 3.0 * x
+        problem = FitProblem(
+            residual=lambda p: p[0] + p[1] * x - y,
+            initial_guess=np.array([0.0, 1.0]),
+            lower_bounds=np.array([0.0, 0.0]),
+            upper_bounds=np.array([1.5, 10.0]),
+        )
+        result = least_squares(problem)
+        assert result.converged
+        assert result.parameters[0] == 1.5
+        # The slope reaches its optimum with the intercept held at the bound,
+        # rather than stalling behind clipped steps.
+        slope = np.sum(x * (y - 1.5)) / np.sum(x * x)
+        assert result.parameters[1] == pytest.approx(slope, rel=1e-10)
+        flagged = [w for w in result.warnings if "bound" in w]
+        assert flagged == [
+            "parameter 0 ends on its upper bound (1.5); its covariance is not valid there"
+        ]
+
+    def test_interior_solution_not_flagged(self):
+        x = np.linspace(0.0, 5.0, 20)
+        problem = FitProblem(
+            residual=lambda p: p[0] + p[1] * x - (2.0 + 3.0 * x),
+            initial_guess=np.array([0.0, 1.0]),
+            lower_bounds=np.array([-10.0, -10.0]),
+            upper_bounds=np.array([10.0, 10.0]),
+        )
+        assert least_squares(problem).warnings == []
+
+    def test_analytic_jacobian_replaces_differences(self):
+        x = np.linspace(0.0, 2.0, 40)
+        y = 1.5 * np.exp(-1.3 * x)
+        evals = [0]
+
+        def residual(p):
+            evals[0] += 1
+            return p[0] * np.exp(p[1] * x) - y
+
+        def jacobian(p):
+            e = np.exp(p[1] * x)
+            return np.column_stack((e, p[0] * x * e))
+
+        guess = np.array([1.0, -1.0])
+        numeric = least_squares(FitProblem(residual=residual, initial_guess=guess))
+        numeric_evals, evals[0] = evals[0], 0
+        analytic = least_squares(
+            FitProblem(residual=residual, initial_guess=guess, jacobian=jacobian)
+        )
+        np.testing.assert_allclose(analytic.parameters, [1.5, -1.3], rtol=1e-8)
+        np.testing.assert_allclose(numeric.parameters, [1.5, -1.3], rtol=1e-6)
+        assert evals[0] == analytic.iterations + 1
+        assert numeric_evals == 3 * (numeric.iterations + 1)
 
     def test_guess_outside_bounds_rejected(self):
         with pytest.raises(ValueError, match="outside bounds"):
@@ -256,7 +312,7 @@ class TestDeltaNPipeline:
     def test_slope_recovery_under_noise(self, coupler30):
         """1 percent multiplicative noise, many seeds: slope within 5 percent."""
         truth_slope = self.truth.a / self.truth.b
-        hits = 0
+        hits = covered = 0
         n_runs = 100
         for seed in range(n_runs):
             rng = np.random.default_rng(1000 + seed)
@@ -265,7 +321,11 @@ class TestDeltaNPipeline:
             slope = outcome.params.a / outcome.params.b
             if abs(slope - truth_slope) <= 0.05 * truth_slope:
                 hits += 1
+            # One-sigma coverage of a, as for the trace fit below.
+            if abs(outcome.params.a - self.truth.a) <= outcome.result.uncertainties[0]:
+                covered += 1
         assert hits >= 95
+        assert 54 <= covered <= 82
 
 
 def make_trace_cavity():
@@ -302,16 +362,27 @@ class TestFpiTracePipeline:
         assert fit.delta_n_total == pytest.approx(-8e-5, rel=1e-4)
         assert fit.tau_build_s == pytest.approx(5.0, rel=1e-4)
 
-    def test_noisy_recovery_over_many_draws(self):
-        hits = 0
+    def test_noisy_recovery_over_many_draws(self, monkeypatch):
+        descents = count_calls(monkeypatch, "least_squares")
+        hits = covered = 0
+        most_descents = 0
         n_runs = 100
         for seed in range(n_runs):
             rng = np.random.default_rng(4000 + seed)
             trace, cavity = synthetic_trace(noise=0.02, rng=rng)
+            descents.clear()
             fit = fit_fpi_trace(trace, cavity, LAM, 30.0)
-            if abs(fit.delta_n_total - (-8e-5)) <= 0.1 * 8e-5:
+            most_descents = max(most_descents, descents["least_squares"])
+            error = abs(fit.delta_n_total - (-8e-5))
+            if error <= 0.1 * 8e-5:
                 hits += 1
+            # Coverage of the reported one-sigma (Numerical Recipes 15.6):
+            # 68.3 % of 100 draws, inside its +/- 3 sigma binomial band.
+            if error <= fit.result.uncertainties[0]:
+                covered += 1
         assert hits >= 95
+        assert 54 <= covered <= 82
+        assert most_descents <= fit_module._MAX_DESCENTS
 
     def test_no_oscillation_flagged(self):
         trace, cavity = synthetic_trace(dn_total=-5e-6)
@@ -405,25 +476,92 @@ class TestProminentExtremaCounter:
         assert estimate == (0, 0.0)
 
 
+class TestAnalyticJacobians:
+    """Each pipeline's analytic Jacobian against forward differences."""
+
+    @staticmethod
+    def assert_matches_differences(problem, points):
+        for params in points:
+            r = fit_module._weighted_residual(problem, params)
+            analytic = fit_module._jacobian(problem, params, r)
+            numeric = fit_module._fd_jacobian(problem, params, r)
+            error = np.max(np.abs(analytic - numeric), axis=0)
+            assert np.all(error <= 1e-5 * np.max(np.abs(numeric), axis=0)), params
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_trace_jacobian(self, monkeypatch, masked):
+        trace, cavity = synthetic_trace(noise=0.02, rng=np.random.default_rng(4000))
+        if masked:
+            trace = trace.with_masked_interval(5.0, 10.0)
+        problems = capture_problems(monkeypatch)
+        fit_fpi_trace(trace, cavity, LAM, 30.0)
+        # Where the fits search: |dn| up to about four lambda/(4L) quanta,
+        # tau from span/100 to 10 spans, phi0 over one period.  A forward
+        # difference's own error grows with the phase step it takes, and is
+        # about 1e-5 of the column at this edge.
+        rng = np.random.default_rng(11)
+        points = np.column_stack((
+            rng.uniform(-1e-4, -1e-6, 20),
+            np.exp(rng.uniform(math.log(0.24), math.log(240.0), 20)),
+            rng.uniform(0.0, math.pi, 20),
+        ))
+        self.assert_matches_differences(problems[0], points)
+
+    def test_sweep_jacobian_with_weights(self, monkeypatch, coupler30):
+        sweep = synthetic_sweep(
+            TestDeltaNPipeline.truth,
+            coupler30,
+            TestDeltaNPipeline.powers,
+            0.01,
+            np.random.default_rng(1000),
+        )
+        problems = capture_problems(monkeypatch)
+        fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
+        (problem,) = problems
+        assert problem.weights is not None
+        rng = np.random.default_rng(12)
+        points = rng.uniform(0.0, 1.0, (20, 2)) * problem.upper_bounds
+        self.assert_matches_differences(problem, points)
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls to the named functions of the fit module."""
+    counts = Counter()
+    for name in names:
+        original = getattr(fit_module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fit_module, name, counting)
+    return counts
+
+
+def capture_problems(monkeypatch):
+    """The problem of every least-squares run of the fit module, in order."""
+    problems = []
+    original = fit_module.least_squares
+
+    def capturing(problem, *args, **kwargs):
+        problems.append(problem)
+        return original(problem, *args, **kwargs)
+
+    monkeypatch.setattr(fit_module, "least_squares", capturing)
+    return problems
+
+
 class TestResidualEvaluationCounts:
-    """Deterministic guard on fit work: exact residual-evaluation counts."""
+    """Deterministic guard on fit work: exact residual, Jacobian and descent counts."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        counter = [0]
-        original = fit_module._weighted_residual
-
-        def counting(problem, params):
-            counter[0] += 1
-            return original(problem, params)
-
-        monkeypatch.setattr(fit_module, "_weighted_residual", counting)
-        return counter
+        return count_calls(monkeypatch, "_weighted_residual", "_jacobian", "least_squares")
 
     def test_seeded_noisy_trace_fit(self, calls):
         trace, cavity = synthetic_trace(noise=0.02, rng=np.random.default_rng(4000))
         fit_fpi_trace(trace, cavity, LAM, 30.0)
-        assert calls[0] == 1709
+        assert calls == {"_weighted_residual": 17, "_jacobian": 14, "least_squares": 1}
 
     def test_seeded_noisy_sweep_fit(self, calls, coupler30):
         sweep = synthetic_sweep(
@@ -434,4 +572,4 @@ class TestResidualEvaluationCounts:
             np.random.default_rng(1000),
         )
         fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
-        assert calls[0] == 38
+        assert calls == {"_weighted_residual": 11, "_jacobian": 9, "least_squares": 1}

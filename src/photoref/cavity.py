@@ -4,7 +4,12 @@ Covers the parasitic resonator formed by waveguide end-facets (Airy
 transmission driven by the photorefractive index shift), the conversion of
 an index shift into a normalized cavity detuning, and the quadrature noise
 spectra of a degenerate parametric oscillator below threshold with a
-detuned cavity, from the standard linearized input-output treatment.
+detuned cavity, from the standard linearized input-output treatment
+(Collett & Gardiner, Phys. Rev. A 30, 1386 (1984)).  Their extremes over
+the quadrature angle are (q -/+ 2*sigma)/(q +/- 2*sigma), with
+q = sqrt(a^2 + 4*Delta^2) and a = 1 + sigma^2 + omega^2 - Delta^2, and are
+best over the band [0, omega_max] at
+omega^2 = clip(Delta^2 - 1 - sigma^2, 0, omega_max^2): no search is needed.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ __all__ = [
     "simulate_fpi_trace",
     "delta_n_to_detuning",
     "opo_spectrum_matrix",
+    "opo_extremal_spectra",
     "opo_quadrature_spectrum",
     "opo_optimal_levels",
     "detuned_threshold",
@@ -240,6 +246,20 @@ def pump_parameter_for_squeezing_db(squeezing_db: float) -> float:
     return (b - math.sqrt(b * b - 4.0)) / 2.0
 
 
+def _below_threshold(pump_parameter: float, normalized_detuning: float):
+    """``(sigma, Delta)`` as floats, refusing sigma < 0 and sigma at threshold."""
+    sigma = float(pump_parameter)
+    delta = float(normalized_detuning)
+    if sigma < 0:
+        raise ValueError("pump parameter must be >= 0")
+    if sigma >= detuned_threshold(delta):
+        raise ValueError(
+            f"pump parameter {sigma} at or above the detuned threshold "
+            f"{detuned_threshold(delta):.6f}"
+        )
+    return sigma, delta
+
+
 def opo_spectrum_matrix(pump_parameter: float, normalized_detuning: float, omega):
     """Output quadrature spectral matrix of the detuned degenerate OPO.
 
@@ -250,15 +270,7 @@ def opo_spectrum_matrix(pump_parameter: float, normalized_detuning: float, omega
     real symmetric spectral matrix; returns ``(S_xx, S_yy, S_xy)``,
     vacuum = 1.
     """
-    sigma = float(pump_parameter)
-    delta = float(normalized_detuning)
-    if sigma < 0:
-        raise ValueError("pump parameter must be >= 0")
-    if sigma >= detuned_threshold(delta):
-        raise ValueError(
-            f"pump parameter {sigma} at or above the detuned threshold "
-            f"{detuned_threshold(delta):.6f}"
-        )
+    sigma, delta = _below_threshold(pump_parameter, normalized_detuning)
     w = np.asarray(omega, dtype=float)
     det2 = (1.0 - w**2 - sigma**2 + delta**2) ** 2 + 4.0 * w**2
     n1 = (1.0 - sigma) ** 2 + w**2 - delta**2
@@ -267,6 +279,23 @@ def opo_spectrum_matrix(pump_parameter: float, normalized_detuning: float, omega
     s_yy = (n2**2 + 4.0 * delta**2) / det2
     s_xy = 8.0 * sigma * delta / det2
     return s_xx, s_yy, s_xy
+
+
+def opo_extremal_spectra(pump_parameter: float, normalized_detuning: float, omega):
+    """Least and greatest quadrature noise of the detuned OPO at each omega.
+
+    The eigenvalues of the spectral form of ``opo_spectrum_matrix``, whose
+    denominator is det2 = q^2 - 4*sigma^2: (q -/+ 2*sigma)/(q +/- 2*sigma),
+    a pure state.  The squeezed one is evaluated as det2/(q + 2*sigma)^2 to
+    keep its precision near threshold.  Returns ``(squeezed, antisqueezed)``,
+    vacuum = 1, lossless.
+    """
+    sigma, delta = _below_threshold(pump_parameter, normalized_detuning)
+    w2 = np.asarray(omega, dtype=float) ** 2
+    det2 = (1.0 - w2 - sigma**2 + delta**2) ** 2 + 4.0 * w2
+    q = np.sqrt((1.0 + sigma**2 + w2 - delta**2) ** 2 + 4.0 * delta**2)
+    squeezed = det2 / (q + 2.0 * sigma) ** 2
+    return squeezed, 1.0 / squeezed
 
 
 def opo_quadrature_spectrum(
@@ -297,81 +326,33 @@ def opo_quadrature_spectrum(
     return out
 
 
-def _eigen_extrema(s_xx, s_yy, s_xy):
-    """Min/max over the quadrature angle of the spectral form at fixed omega."""
-    mean = 0.5 * (s_xx + s_yy)
-    radius = np.sqrt((0.5 * (s_xx - s_yy)) ** 2 + s_xy**2)
-    return mean - radius, mean + radius
-
-
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def opo_optimal_levels(
     pump_parameter: float,
     normalized_detuning: float,
     detection_efficiency: float = 1.0,
     omega_max: float = 20.0,
-    omega_step: float = 0.05,
 ) -> tuple[float, float]:
     """Best squeezing and antisqueezing of the detuned OPO, in dB.
 
     The detuning is in units of kappa, the cavity amplitude decay rate (the
     half-width at half maximum), as in ``opo_spectrum_matrix``.  Optimizes
-    over analysis frequency (grid scan on [0, omega_max] plus golden-section
-    refinement) and quadrature angle (exact eigenvalue extrema of the
-    spectral form at each frequency).  Returns
+    over the quadrature angle and over analysis frequency in [0, omega_max]:
+    both extremes of ``opo_extremal_spectra`` move away from vacuum as
+    |1 + sigma^2 + omega^2 - Delta^2| falls, so both sit at
+    omega^2 = clip(Delta^2 - 1 - sigma^2, 0, omega_max^2).  Returns
     ``(best_squeezing_db, best_antisqueezing_db)`` with
-    dB = 10*log10(noise / vacuum), negative meaning below shot noise.
-    Both are the lossless optimum over omega and angle, mixed with vacuum
-    afterwards; with detection efficiency 1 the output is pure, so the
-    antisqueezing equals minus the squeezing.
+    dB = 10*log10(noise / vacuum), negative below shot noise.  Both are the
+    lossless optimum mixed with vacuum afterwards; with detection efficiency
+    1 the output is pure, so the antisqueezing equals minus the squeezing.
     """
+    if not omega_max >= 0:
+        raise ValueError(f"omega_max must be >= 0, got {omega_max}")
     eta = float(detection_efficiency)
-    omega = np.arange(0.0, omega_max + omega_step / 2, omega_step)
-    lo, hi = _eigen_extrema(
-        *opo_spectrum_matrix(pump_parameter, normalized_detuning, omega)
+    peak = float(normalized_detuning) ** 2 - 1.0 - float(pump_parameter) ** 2
+    omega = math.sqrt(min(max(peak, 0.0), omega_max**2))
+    best_min, best_max = opo_extremal_spectra(
+        pump_parameter, normalized_detuning, omega
     )
-
-    def lo_at(w):
-        return _eigen_extrema(
-            *opo_spectrum_matrix(pump_parameter, normalized_detuning, w)
-        )[0]
-
-    def neg_hi_at(w):
-        return -_eigen_extrema(
-            *opo_spectrum_matrix(pump_parameter, normalized_detuning, w)
-        )[1]
-
-    i = int(np.argmin(lo))
-    w_lo = omega[max(i - 1, 0)]
-    w_hi = omega[min(i + 1, len(omega) - 1)]
-    _, best_min = _golden_min(lo_at, w_lo, w_hi)
-    best_min = min(best_min, float(lo[i]))
-
-    j = int(np.argmax(hi))
-    w_lo = omega[max(j - 1, 0)]
-    w_hi = omega[min(j + 1, len(omega) - 1)]
-    _, neg_best_max = _golden_min(neg_hi_at, w_lo, w_hi)
-    best_max = max(-neg_best_max, float(hi[j]))
-
     squeeze = eta * best_min + (1.0 - eta)
     antisqueeze = eta * best_max + (1.0 - eta)
     return 10.0 * math.log10(squeeze), 10.0 * math.log10(antisqueeze)

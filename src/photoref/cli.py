@@ -24,11 +24,10 @@ import yaml
 
 from . import __version__
 from .cavity import (
-    _eigen_extrema,
     finesse,
     fpi_characteristics,
+    opo_extremal_spectra,
     opo_optimal_levels,
-    opo_spectrum_matrix,
     pump_parameter_for_squeezing_db,
     simulate_fpi_trace,
 )
@@ -42,6 +41,7 @@ from .coupler import (
 )
 from .data import (
     SweepData,
+    Trace,
     read_sweep_csv,
     read_trace_csv,
     write_columns_csv,
@@ -113,17 +113,25 @@ class _Runner:
             "seed": seed,
         }
 
-    def path(self, name: str) -> Path:
+    # Each writer lists its file as an output only once the file is written,
+    # so a writer that refuses its data leaves no phantom entry in the manifest.
+    def write_columns(self, name: str, header: list[str], columns) -> None:
+        write_columns_csv(self.out_dir / name, header, columns, self.comments)
         self.outputs.append(name)
-        return self.out_dir / name
+
+    def write_trace(self, name: str, trace: Trace) -> None:
+        write_trace_csv(self.out_dir / name, trace, self.comments)
+        self.outputs.append(name)
 
     def write_sweep(self, name: str, sweep: SweepData) -> None:
-        write_sweep_csv(self.path(name), sweep, self.comments)
+        write_sweep_csv(self.out_dir / name, sweep, self.comments)
+        self.outputs.append(name)
 
     def write_json(self, name: str, payload: dict) -> None:
         payload = dict(payload)
         payload["provenance"] = self.provenance
-        _write_json(self.path(name), payload)
+        _write_json(self.out_dir / name, payload)
+        self.outputs.append(name)
 
     def note(self, message: str) -> None:
         self.warnings.append(message)
@@ -170,7 +178,7 @@ def _run_fpi_trace(runner: _Runner) -> None:
         sample_period_s=section["sample_period_s"],
         duration_s=section["duration_s"],
     )
-    write_trace_csv(runner.path("fpi_trace.csv"), trace, runner.comments)
+    runner.write_trace("fpi_trace.csv", trace)
 
 
 def _run_fpi_char(runner: _Runner) -> None:
@@ -249,12 +257,7 @@ def _run_homodyne(runner: _Runner) -> None:
             )
         )
         levels.append(10.0 * math.log10(noise / lo))
-    write_columns_csv(
-        runner.path("homodyne.csv"),
-        ["phase_rad", "value"],
-        [phases, levels],
-        runner.comments,
-    )
+    runner.write_columns("homodyne.csv", ["phase_rad", "value"], [phases, levels])
 
 
 def _run_opo_spectrum(runner: _Runner) -> None:
@@ -264,27 +267,18 @@ def _run_opo_spectrum(runner: _Runner) -> None:
     step = section["omega_step"]
     omega = np.arange(0.0, section["omega_max"] + step / 2, step)
     detunings = section["detunings"]
-    best_rows = []
     for delta in detunings:
-        lo, hi = _eigen_extrema(*opo_spectrum_matrix(sigma, delta, omega))
-        squeezed = eta * lo + (1.0 - eta)
-        antisqueezed = eta * hi + (1.0 - eta)
-        write_columns_csv(
-            runner.path(f"opo_spectrum_delta{_fmt(delta)}.csv"),
+        levels = eta * np.array(opo_extremal_spectra(sigma, delta, omega)) + (1.0 - eta)
+        runner.write_columns(
+            f"opo_spectrum_delta{_fmt(delta)}.csv",
             ["omega", "squeezed_db", "antisqueezed_db"],
-            [omega, 10 * np.log10(squeezed), 10 * np.log10(antisqueezed)],
-            runner.comments,
+            [omega, *10 * np.log10(levels)],
         )
-        best_rows.append(opo_optimal_levels(sigma, delta, eta))
-    write_columns_csv(
-        runner.path("opo_optimal_levels.csv"),
+    best = [opo_optimal_levels(sigma, delta, eta) for delta in detunings]
+    runner.write_columns(
+        "opo_optimal_levels.csv",
         ["delta", "best_squeezing_db", "best_antisqueezing_db"],
-        [
-            np.asarray(detunings),
-            np.asarray([row[0] for row in best_rows]),
-            np.asarray([row[1] for row in best_rows]),
-        ],
-        runner.comments,
+        [detunings, *zip(*best)],
     )
 
 
@@ -303,13 +297,10 @@ def _run_spdc_spectrum(runner: _Runner) -> None:
         for power in section["pump_powers_mw"]:
             point = SpdcOperatingPoint(lam_p, temperature, power)
             density = spdc_spectrum(device, point, params, grid, background)
-            write_columns_csv(
-                runner.path(
-                    f"spdc_spectrum_T{_fmt(temperature)}_P{_fmt(power)}.csv"
-                ),
+            runner.write_columns(
+                f"spdc_spectrum_T{_fmt(temperature)}_P{_fmt(power)}.csv",
                 ["wavelength_nm", "normalized_density"],
                 [grid, density],
-                runner.comments,
             )
 
 

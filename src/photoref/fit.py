@@ -19,7 +19,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .cavity import FpiCavity, _golden_min, finesse
+from .cavity import FpiCavity, finesse
 from .coupler import CouplerGeometry, coupler_reflectivity
 from .data import SweepData, Trace
 from .material import PhotorefractionParams
@@ -292,6 +292,25 @@ def _gauss_newton_covariance(jac, cost, n_points, n_params, warnings):
 # Pipeline 1: saturable index-shift law from coupler reflectivity sweeps.
 
 
+def _golden_min(f, lo: float, hi: float, tol: float) -> float:
+    """Golden-section minimizer of a unimodal scalar function on [lo, hi]."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 class ReflectivityBranch(NamedTuple):
     """First monotone interval of R(delta_beta) starting at delta_beta = 0."""
 
@@ -315,7 +334,7 @@ def first_monotone_branch(geometry: CouplerGeometry) -> ReflectivityBranch:
         # Refine the extremum inside the bracketing cells by golden section.
         i = int(flips[0])
         sign = -1.0 if direction > 0 else 1.0
-        db_ext, _ = _golden_min(
+        db_ext = _golden_min(
             lambda db: sign * coupler_reflectivity(geometry, db),
             grid[max(i - 1, 0)],
             grid[min(i + 1, len(grid) - 1)],

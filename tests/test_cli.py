@@ -293,6 +293,7 @@ class TestExitCodes:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "not JSON compliant" in manifest["error"]
+        assert manifest["outputs"] == []
 
 
 class TestDeterminism:

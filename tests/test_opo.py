@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import photoref.cavity
 from photoref.cavity import (
     detuned_threshold,
+    opo_extremal_spectra,
     opo_optimal_levels,
     opo_quadrature_spectrum,
     opo_spectrum_matrix,
@@ -147,6 +149,78 @@ class TestOptimalLevels:
         assert worst >= brute_max - 1e-9
         assert best == pytest.approx(brute_min, abs=0.02)
         assert worst == pytest.approx(brute_max, abs=0.02)
+
+
+class TestClosedFormOptimum:
+    def test_extremes_match_eigenvalues_of_spectral_matrix(self):
+        omegas = np.linspace(0.0, 20.0, 401)
+        for delta in (-2.0, 0.0, 0.5, 1.5, 3.0):
+            for fraction in (0.0, 0.3, 0.6, 0.9):
+                sigma = fraction * detuned_threshold(delta)
+                s_xx, s_yy, s_xy = opo_spectrum_matrix(sigma, delta, omegas)
+                mean = 0.5 * (s_xx + s_yy)
+                radius = np.sqrt(0.25 * (s_xx - s_yy) ** 2 + s_xy**2)
+                squeezed, antisqueezed = opo_extremal_spectra(sigma, delta, omegas)
+                np.testing.assert_allclose(squeezed, mean - radius, rtol=1e-9)
+                np.testing.assert_allclose(antisqueezed, mean + radius, rtol=1e-9)
+
+    def test_extremes_refuse_what_the_matrix_refuses(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            opo_extremal_spectra(-0.1, 0.0, 0.0)
+        with pytest.raises(ValueError, match="threshold"):
+            opo_extremal_spectra(detuned_threshold(1.5), 1.5, 0.0)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("fraction", [0.5, 0.9, 0.99, 0.999])
+    def test_lossless_output_is_pure_up_to_threshold(self, delta, fraction):
+        sigma = fraction * detuned_threshold(delta)
+        best, worst = opo_optimal_levels(sigma, delta)
+        assert best == pytest.approx(-worst, abs=1e-9)
+        if delta == 0.0:
+            # Zero-frequency floor of the resonant OPO: ((1 - sigma)/(1 + sigma))^2.
+            assert best == pytest.approx(
+                20 * math.log10((1 - sigma) / (1 + sigma)), abs=1e-9
+            )
+
+    @pytest.mark.parametrize(
+        "sigma, delta", [(0.28, 1.5), (0.52, 2.0), (0.9, 3.0), (0.28, 12.0)]
+    )
+    def test_dense_scan_finds_the_closed_form_frequency(self, sigma, delta):
+        step = 1e-3
+        omegas = np.arange(0.0, 20.0 + step / 2, step)
+        squeezed, antisqueezed = opo_extremal_spectra(sigma, delta, omegas)
+        peak = math.sqrt(delta**2 - 1 - sigma**2)
+        assert abs(omegas[np.argmin(squeezed)] - peak) <= step
+        assert abs(omegas[np.argmax(antisqueezed)] - peak) <= step
+
+    def test_band_edge_beyond_omega_max(self):
+        sigma, delta = 0.28, 25.0
+        assert math.sqrt(delta**2 - 1 - sigma**2) > 20.0
+        omegas = np.linspace(0.0, 20.0, 4001)
+        squeezed, antisqueezed = opo_extremal_spectra(sigma, delta, omegas)
+        assert np.argmin(squeezed) == len(omegas) - 1
+        assert np.argmax(antisqueezed) == len(omegas) - 1
+        best, worst = opo_optimal_levels(sigma, delta)
+        assert best == pytest.approx(10 * math.log10(squeezed[-1]), abs=1e-12)
+        assert worst == pytest.approx(10 * math.log10(antisqueezed[-1]), abs=1e-12)
+
+    def test_rejects_negative_or_nan_band(self):
+        for omega_max in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="omega_max"):
+                opo_optimal_levels(0.28, 1.5, omega_max=omega_max)
+
+    def test_no_spectral_matrix_evaluations(self, monkeypatch):
+        calls = []
+        original = photoref.cavity.opo_spectrum_matrix
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(photoref.cavity, "opo_spectrum_matrix", counting)
+        for delta in (0.0, 1.5, 3.0, 30.0):
+            opo_optimal_levels(0.28, delta, 0.9)
+        assert calls == []
 
 
 class TestStochasticOracle:

@@ -274,7 +274,10 @@ def _run_opo_spectrum(runner: _Runner) -> None:
             ["omega", "squeezed_db", "antisqueezed_db"],
             [omega, *10 * np.log10(levels)],
         )
-    best = [opo_optimal_levels(sigma, delta, eta) for delta in detunings]
+    best = [
+        opo_optimal_levels(sigma, delta, eta, omega_max=section["omega_max"])
+        for delta in detunings
+    ]
     runner.write_columns(
         "opo_optimal_levels.csv",
         ["delta", "best_squeezing_db", "best_antisqueezing_db"],

@@ -51,10 +51,6 @@ class CouplerGeometry:
         if self.interaction_length_mm <= 0:
             raise ValueError("interaction length must be > 0")
 
-    @property
-    def coupling_length_mm(self) -> float:
-        return coupling_length(self.coupling_constant_per_mm)
-
 
 def coupling_length(coupling_constant_per_mm: float) -> float:
     """Distance pi/(2k) after which all power sits in the transmitted arm."""

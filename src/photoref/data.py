@@ -96,13 +96,11 @@ class Trace:
 
 @dataclass(frozen=True)
 class SweepData:
-    """Quantity versus pump power (or another declared abscissa), sorted ascending."""
+    """Quantity versus pump power, sorted ascending."""
 
     abscissa: np.ndarray
     value: np.ndarray
     sigma: np.ndarray | None = None
-    abscissa_name: str = SWEEP_POWER_COLUMN
-    value_name: str = SWEEP_VALUE_COLUMN
 
     def __post_init__(self):
         x = _as_float_array(self.abscissa, "abscissa")

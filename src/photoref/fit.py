@@ -3,12 +3,17 @@
 The engine is a deterministic Levenberg-Marquardt loop (multiply/divide the
 damping by 10 on reject/accept) with box constraints.  It uses the
 problem's analytic Jacobian when one is given and forward finite
-differences otherwise.  On top of it sit two pipelines, both with analytic
-Jacobians: recovering the saturable index-shift law from coupler
-reflectivity sweeps, and recovering the total index excursion and build-up
-time from a cavity transmission trace.  The trace fit scans a start grid in
-one broadcast cost evaluation, then descends from the cheapest grid points
-until a fit reaches the trace's noise floor.
+differences otherwise, and stops once the undamped Gauss-Newton step
+promises a decrease of at most 1e-14 of the cost, which rounding hides.
+On top of it sit two pipelines, both with analytic Jacobians: recovering
+the saturable index-shift law from coupler reflectivity sweeps, and
+recovering the total index excursion and build-up time from a cavity
+transmission trace.  The sweep fit inverts R = 1 - (kL*sin(x)/x)^2,
+x = L*sqrt(4k^2 + delta_beta^2)/2, on the branch that ends at the first
+stationary point above x = kL (sin x = 0 or tan x = x), in one bisection
+over all points.  The trace fit scans a start grid in one broadcast cost
+evaluation, then descends from the cheapest grid points until a fit
+reaches the trace's noise floor.
 """
 
 from __future__ import annotations
@@ -42,9 +47,14 @@ __all__ = [
 
 _MAX_DAMPING = 1e14
 _MIN_DAMPING = 1e-16
+_STEP_TOL = 1e-10  # accepted step, relative to 1 + max |parameter|
+_GRAD_TOL = 1e-10  # largest free gradient component
+_GAIN_FLOOR = 1e-14  # Gauss-Newton gain, relative to the cost, that rounding hides
 _FD_RELATIVE_STEP = 1e-6
 _FD_ABSOLUTE_FLOOR = 1e-12
 _MAX_DESCENTS = 16  # LM descents per trace fit
+_BISECT_TOL = 1e-13  # bracket width, relative to max(1, upper end)
+_GAUGE_B_MW = 10.0  # b of the saturable law, pinned (only a/b and a/c are identifiable)
 
 
 class FitError(RuntimeError):
@@ -165,18 +175,18 @@ def _jacobian(problem: FitProblem, params: np.ndarray, r: np.ndarray) -> np.ndar
     return jac
 
 
-def least_squares(
-    problem: FitProblem,
-    step_tol: float = 1e-10,
-    grad_tol: float = 1e-10,
-    max_iter: int = 200,
-) -> FitResult:
+def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
     """Damped Gauss-Newton minimization of the weighted residual sum of squares.
 
     The damping is multiplied by 10 on a rejected step and divided by 10 on
     an accepted one; accepted steps never increase the residual norm.
-    Convergence means the step or gradient tolerance was met; hitting the
-    iteration limit returns the best point found with ``converged=False``.
+    The fit converges when the free gradient g = J^T r is below
+    ``_GRAD_TOL``, an accepted step is below ``_STEP_TOL``, or the cost
+    r^T r reaches its rounding floor: the undamped Gauss-Newton step, with
+    H = J^T J on the free parameters, promises a decrease g^T H^-1 g of at
+    most ``_GAIN_FLOOR`` times the cost (a singular or non-finite H skips
+    this test).  Hitting the iteration limit returns the best point found
+    with ``converged=False``.
     A parameter on a box bound whose gradient points out of the box is held
     fixed for that step; one that ends on a bound is named in a warning,
     because the Gauss-Newton covariance does not hold there.  Deterministic
@@ -204,15 +214,22 @@ def least_squares(
             ~((params == problem.lower_bounds) & (gradient > 0)
               | (params == problem.upper_bounds) & (gradient < 0))
         )
-        if np.max(np.abs(gradient[free]), initial=0.0) < grad_tol:
+        if np.max(np.abs(gradient[free]), initial=0.0) < _GRAD_TOL:
             converged = True
             break
         hessian = jac.T @ jac
+        reduced = hessian[np.ix_(free, free)]
+        try:
+            gain = float(gradient[free] @ np.linalg.solve(reduced, gradient[free]))
+        except np.linalg.LinAlgError:
+            gain = math.nan
+        if gain <= _GAIN_FLOOR * cost:
+            converged = True
+            break
         diag = np.diag(hessian).copy()
         scale = np.where(diag > 0, diag, 1.0)
         if damping is None:
             damping = 1e-6 * float(np.max(scale))
-        reduced = hessian[np.ix_(free, free)]
         accepted = False
         while not accepted:
             step = np.zeros_like(params)
@@ -250,7 +267,7 @@ def least_squares(
         iterations += 1
         history.append(math.sqrt(cost))
         jac = _jacobian(problem, params, r)
-        if np.max(np.abs(effective_step)) < step_tol * (1.0 + np.max(np.abs(params))):
+        if np.max(np.abs(effective_step)) < _STEP_TOL * (1.0 + np.max(np.abs(params))):
             converged = True
             break
     else:
@@ -292,25 +309,6 @@ def _gauss_newton_covariance(jac, cost, n_points, n_params, warnings):
 # Pipeline 1: saturable index-shift law from coupler reflectivity sweeps.
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimizer of a unimodal scalar function on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 class ReflectivityBranch(NamedTuple):
     """First monotone interval of R(delta_beta) starting at delta_beta = 0."""
 
@@ -320,70 +318,82 @@ class ReflectivityBranch(NamedTuple):
     increasing: bool
 
 
+def _bisect(f, lo, hi):
+    """Zeros of the increasing ``f``, elementwise, by bisection.
+
+    Each bracket [lo, hi] must hold its zero.  All brackets are halved
+    together, one call of ``f`` on the midpoints per halving, until each is
+    at most ``_BISECT_TOL * max(1, hi)`` wide; a midpoint where ``f`` is 0
+    closes its bracket.
+    """
+    while np.any(hi - lo > _BISECT_TOL * np.maximum(1.0, hi)):
+        mid = 0.5 * (lo + hi)
+        value = f(mid)
+        lo, hi = np.where(value > 0, lo, mid), np.where(value < 0, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def first_monotone_branch(geometry: CouplerGeometry) -> ReflectivityBranch:
-    """Locate the first extremum of the reflectivity in |delta_beta|."""
-    k = geometry.coupling_constant_per_mm
-    grid = np.linspace(0.0, 8.0 * k + 4.0 * math.pi / geometry.interaction_length_mm, 8193)
-    r = coupler_reflectivity(geometry, grid)
-    diffs = np.diff(r)
-    direction = np.sign(diffs[np.flatnonzero(diffs)[0]]) if np.any(diffs) else 1.0
-    flips = np.flatnonzero(np.sign(diffs) == -direction)
-    if len(flips) == 0:
-        db_ext = float(grid[-1])
-    else:
-        # Refine the extremum inside the bracketing cells by golden section.
-        i = int(flips[0])
-        sign = -1.0 if direction > 0 else 1.0
-        db_ext = _golden_min(
-            lambda db: sign * coupler_reflectivity(geometry, db),
-            grid[max(i - 1, 0)],
-            grid[min(i + 1, len(grid) - 1)],
-            tol=1e-12,
-        )
-    r0 = float(coupler_reflectivity(geometry, 0.0))
-    r_ext = float(coupler_reflectivity(geometry, db_ext))
-    return ReflectivityBranch(db_ext, r0, r_ext, bool(direction > 0))
+    """The monotone interval of R(|delta_beta|) that starts at zero mismatch.
+
+    With x = L*sqrt(4k^2 + delta_beta^2)/2, which rises from x0 = kL,
+    R = 1 - (x0*sin(x)/x)^2.  R is stationary only where sin x = 0 (a
+    maximum, R = 1) or tan x = x (a minimum; one root in each
+    (m*pi, (m + 1/2)*pi) for m >= 1).  The branch ends at the first of these
+    above x0: with x0 in [m*pi, (m + 1)*pi), it falls to the tan x = x root
+    of that period when x0 lies before it, and rises to (m + 1)*pi
+    otherwise.  Then delta_beta_max = (2/L)*sqrt(x^2 - x0^2).
+    """
+    length = geometry.interaction_length_mm
+    x0 = geometry.coupling_constant_per_mm * length
+    m = math.floor(x0 / math.pi)
+    if (m + 1) * math.pi <= x0:  # x0/pi rounded down across an integer
+        m += 1
+    x_end, increasing = (m + 1) * math.pi, True
+    if m >= 1:
+        root = float(_bisect(lambda x: np.tan(x) - x, m * math.pi, (m + 0.5) * math.pi))
+        if x0 < root:
+            x_end, increasing = root, False
+    delta_beta_max = 2.0 / length * math.sqrt(x_end**2 - x0**2)
+    return ReflectivityBranch(
+        delta_beta_max,
+        coupler_reflectivity(geometry, 0.0),
+        coupler_reflectivity(geometry, delta_beta_max),
+        increasing,
+    )
 
 
 def invert_reflectivity(
-    geometry: CouplerGeometry,
-    reflectivity: float,
-    branch: ReflectivityBranch | None = None,
-) -> float:
+    geometry: CouplerGeometry, reflectivity, branch: ReflectivityBranch | None = None
+):
     """|delta_beta| whose reflectivity matches, on the first monotone branch.
 
-    Bisection on the branch; raises when the requested value cannot be
-    reached on it.
+    Takes a scalar (and returns a float) or an array, which one bisection
+    inverts point for point.  Raises when a value cannot be reached on the
+    branch.  The branch's end values invert exactly to 0 and
+    ``delta_beta_max``.
     """
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError(f"reflectivity {reflectivity!r} outside [0, 1]")
+    r = np.asarray(reflectivity, dtype=float)
+    outside = ~((r >= 0.0) & (r <= 1.0))
+    if np.any(outside):
+        raise ValueError(f"reflectivity {float(r[outside].flat[0])!r} outside [0, 1]")
     if branch is None:
         branch = first_monotone_branch(geometry)
     lo_val, hi_val = sorted((branch.r_start, branch.r_end))
-    if not lo_val - 1e-12 <= reflectivity <= hi_val + 1e-12:
+    unreachable = (r < lo_val - 1e-12) | (r > hi_val + 1e-12)
+    if np.any(unreachable):
         raise ValueError(
-            f"reflectivity {reflectivity!r} unreachable on the first monotone "
-            f"branch [{lo_val:.6f}, {hi_val:.6f}]"
+            f"reflectivity {float(r[unreachable].flat[0])!r} unreachable on the first "
+            f"monotone branch [{lo_val:.6f}, {hi_val:.6f}]"
         )
-    lo, hi = 0.0, branch.delta_beta_max
-    f_lo = branch.r_start - reflectivity
-    f_hi = branch.r_end - reflectivity
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    for _ in range(200):
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = float(coupler_reflectivity(geometry, mid)) - reflectivity
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0) == (f_mid < 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    r = np.clip(r, lo_val, hi_val)
+    sign = 1.0 if branch.increasing else -1.0
+    db = _bisect(
+        lambda db: sign * (coupler_reflectivity(geometry, db) - r),
+        np.where(r == branch.r_end, branch.delta_beta_max, 0.0),
+        np.where(r == branch.r_start, 0.0, branch.delta_beta_max),
+    )
+    return float(db) if np.isscalar(reflectivity) else db
 
 
 @dataclass
@@ -401,95 +411,82 @@ def fit_delta_n_from_reflectivity(
     sweeps: Mapping[float, SweepData],
     geometries: Mapping[float, CouplerGeometry] | CouplerGeometry,
     probe_wavelength_nm: float = 1550.0,
-    gauge_b_mw: float = 10.0,
 ) -> dict[float, DeltaNFit]:
     """Recover the saturable index-shift law from reflectivity sweeps.
 
     Two stages per temperature: (i) invert the coupled-mode reflectivity
-    point by point for |delta_beta| on the branch continuous from zero
+    of every point for |delta_beta| on the branch continuous from zero
     mismatch, converting to |dn| = lambda*|delta_beta|/(2*pi); (ii) fit the
     (P, |dn|) cloud with the saturable law.
 
     The law a*P/(b + c*P) is invariant under common rescaling of (a, b, c),
-    so ``b`` is pinned to ``gauge_b_mw`` and (a, c) are fitted; the physical
-    content (initial slope a/b, saturation a/c) is gauge independent.
-    Points whose reflectivity falls beyond the first monotone branch are
-    excluded with a warning record.
+    so ``b`` is pinned to ``_GAUGE_B_MW`` and (a, c) are fitted; the
+    physical content (initial slope a/b, saturation a/c) is gauge
+    independent.  Points whose reflectivity falls beyond the first monotone
+    branch are excluded with a warning record.
     """
     lam_mm = probe_wavelength_nm * 1e-6
     outcomes: dict[float, DeltaNFit] = {}
     for temperature, sweep in sweeps.items():
-        geometry = (
-            geometries[temperature]
-            if isinstance(geometries, Mapping)
-            else geometries
-        )
+        geometry = geometries[temperature] if isinstance(geometries, Mapping) else geometries
         if len(sweep) < 4:
             raise ValueError(
                 f"{temperature} C sweep has {len(sweep)} points; need at least 4"
             )
         branch = first_monotone_branch(geometry)
-        warnings: list[str] = []
-        excluded: list[int] = []
-        powers, dn_mags, sigmas = [], [], []
-        for i, (p, r_obs) in enumerate(zip(sweep.abscissa, sweep.value)):
-            if not 0.0 <= r_obs <= 1.0:
-                raise ValueError(
-                    f"{temperature} C sweep point {i}: reflectivity {r_obs!r} "
-                    "outside the reachable range of the coupler model"
-                )
-            # Noise can push a point behind the zero-mismatch value, where no
-            # |delta_beta| exists; such points are physically delta_beta ~ 0.
-            behind_start = (
-                r_obs < branch.r_start if branch.increasing else r_obs > branch.r_start
+        r_obs = sweep.value
+        outside = ~((r_obs >= 0.0) & (r_obs <= 1.0))
+        if np.any(outside):
+            i = int(np.flatnonzero(outside)[0])
+            raise ValueError(
+                f"{temperature} C sweep point {i}: reflectivity {float(r_obs[i])!r} "
+                "outside the reachable range of the coupler model"
             )
-            beyond_end = (
-                r_obs > branch.r_end if branch.increasing else r_obs < branch.r_end
-            )
-            if behind_start:
-                warnings.append(
-                    f"point {i} (P = {p} mW, R = {r_obs:.6f}) behind the "
-                    "zero-mismatch reflectivity; clamped to |dn| = 0"
-                )
-                r_obs = branch.r_start
-            elif beyond_end:
-                excluded.append(i)
-                warnings.append(
-                    f"point {i} (P = {p} mW, R = {r_obs:.6f}) beyond the first "
-                    "monotone branch; excluded (branch ambiguity)"
-                )
-                continue
-            db = invert_reflectivity(geometry, float(r_obs), branch)
-            powers.append(float(p))
-            dn_mags.append(db * lam_mm / (2.0 * math.pi))
-            if sweep.sigma is not None:
-                # Propagate the reflectivity uncertainty through the
-                # inversion: sigma_dn = sigma_R / |dR/ddb| * lam/(2*pi).
-                h = 1e-6
-                slope = (
-                    coupler_reflectivity(geometry, db + h)
-                    - coupler_reflectivity(geometry, max(db - h, 0.0))
-                ) / (db + h - max(db - h, 0.0))
-                slope = max(abs(float(slope)), 1e-6)
-                sigmas.append(float(sweep.sigma[i]) / slope * lam_mm / (2.0 * math.pi))
-        powers_arr = np.asarray(powers)
-        dn_arr = np.asarray(dn_mags)
-        if len(powers_arr) < 4:
+        # Noise can push a point behind the zero-mismatch value, where no
+        # |delta_beta| exists; such points are physically delta_beta ~ 0.
+        sign = 1.0 if branch.increasing else -1.0
+        behind = sign * (r_obs - branch.r_start) < 0
+        beyond = ~behind & (sign * (r_obs - branch.r_end) > 0)
+        warnings = [
+            f"point {i} (P = {sweep.abscissa[i]} mW, R = {r_obs[i]:.6f}) "
+            + ("behind the zero-mismatch reflectivity; clamped to |dn| = 0"
+               if behind[i] else
+               "beyond the first monotone branch; excluded (branch ambiguity)")
+            for i in np.flatnonzero(behind | beyond)
+        ]
+        excluded = np.flatnonzero(beyond).tolist()
+        keep = ~beyond
+        if np.count_nonzero(keep) < 4:
             raise ValueError(
                 f"{temperature} C sweep: fewer than 4 usable points after branch checks"
             )
-
+        powers_arr = sweep.abscissa[keep]
+        db = invert_reflectivity(
+            geometry, np.where(behind, branch.r_start, r_obs)[keep], branch
+        )
+        dn_arr = db * lam_mm / (2.0 * math.pi)
+        sigmas = None
+        if sweep.sigma is not None:
+            # Propagate the reflectivity uncertainty through the inversion:
+            # sigma_dn = sigma_R / |dR/ddb| * lam/(2*pi).
+            h = 1e-6
+            below = np.maximum(db - h, 0.0)
+            slope = (
+                coupler_reflectivity(geometry, db + h) - coupler_reflectivity(geometry, below)
+            ) / (db + h - below)
+            slope = np.maximum(np.abs(slope), 1e-6)
+            sigmas = sweep.sigma[keep] / slope * lam_mm / (2.0 * math.pi)
         # Non-dimensionalize: index shifts are ~1e-4 while the engine
         # tolerances are absolute, so fit a/scale against dn/scale.
         scale = float(np.max(dn_arr)) or 1.0
 
         def residual(params, p=powers_arr):
             a_scaled, c = params
-            return a_scaled * p / (gauge_b_mw + c * p) - dn_arr / scale
+            return a_scaled * p / (_GAUGE_B_MW + c * p) - dn_arr / scale
 
         def jacobian(params, p=powers_arr):
             a_scaled, c = params
-            shape = p / (gauge_b_mw + c * p)
+            shape = p / (_GAUGE_B_MW + c * p)
             return np.column_stack((shape, -a_scaled * shape * shape))
 
         positive = powers_arr > 0
@@ -503,10 +500,10 @@ def fit_delta_n_from_reflectivity(
         # a/c that opens up when the sweep carries no curvature information.
         problem = FitProblem(
             residual=residual,
-            initial_guess=np.array([max(slope0 * gauge_b_mw / scale, 1e-9), 0.0]),
+            initial_guess=np.array([max(slope0 * _GAUGE_B_MW / scale, 1e-9), 0.0]),
             lower_bounds=np.array([0.0, 0.0]),
             upper_bounds=np.array([1.0 / scale, 100.0]),
-            weights=np.asarray(sigmas) / scale if sigmas else None,
+            weights=None if sigmas is None else sigmas / scale,
             jacobian=jacobian,
         )
         result = least_squares(problem)
@@ -517,7 +514,7 @@ def fit_delta_n_from_reflectivity(
             [[scale * scale, scale], [scale, 1.0]]
         )
         params = PhotorefractionParams(
-            a=float(a_fit), b=gauge_b_mw, c=float(c_fit), temperature_c=temperature
+            a=float(a_fit), b=_GAUGE_B_MW, c=float(c_fit), temperature_c=temperature
         )
         result.warnings.extend(warnings)
         outcomes[temperature] = DeltaNFit(

@@ -153,7 +153,6 @@ class MaterialModel:
     """
 
     coefficients: SellmeierCoefficients = JUNDT_CLN_EXTRAORDINARY
-    temperature_reference_c: float = 24.5
     mode_offsets: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -261,9 +260,6 @@ class PhotorefractionParams:
     def saturation_magnitude(self) -> float:
         """Upper bound on |dn_ss|: a/c for c > 0, unbounded otherwise."""
         return self.a / self.c if self.c > 0 else math.inf
-
-    def delta_n(self, pump_power_mw):
-        return delta_n_steady(self, pump_power_mw)
 
 
 def delta_n_steady(params: PhotorefractionParams, pump_power_mw):

@@ -122,6 +122,26 @@ class TestSubcommands:
         assert rows[0] == ["phase_rad", "value"]
         assert float(rows[1][1]) == 0.0
 
+    def test_optimal_levels_follow_the_band(self, tmp_path):
+        # A band narrower than the optimum's frequency (sqrt(8 - sigma^2)
+        # at Delta = 3): the best level is the spectrum file's least value.
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(
+            {"run": {"opo_spectrum": {"omega_max": 1.0, "detunings": [3.0]}}}
+        ))
+        out = tmp_path / "out"
+        assert run("opo-spectrum", str(path), out) == 0
+
+        def table(name):
+            lines = (out / name).read_text().splitlines()
+            rows = [line.split(",") for line in lines if line and not line.startswith("#")]
+            return np.array(rows[1:], dtype=float)
+
+        spectrum = table("opo_spectrum_delta3.csv")
+        (best,) = table("opo_optimal_levels.csv")
+        assert best[1] == pytest.approx(spectrum[:, 1].min(), abs=1e-9)
+        assert best[2] == pytest.approx(spectrum[:, 2].max(), abs=1e-9)
+
     def test_budget_degradation_ordering(self, config_path, tmp_path):
         out = tmp_path / "out"
         assert run("squeeze-budget", config_path, out) == 0

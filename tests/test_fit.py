@@ -231,6 +231,32 @@ class TestReflectivityInversion:
         with pytest.raises(ValueError, match="unreachable"):
             invert_reflectivity(coupler30, branch.r_start - 0.05, branch)
 
+    def test_rounding_behind_the_start_inverts_to_zero(self, coupler30):
+        # Inside the 1e-12 tolerance but below R(0): zero mismatch, not the
+        # far end of the branch.
+        branch = first_monotone_branch(coupler30)
+        assert invert_reflectivity(coupler30, branch.r_start - 1e-13, branch) == 0.0
+
+    def test_array_inverted_in_one_pass(self, coupler30):
+        branch = first_monotone_branch(coupler30)
+        db_true = np.linspace(0.0, branch.delta_beta_max, 25)
+        r = coupler_reflectivity(coupler30, db_true)
+        db_back = invert_reflectivity(coupler30, r, branch)
+        assert isinstance(db_back, np.ndarray)
+        # The branch ends invert exactly; the points agree with scalar calls.
+        assert db_back[0] == 0.0
+        assert db_back[-1] == branch.delta_beta_max
+        np.testing.assert_allclose(
+            db_back, [invert_reflectivity(coupler30, float(v), branch) for v in r],
+            rtol=1e-12,
+        )
+        assert isinstance(invert_reflectivity(coupler30, float(r[3]), branch), float)
+
+    def test_array_rejects_first_bad_value(self, coupler30):
+        branch = first_monotone_branch(coupler30)
+        with pytest.raises(ValueError, match=r"reflectivity 1\.5 outside \[0, 1\]"):
+            invert_reflectivity(coupler30, np.array([branch.r_start, 1.5, -1.0]), branch)
+
     def test_decreasing_branch_supported(self):
         # k*L in (pi, 3*pi/2) makes the reflectivity fall first.
         geometry = CouplerGeometry(0.7, 5.0, 14.0)
@@ -240,6 +266,73 @@ class TestReflectivityInversion:
             r = float(coupler_reflectivity(geometry, db_true))
             db_back = invert_reflectivity(geometry, r, branch)
             assert db_back == pytest.approx(db_true, rel=1e-8)
+
+
+TAN_ROOTS = (4.493409457909064, 7.725251836937707)  # tan x = x in (pi, 3pi/2), (2pi, 5pi/2)
+
+
+class TestClosedFormBranch:
+    """The branch end from the stationary points of R = 1 - (kL*sin(x)/x)^2."""
+
+    @staticmethod
+    def scanned(geometry, branch):
+        """R on a dense grid over the branch and a quarter of its length beyond."""
+        grid = np.linspace(0.0, 1.25 * branch.delta_beta_max, 20001)
+        return grid, coupler_reflectivity(geometry, grid)
+
+    def test_random_geometries_match_a_dense_scan(self):
+        rng = np.random.default_rng(2007)
+        falling = 0
+        for k, length in zip(rng.uniform(0.05, 2.0, 200), rng.uniform(0.5, 20.0, 200)):
+            geometry = CouplerGeometry(k, length)
+            branch = first_monotone_branch(geometry)
+            grid, r = self.scanned(geometry, branch)
+            sign = 1.0 if branch.increasing else -1.0
+            steps = np.diff(r)
+            # The scan's first move sets the direction ...
+            assert np.sign(steps[np.flatnonzero(steps)[0]]) == sign, (k, length)
+            # ... R is monotone up to the end (to rounding) ...
+            on_branch = grid <= branch.delta_beta_max
+            assert np.all(sign * np.diff(r[on_branch]) >= -1e-15), (k, length)
+            # ... and the end is the extremum of every scanned value.
+            assert np.all(sign * (branch.r_end - r) >= -1e-15), (k, length)
+            assert branch.r_start == coupler_reflectivity(geometry, 0.0)
+            falling += not branch.increasing
+        assert 0 < falling < 200  # both directions are exercised
+
+    # m = 11: 11*pi/pi rounds to 10.999..., below the integer it should be.
+    @pytest.mark.parametrize("m", [1, 2, 11])
+    def test_full_transfer_start_falls_to_the_tan_root(self, m):
+        # kL = m*pi: R(0) = 1 is itself a maximum, so the branch falls.
+        x0 = m * math.pi
+        branch = first_monotone_branch(CouplerGeometry(x0, 1.0))
+        x_end = math.hypot(x0, branch.delta_beta_max / 2.0)
+        assert not branch.increasing
+        assert branch.r_start == 1.0
+        assert m * math.pi < x_end < (m + 0.5) * math.pi
+        assert math.tan(x_end) == pytest.approx(x_end, rel=1e-9)
+        if m <= len(TAN_ROOTS):
+            assert x_end == pytest.approx(TAN_ROOTS[m - 1], rel=1e-12)
+        # At a root of tan x = x, sin(x)^2/x^2 = 1/(1 + x^2).
+        assert branch.r_end == pytest.approx(1.0 - x0**2 / (1.0 + x_end**2), rel=1e-12)
+
+    def test_before_the_first_tan_root_falls(self):
+        geometry = CouplerGeometry(0.7, 5.0)  # kL = 3.5 in (pi, 4.4934)
+        branch = first_monotone_branch(geometry)
+        assert not branch.increasing
+        assert branch.delta_beta_max == pytest.approx(
+            0.4 * math.sqrt(TAN_ROOTS[0] ** 2 - 3.5**2), rel=1e-12
+        )
+        assert branch.r_end == pytest.approx(1.0 - 3.5**2 / (1.0 + TAN_ROOTS[0] ** 2), rel=1e-12)
+
+    def test_after_the_first_tan_root_rises(self):
+        geometry = CouplerGeometry(1.0, 5.0)  # kL = 5 in (4.4934, 2*pi)
+        branch = first_monotone_branch(geometry)
+        assert branch.increasing
+        assert branch.delta_beta_max == pytest.approx(
+            0.4 * math.sqrt(4.0 * math.pi**2 - 25.0), rel=1e-12
+        )
+        assert branch.r_end == pytest.approx(1.0, abs=1e-15)
 
 
 def synthetic_sweep(params, geometry, powers, noise_fraction=0.0, rng=None):
@@ -303,6 +396,11 @@ class TestDeltaNPipeline:
         assert outcome.excluded_indices == []
         assert outcome.delta_n_points.value[0] == 0.0
         assert any("clamped" in w for w in outcome.warnings)
+
+    def test_reflectivity_above_one_rejected(self, coupler30):
+        sweep = SweepData([0.0, 1.0, 2.0, 3.0], [0.2, 0.3, 1.3, 0.4])
+        with pytest.raises(ValueError, match=r"point 2: reflectivity 1\.3 outside the reachable"):
+            fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
 
     def test_too_few_points_rejected(self, coupler30):
         sweep = SweepData([0.0, 1.0, 2.0], [0.16, 0.17, 0.18])
@@ -508,13 +606,7 @@ class TestAnalyticJacobians:
         self.assert_matches_differences(problems[0], points)
 
     def test_sweep_jacobian_with_weights(self, monkeypatch, coupler30):
-        sweep = synthetic_sweep(
-            TestDeltaNPipeline.truth,
-            coupler30,
-            TestDeltaNPipeline.powers,
-            0.01,
-            np.random.default_rng(1000),
-        )
+        sweep = seeded_sweep(coupler30)
         problems = capture_problems(monkeypatch)
         fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
         (problem,) = problems
@@ -551,8 +643,21 @@ def capture_problems(monkeypatch):
     return problems
 
 
+def seeded_sweep(geometry):
+    return synthetic_sweep(
+        TestDeltaNPipeline.truth,
+        geometry,
+        TestDeltaNPipeline.powers,
+        0.01,
+        np.random.default_rng(1000),
+    )
+
+
 class TestResidualEvaluationCounts:
     """Deterministic guard on fit work: exact residual, Jacobian and descent counts."""
+
+    TRACE_COUNTS = {"_weighted_residual": 12, "_jacobian": 12, "least_squares": 1}
+    SWEEP_COUNTS = {"_weighted_residual": 7, "_jacobian": 7, "least_squares": 1}
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -561,15 +666,37 @@ class TestResidualEvaluationCounts:
     def test_seeded_noisy_trace_fit(self, calls):
         trace, cavity = synthetic_trace(noise=0.02, rng=np.random.default_rng(4000))
         fit_fpi_trace(trace, cavity, LAM, 30.0)
-        assert calls == {"_weighted_residual": 17, "_jacobian": 14, "least_squares": 1}
+        assert calls == self.TRACE_COUNTS
 
     def test_seeded_noisy_sweep_fit(self, calls, coupler30):
-        sweep = synthetic_sweep(
-            TestDeltaNPipeline.truth,
-            coupler30,
-            TestDeltaNPipeline.powers,
-            0.01,
-            np.random.default_rng(1000),
-        )
-        fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
-        assert calls == {"_weighted_residual": 11, "_jacobian": 9, "least_squares": 1}
+        fit_delta_n_from_reflectivity({30.0: seeded_sweep(coupler30)}, coupler30)
+        assert calls == self.SWEEP_COUNTS
+
+    def test_counts_ignore_rounding_noise(self, calls, coupler30):
+        """The pins count fit work: inputs perturbed by 1e-13 relative keep them.
+
+        Without the rounding-floor stop, the extra evaluations are rejected
+        trials within 1e-12 of the best cost, and their number follows the
+        last digits of the input.
+        """
+        rng = np.random.default_rng(13)
+        trace, cavity = synthetic_trace(noise=0.02, rng=np.random.default_rng(4000))
+        sweep = seeded_sweep(coupler30)
+        for _ in range(20):
+            calls.clear()
+            jitter = 1.0 + 1e-13 * rng.standard_normal(len(trace.value))
+            fit_fpi_trace(Trace(trace.time_s, trace.value * jitter), cavity, LAM, 30.0)
+            assert calls == self.TRACE_COUNTS
+            calls.clear()
+            jitter = 1.0 + 1e-13 * rng.standard_normal(len(sweep.value))
+            perturbed = SweepData(sweep.abscissa, sweep.value * jitter, sweep.sigma)
+            fit_delta_n_from_reflectivity({30.0: perturbed}, coupler30)
+            assert calls == self.SWEEP_COUNTS
+
+    def test_coupler_model_calls(self, monkeypatch, coupler30):
+        calls = count_calls(monkeypatch, "coupler_reflectivity")
+        first_monotone_branch(coupler30)
+        assert calls == {"coupler_reflectivity": 2}
+        calls.clear()
+        fit_delta_n_from_reflectivity({30.0: seeded_sweep(coupler30)}, coupler30)
+        assert calls["coupler_reflectivity"] <= 60

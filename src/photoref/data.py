@@ -6,6 +6,8 @@ sweeps (a quantity versus pump power, optionally with per-point standard
 deviations).  CSV files are UTF-8, comma-separated, one header row with
 ``name_unit`` column names, ``#``-prefixed comment lines ignored, floats
 rendered with 17 significant digits so containers round-trip bit-exactly.
+The readers parse a valid body in one numpy call and leave everything else
+to a row parser built on the csv module, which words every refusal.
 """
 
 from __future__ import annotations
@@ -169,41 +171,120 @@ def _parse_columns(
     return {name: np.asarray(vals, dtype=float) for name, vals in columns.items()}
 
 
-def read_trace_csv(path) -> Trace:
-    """Load a trace; refuses non-monotonic time or non-finite values."""
-    header, rows = _read_rows(path)
-    cols = _parse_columns(
-        path, header, rows, [TRACE_TIME_COLUMN, TRACE_VALUE_COLUMN], [TRACE_MASK_COLUMN]
-    )
-    mask = cols.get(TRACE_MASK_COLUMN)
-    if mask is not None:
-        mask = mask != 0.0
+# The characters the fast path reads: printable ASCII but the quote, tab and
+# newline.  Text with any other goes to the row parser: the csv module also
+# ends lines at "\r", and numpy strips \x1c-\x1f around a number where
+# float() refuses it.
+_FAST_PATH_CHARS = bytes([0x09, 0x0A, 0x20, 0x21, *range(0x23, 0x7F)])
+
+
+def _parse_fast(path, required: list[str], optional: list[str]) -> dict | None:
+    """Columns of a plain, valid CSV file in one numpy parse, or None.
+
+    Accepts only what the row parser accepts, with the same values: no
+    quotes or control characters, a known header without repeats, no line
+    over the csv module's field size limit, and a body whose every line
+    parses into finite numbers, one per header column.  Blank and ``#``
+    lines are dropped as the row parser drops them.  Anything else is None,
+    and the row parser decides it.
+    """
     try:
-        return Trace(cols[TRACE_TIME_COLUMN], cols[TRACE_VALUE_COLUMN], mask)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    if not text.isascii() or text.encode("ascii").translate(None, _FAST_PATH_CHARS):
+        return None
+    lines = text.split("\n")
+    limit = csv.field_size_limit()  # the csv module applies it to comments too
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    if "#" in text:
+        lines = [line for line in lines if not line.lstrip().startswith("#")]
+    first = next((i for i, line in enumerate(lines) if line), None)
+    if first is None:
+        return None
+    header = [cell.strip() for cell in lines[first].split(",")]
+    names = set(header)
+    if len(names) != len(header) or not set(required) <= names <= set(required + optional):
+        return None
+    body = lines[first + 1:]
+    rows = len(body) - body.count("")  # loadtxt skips the blank lines too
+    if not rows:
+        return {name: np.empty(0) for name in header}
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (rows, len(header)) or not np.all(np.isfinite(table)):
+        return None
+    return dict(zip(header, np.ascontiguousarray(table.T)))
+
+
+def _read_columns(path, required: list[str], optional: list[str], build):
+    """``build(path, columns)`` on a CSV file's columns.
+
+    A valid body is parsed in one numpy call.  Whatever that path does not
+    accept, or ``build`` refuses, is re-read row by row: the row parser
+    defines every refusal and its row-numbered message.
+    """
+    columns = _parse_fast(path, required, optional)
+    if columns is not None:
+        try:
+            return build(path, columns)
+        except ValueError:
+            pass
+    header, rows = _read_rows(path)
+    columns = _parse_columns(path, header, rows, required, optional)
+    try:
+        return build(path, columns)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def read_sweep_csv(path) -> SweepData:
-    """Load a sweep; out-of-order rows are sorted with a warning."""
-    header, rows = _read_rows(path)
-    cols = _parse_columns(
-        path, header, rows, [SWEEP_POWER_COLUMN, SWEEP_VALUE_COLUMN], [SWEEP_SIGMA_COLUMN]
-    )
+def _trace_from_columns(path, cols: dict[str, np.ndarray]) -> Trace:
+    mask = cols.get(TRACE_MASK_COLUMN)
+    if mask is not None:
+        mask = mask != 0.0
+    return Trace(cols[TRACE_TIME_COLUMN], cols[TRACE_VALUE_COLUMN], mask)
+
+
+def _sweep_from_columns(path, cols: dict[str, np.ndarray]) -> SweepData:
     x = cols[SWEEP_POWER_COLUMN]
     order = np.arange(len(x))
     if len(x) and np.any(np.diff(x) < 0):
         log.warning("%s: abscissa not sorted; rows re-ordered ascending", path)
         order = np.argsort(x, kind="stable")
     sigma = cols.get(SWEEP_SIGMA_COLUMN)
-    try:
-        return SweepData(
-            x[order],
-            cols[SWEEP_VALUE_COLUMN][order],
-            sigma[order] if sigma is not None else None,
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return SweepData(
+        x[order],
+        cols[SWEEP_VALUE_COLUMN][order],
+        sigma[order] if sigma is not None else None,
+    )
+
+
+def read_trace_csv(path) -> Trace:
+    """Load a trace; refuses non-monotonic time or non-finite values.
+
+    Valid files are parsed in one numpy call; every refusal comes from the
+    row parser and names the file (and the row where one is at fault).
+    """
+    return _read_columns(
+        path, [TRACE_TIME_COLUMN, TRACE_VALUE_COLUMN], [TRACE_MASK_COLUMN],
+        _trace_from_columns,
+    )
+
+
+def read_sweep_csv(path) -> SweepData:
+    """Load a sweep; out-of-order rows are sorted with a warning.
+
+    Parsed like ``read_trace_csv``: valid files in one numpy call, and
+    every refusal from the row parser.
+    """
+    return _read_columns(
+        path, [SWEEP_POWER_COLUMN, SWEEP_VALUE_COLUMN], [SWEEP_SIGMA_COLUMN],
+        _sweep_from_columns,
+    )
 
 
 def write_columns_csv(path, header: list[str], columns: Iterable, comments=()) -> None:

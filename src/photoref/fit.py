@@ -13,7 +13,7 @@ x = L*sqrt(4k^2 + delta_beta^2)/2, on the branch that ends at the first
 stationary point above x = kL (sin x = 0 or tan x = x), in one bisection
 over all points.  The trace fit scans a start grid in one broadcast cost
 evaluation, then descends from the cheapest grid points until a fit
-reaches the trace's noise floor.
+reaches the trace's noise floor, and flags the fit when none does.
 """
 
 from __future__ import annotations
@@ -116,6 +116,9 @@ class FitResult:
     ``covariance`` is the Gauss-Newton estimate from the final Jacobian,
     scaled by the reduced chi-square; ``residual_history`` records the
     accepted residual norms, starting from the initial point.
+    ``residual_evaluations`` counts calls of the problem's residual (finite
+    difference steps included) and ``jacobian_evaluations`` the Jacobians
+    formed.
     """
 
     parameters: np.ndarray
@@ -125,6 +128,8 @@ class FitResult:
     converged: bool
     warnings: list[str] = field(default_factory=list)
     residual_history: list[float] = field(default_factory=list)
+    residual_evaluations: int = 0
+    jacobian_evaluations: int = 0
 
     @property
     def uncertainties(self) -> np.ndarray:
@@ -137,6 +142,8 @@ class FitResult:
             "covariance": [[float(x) for x in row] for row in self.covariance],
             "residual_norm": float(self.residual_norm),
             "iterations": int(self.iterations),
+            "residual_evaluations": int(self.residual_evaluations),
+            "jacobian_evaluations": int(self.jacobian_evaluations),
             "converged": bool(self.converged),
             "warnings": list(self.warnings),
         }
@@ -203,6 +210,9 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
     warnings: list[str] = []
     damping: float | None = None
     jac = _jacobian(problem, params, r)
+    # A finite-difference Jacobian costs one residual per parameter.
+    jacobian_residuals = len(params) if problem.jacobian is None else 0
+    evaluations, jacobians = 1 + jacobian_residuals, 1
     iterations = 0
     converged = False
 
@@ -247,6 +257,7 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
             trial = np.clip(params + step, problem.lower_bounds, problem.upper_bounds)
             effective_step = trial - params
             r_trial = _weighted_residual(problem, trial)
+            evaluations += 1
             cost_trial = float(r_trial @ r_trial)
             if np.isfinite(cost_trial) and cost_trial <= cost:
                 accepted = True
@@ -267,6 +278,8 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
         iterations += 1
         history.append(math.sqrt(cost))
         jac = _jacobian(problem, params, r)
+        evaluations += jacobian_residuals
+        jacobians += 1
         if np.max(np.abs(effective_step)) < _STEP_TOL * (1.0 + np.max(np.abs(params))):
             converged = True
             break
@@ -290,6 +303,8 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
         converged=converged,
         warnings=warnings,
         residual_history=history,
+        residual_evaluations=evaluations,
+        jacobian_evaluations=jacobians,
     )
 
 
@@ -601,6 +616,35 @@ def estimate_delta_n_from_oscillations(
     return OscillationEstimate(n_half, n_half * quantum)
 
 
+def _cheapest(costs: np.ndarray, count: int) -> np.ndarray:
+    """Flat indices of the ``count`` smallest costs, by cost and then index.
+
+    The head of ``np.argsort(costs, axis=None, kind="stable")``, from a
+    partition and a sort of the few costs at or below the count-th smallest.
+    NaN costs sort last, as there.
+    """
+    flat = costs.ravel()
+    count = min(count, flat.size)
+    threshold = flat[np.argpartition(flat, count - 1)[count - 1]]
+    candidates = np.flatnonzero(~(flat > threshold))
+    return candidates[np.argsort(flat[candidates], kind="stable")[:count]]
+
+
+def _trace_model(params, elapsed, coefficient, phase_scale):
+    """(decay, psi, transmission, reference) of the pump-on trace model.
+
+    decay = exp(-elapsed/tau), psi = phi0 + phase_scale*dn(t) with
+    dn(t) = dn_total*(1 - decay), and the Airy T(x) = 1/(1 + F*sin^2 x) at
+    psi (transmission) and at phi0 (reference).
+    """
+    dn_total, tau, phi0 = params
+    decay = np.exp(-elapsed / tau)
+    psi = phi0 + phase_scale * (dn_total * (1.0 - decay))
+    transmission = 1.0 / (1.0 + coefficient * np.sin(psi) ** 2)
+    reference = 1.0 / (1.0 + coefficient * math.sin(phi0) ** 2)
+    return decay, psi, transmission, reference
+
+
 @dataclass
 class FpiTraceFit:
     """Recovered transient parameters of a pump-on cavity trace."""
@@ -631,11 +675,15 @@ def fit_fpi_trace(
     descends from the grid points in order of rising cost, at most
     ``_MAX_DESCENTS`` times, and keeps the best fit; it stops at the first
     fit whose reduced chi-square reaches the noise floor estimated from the
-    trace's second differences.
+    trace's second differences.  The result's evaluation counts are the
+    totals over all descents.  The model is evaluated once per LM point: the
+    Jacobian reuses what the residual computed at the point LM accepted.
 
-    When the fitted excursion stays below lambda/(8L) no transmission
-    oscillation is resolved; the returned magnitude is then only a bound
-    and the fit is flagged unconverged.
+    Two outcomes are flagged unconverged, with a warning: no descent
+    reaching 1.5 times the noise floor (the scan missed the basin; the
+    warning gives the ratio), and a fitted excursion below lambda/(8L),
+    where no transmission oscillation is resolved and the returned
+    magnitude is only a bound.
     """
     reflectivity = cavity.reflectivity_at(probe_wavelength_nm)
     coefficient, _ = finesse(reflectivity, reflectivity)
@@ -651,21 +699,24 @@ def fit_fpi_trace(
     phase_scale = 2.0 * math.pi * cavity.length_mm * 1e6 / probe_wavelength_nm
     elapsed = np.clip(t - t0, 0.0, None)
 
+    last: dict[bytes, tuple] = {}  # the model at the last point evaluated
+
+    def model(params):
+        key = params.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = _trace_model(params, elapsed, coefficient, phase_scale)
+        return last[key]
+
     def residual(params):
-        dn_total, tau, phi0 = params
-        dn = dn_total * (1.0 - np.exp(-elapsed / tau))
-        transmission = 1.0 / (1.0 + coefficient * np.sin(phi0 + phase_scale * dn) ** 2)
-        reference = 1.0 / (1.0 + coefficient * math.sin(phi0) ** 2)
+        _, _, transmission, reference = model(params)
         return transmission / reference - y
 
     def jacobian(params):
         # dT/dpsi = -F*sin(2*psi)*T^2 at psi = phi0 + phase_scale*dn(t); the
         # reference T(phi0) adds T*F*sin(2*phi0) to the phi0 column.
         dn_total, tau, phi0 = params
-        decay = np.exp(-elapsed / tau)
-        psi = phi0 + phase_scale * dn_total * (1.0 - decay)
-        transmission = 1.0 / (1.0 + coefficient * np.sin(psi) ** 2)
-        reference = 1.0 / (1.0 + coefficient * math.sin(phi0) ** 2)
+        decay, psi, transmission, reference = model(params)
         slope = -coefficient * np.sin(2.0 * psi) * transmission**2 / reference
         return np.column_stack((
             slope * phase_scale * (1.0 - decay),
@@ -717,8 +768,10 @@ def fit_fpi_trace(
     second = np.diff(y, 2)[even]
     noise_variance = float(np.mean(second**2)) / 6.0 if len(second) else 0.0
 
+    floor = 1.5 * noise_variance
     best: FitResult | None = None
-    for index in np.argsort(costs, axis=None, kind="stable")[:_MAX_DESCENTS]:
+    residual_evaluations = jacobian_evaluations = 0
+    for index in _cheapest(costs, _MAX_DESCENTS):
         i, j, k = np.unravel_index(index, costs.shape)
         problem = FitProblem(
             residual=residual,
@@ -728,11 +781,24 @@ def fit_fpi_trace(
             jacobian=jacobian,
         )
         candidate = least_squares(problem)
+        residual_evaluations += candidate.residual_evaluations
+        jacobian_evaluations += candidate.jacobian_evaluations
         if best is None or candidate.residual_norm < best.residual_norm:
             best = candidate
-        if candidate.residual_norm**2 / (len(t) - 3) <= 1.5 * noise_variance:
+        if candidate.residual_norm**2 / (len(t) - 3) <= floor:
             break
 
+    best.residual_evaluations = residual_evaluations
+    best.jacobian_evaluations = jacobian_evaluations
+    reduced_chi_square = best.residual_norm**2 / (len(t) - 3)
+    if reduced_chi_square > floor:
+        ratio = reduced_chi_square / noise_variance if noise_variance > 0 else math.inf
+        best.converged = False
+        best.warnings.append(
+            f"no descent reached the noise floor: the best reduced chi-square is "
+            f"{ratio:.3g} times the noise variance (limit 1.5); the start scan "
+            "may have missed the basin"
+        )
     dn_total, tau, phi0 = best.parameters
     if abs(dn_total) < quantum / 2.0:
         best.converged = False

@@ -1,8 +1,12 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import photoref.data as data_module
 from photoref.data import (
     SweepData,
     Trace,
@@ -184,6 +188,136 @@ class TestMalformedFiles:
             reader(path)
         except ValueError as exc:
             assert str(exc).startswith(f"{path}: ")
+
+
+def read_outcome(reader, path):
+    """What a reader returns, or the message of the ValueError it raises."""
+    try:
+        return reader(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_as_row_parser(reader, path):
+    """The public reader and the row parser alone agree bit for bit.
+
+    Returns the public reader's outcome.
+    """
+    public = read_outcome(reader, path)
+    with mock.patch.object(data_module, "_parse_fast", return_value=None):
+        rows = read_outcome(reader, path)
+    assert type(public) is type(rows)
+    if isinstance(public, str):
+        assert public == rows
+        return public
+    for field in dataclasses.fields(public):
+        mine, theirs = getattr(public, field.name), getattr(rows, field.name)
+        if mine is None or theirs is None:
+            assert mine is None and theirs is None, field.name
+            continue
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, field.name
+        assert mine.tobytes() == theirs.tobytes(), field.name
+    return public
+
+
+def comment_lines(rng, lines):
+    """``lines`` with blank and comment lines inserted at seeded places."""
+    out = list(lines)
+    for _ in range(rng.integers(0, 4)):
+        extra = rng.choice(["", "# note", "  #, indented", "#"])
+        out.insert(int(rng.integers(0, len(out) + 1)), str(extra))
+    return out
+
+
+class TestFastPathMatchesRowParser:
+    """Valid bodies are parsed in numpy; every outcome equals the row parser's."""
+
+    @pytest.mark.parametrize("reader", READERS)
+    @settings(max_examples=150, deadline=None)
+    @given(content=CSV_BYTES)
+    def test_fuzzed_files(self, tmp_path_factory, reader, content):
+        path = tmp_path_factory.mktemp("diff") / "fuzz.csv"
+        path.write_bytes(content)
+        assert_same_as_row_parser(reader, path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 40))
+    def test_seeded_traces(self, tmp_path_factory, seed, rows):
+        rng = np.random.default_rng(seed)
+        trace = Trace(
+            np.cumsum(rng.uniform(0.01, 1.0, rows)),
+            rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20),
+            rng.uniform(size=rows) < 0.3,
+        )
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        write_trace_csv(path, trace, comments=["seeded", "trace"])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(comment_lines(rng, lines)) + "\n", encoding="utf-8")
+        back = assert_same_as_row_parser(read_trace_csv, path)
+        np.testing.assert_array_equal(back.value, trace.value)
+        np.testing.assert_array_equal(back.mask, trace.mask)
+        assert data_module._parse_fast(
+            path, ["time_s", "value"], ["masked"]
+        ) is not None
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 20))
+    def test_seeded_sweeps(self, tmp_path_factory, seed, rows):
+        rng = np.random.default_rng(seed)
+        path = tmp_path_factory.mktemp("sweep") / "sweep.csv"
+        lines = ["pump_power_mW,value,sigma"] + [
+            f"{x!r},{v!r},{s!r}"
+            for x, v, s in zip(
+                rng.uniform(0.0, 10.0, rows).tolist(),  # unsorted: re-ordered on read
+                rng.uniform(0.0, 1.0, rows).tolist(),
+                rng.uniform(1e-3, 1e-1, rows).tolist(),
+            )
+        ]
+        path.write_text("\n".join(comment_lines(rng, lines)), encoding="utf-8")
+        assert not isinstance(assert_same_as_row_parser(read_sweep_csv, path), str)
+        assert data_module._parse_fast(
+            path, ["pump_power_mW", "value"], ["sigma"]
+        ) is not None
+
+    @pytest.mark.parametrize("value", ["0.1", "inf"])
+    def test_unsorted_sweep_warns_once(self, tmp_path, caplog, value):
+        path = tmp_path / "s.csv"
+        path.write_text(f"pump_power_mW,value\n2.0,0.3\n0.0,{value}\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            outcome = read_outcome(read_sweep_csv, path)
+        assert [rec.message for rec in caplog.records] == [
+            f"{path}: abscissa not sorted; rows re-ordered ascending"
+        ]
+        assert isinstance(outcome, str) == (value == "inf")
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"time_s,value\n0.0,1.0#x\n", "row 2: cannot parse '1.0#x'"),
+            (b'time_s,value\n0.0,"1.0"\n1.0,2.0\n', None),
+            (b"time_s,value\r\n0.0,1.0\r\n1.0,2.0\r\n", None),
+            (b"time_s,value\n0," + b"1" * 200_000 + b"\n", "field larger than field limit"),
+            (b"time_s,value\n0,0." + b"0" * 200_000 + b"1\n", "field larger than field limit"),
+            (b"# " + b"x" * 200_000 + b"\ntime_s,value\n0,1\n", "field larger than field limit"),
+            (b"time_s,value\n0.0,1.0\x1c\n", "cannot parse"),
+            (b"time_s,value\n0.0,1.0\n   \n", "row 3: expected 2 columns, got 1"),
+            (b"time_s,value,value\n0.0,1.0,2.0\n", "equal length"),
+            (b"time_s,value\n0.0,1.0\n0.0,2.0\n", "strictly increasing"),
+        ],
+        ids=[
+            "inline-hash", "quoted-cell", "crlf", "oversized-field",
+            "oversized-finite-field", "oversized-comment", "separator-control",
+            "blank-cell-row", "repeated-column", "repeated-time",
+        ],
+    )
+    def test_named_cases(self, tmp_path, content, message):
+        path = tmp_path / "case.csv"
+        path.write_bytes(content)
+        outcome = assert_same_as_row_parser(read_trace_csv, path)
+        if message is None:
+            assert isinstance(outcome, Trace)
+        else:
+            assert isinstance(outcome, str) and message in outcome
 
 
 class TestWriteRefusesNonFinite:

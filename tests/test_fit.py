@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -136,6 +137,33 @@ class TestLeastSquares:
         np.testing.assert_allclose(numeric.parameters, [1.5, -1.3], rtol=1e-6)
         assert evals[0] == analytic.iterations + 1
         assert numeric_evals == 3 * (numeric.iterations + 1)
+
+    @pytest.mark.parametrize("analytic", [False, True])
+    def test_evaluation_counts_reported(self, analytic):
+        x = np.linspace(0.0, 2.0, 40)
+        y = 1.5 * np.exp(-1.3 * x)
+        calls = Counter()
+
+        def residual(p):
+            calls["residual"] += 1
+            return p[0] * np.exp(p[1] * x) - y
+
+        def jacobian(p):
+            calls["jacobian"] += 1
+            e = np.exp(p[1] * x)
+            return np.column_stack((e, p[0] * x * e))
+
+        result = least_squares(FitProblem(
+            residual=residual,
+            initial_guess=np.array([1.0, -1.0]),
+            jacobian=jacobian if analytic else None,
+        ))
+        assert result.residual_evaluations == calls["residual"]
+        assert result.jacobian_evaluations == result.iterations + 1
+        assert calls["jacobian"] == (result.jacobian_evaluations if analytic else 0)
+        payload = result.to_json_dict()
+        assert payload["residual_evaluations"] == calls["residual"]
+        assert payload["jacobian_evaluations"] == result.jacobian_evaluations
 
     def test_guess_outside_bounds_rejected(self):
         with pytest.raises(ValueError, match="outside bounds"):
@@ -497,6 +525,25 @@ class TestFpiTracePipeline:
         fit = fit_fpi_trace(masked, cavity, LAM, 30.0)
         assert fit.delta_n_total == pytest.approx(-8e-5, rel=1e-3)
 
+    def test_basin_miss_flagged(self):
+        """A mask over the fast build-up hides fringes from the counter.
+
+        The scan then centres a few quanta short of the truth, no descent
+        reaches the noise floor, and the fit must say so instead of reporting
+        a converged fit with a small one-sigma.
+        """
+        quantum = LAM / (4 * 15.0e6)
+        truth = -7.0 * quantum
+        trace, cavity = synthetic_trace(
+            dn_total=truth, tau=4.0, noise=0.01, rng=np.random.default_rng(7)
+        )
+        fit = fit_fpi_trace(trace.with_masked_interval(0.5, 6.0), cavity, LAM, 30.0)
+        assert abs(fit.delta_n_total - truth) > 0.1 * abs(truth)  # a real miss
+        assert not fit.result.converged
+        (warning,) = [w for w in fit.result.warnings if "noise floor" in w]
+        ratio = float(re.search(r"is (\S+) times the noise variance", warning)[1])
+        assert ratio > 1.5
+
     def test_angled_cavity_rejected(self, material, params30):
         cavity = FpiCavity(15.0, 0.14, 0.13, material, angled_facets=True)
         trace, _ = synthetic_trace()
@@ -693,6 +740,25 @@ class TestResidualEvaluationCounts:
             fit_delta_n_from_reflectivity({30.0: perturbed}, coupler30)
             assert calls == self.SWEEP_COUNTS
 
+    def test_trace_model_once_per_point(self, monkeypatch):
+        """The Jacobian reuses the model the residual evaluated at its point.
+
+        The result reports the pinned counts, totalled over its descents.
+        """
+        calls = count_calls(monkeypatch, "_trace_model")
+        trace, cavity = synthetic_trace(noise=0.02, rng=np.random.default_rng(4000))
+        fit = fit_fpi_trace(trace, cavity, LAM, 30.0)
+        assert calls == {"_trace_model": 12}
+        assert fit.result.residual_evaluations == self.TRACE_COUNTS["_weighted_residual"]
+        assert fit.result.jacobian_evaluations == self.TRACE_COUNTS["_jacobian"]
+
+    def test_sweep_fit_reports_counts(self, coupler30):
+        (outcome,) = fit_delta_n_from_reflectivity(
+            {30.0: seeded_sweep(coupler30)}, coupler30
+        ).values()
+        assert outcome.result.residual_evaluations == self.SWEEP_COUNTS["_weighted_residual"]
+        assert outcome.result.jacobian_evaluations == self.SWEEP_COUNTS["_jacobian"]
+
     def test_coupler_model_calls(self, monkeypatch, coupler30):
         calls = count_calls(monkeypatch, "coupler_reflectivity")
         first_monotone_branch(coupler30)
@@ -700,3 +766,27 @@ class TestResidualEvaluationCounts:
         calls.clear()
         fit_delta_n_from_reflectivity({30.0: seeded_sweep(coupler30)}, coupler30)
         assert calls["coupler_reflectivity"] <= 60
+
+
+class TestCheapestStarts:
+    """The scan's partition gives the head of a stable sort of the grid."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        costs=st.lists(
+            st.sampled_from([0.0, 1.0, 2.0, 2.5, 3.0, -1.0, math.inf, math.nan]),
+            min_size=1, max_size=60,
+        ),
+        count=st.integers(1, 20),
+    )
+    def test_matches_stable_argsort(self, costs, count):
+        grid = np.array(costs).reshape(len(costs), 1)
+        expected = np.argsort(grid, axis=None, kind="stable")[:count]
+        np.testing.assert_array_equal(fit_module._cheapest(grid, count), expected)
+
+    def test_scan_sized_grid(self, rng):
+        grid = np.round(rng.uniform(size=(13, 12, 32)), 2)  # many ties
+        expected = np.argsort(grid, axis=None, kind="stable")[: fit_module._MAX_DESCENTS]
+        np.testing.assert_array_equal(
+            fit_module._cheapest(grid, fit_module._MAX_DESCENTS), expected
+        )

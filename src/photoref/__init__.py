@@ -3,78 +3,8 @@
 Forward models for pump-induced refractive-index shifts and their impact on
 waveguide Fabry-Perot cavities, directional couplers, homodyne squeezing
 measurements, and quasi-phase-matched SPDC, plus nonlinear least-squares
-pipelines to recover the index-shift law from measured data.
+pipelines to recover the index-shift law from measured data.  The root
+exports only ``__version__``; import the submodules (``photoref.fit``, ...).
 """
 
 __version__ = "0.1.0"
-
-from .material import (
-    MaterialModel,
-    PhotorefractionParams,
-    PumpSchedule,
-    PumpSegment,
-    SellmeierCoefficients,
-    default_material,
-    default_photorefraction,
-    delta_n_steady,
-    delta_n_temporal,
-    refractive_index,
-)
-from .cavity import (
-    FpiCavity,
-    SqueezerCavity,
-    delta_n_to_detuning,
-    finesse,
-    fpi_characteristics,
-    fpi_transmission,
-    opo_optimal_levels,
-    opo_quadrature_spectrum,
-    pump_parameter_for_squeezing_db,
-    simulate_fpi_trace,
-)
-from .coupler import (
-    CouplerGeometry,
-    HomodyneConfig,
-    coupler_reflectivity,
-    coupling_length,
-    homodyne_noise,
-    measured_squeezing_vs_residual_pump,
-    reflectivity_vs_pump,
-)
-from .spdc import (
-    QpmDevice,
-    SpdcOperatingPoint,
-    calibrate_poling_period,
-    effective_squeezing_vs_power,
-    qpm_mismatch,
-    spdc_spectrum,
-)
-from .fit import (
-    FitProblem,
-    FitResult,
-    fit_delta_n_from_reflectivity,
-    fit_fpi_trace,
-    least_squares,
-)
-from .data import SweepData, Trace, read_sweep_csv, read_trace_csv
-from .config import Config, ConfigError, parse_config
-
-__all__ = [
-    "__version__",
-    "MaterialModel", "PhotorefractionParams", "PumpSchedule", "PumpSegment",
-    "SellmeierCoefficients", "default_material", "default_photorefraction",
-    "delta_n_steady", "delta_n_temporal", "refractive_index",
-    "FpiCavity", "SqueezerCavity", "delta_n_to_detuning", "finesse",
-    "fpi_characteristics", "fpi_transmission", "opo_optimal_levels",
-    "opo_quadrature_spectrum", "pump_parameter_for_squeezing_db",
-    "simulate_fpi_trace",
-    "CouplerGeometry", "HomodyneConfig", "coupler_reflectivity",
-    "coupling_length", "homodyne_noise", "measured_squeezing_vs_residual_pump",
-    "reflectivity_vs_pump",
-    "QpmDevice", "SpdcOperatingPoint", "calibrate_poling_period",
-    "effective_squeezing_vs_power", "qpm_mismatch", "spdc_spectrum",
-    "FitProblem", "FitResult", "fit_delta_n_from_reflectivity",
-    "fit_fpi_trace", "least_squares",
-    "SweepData", "Trace", "read_sweep_csv", "read_trace_csv",
-    "Config", "ConfigError", "parse_config",
-]

@@ -134,12 +134,9 @@ def fpi_transmission(
     return exactly 1.
     """
     dn = np.asarray(delta_n, dtype=float)
-    if cavity.angled_facets:
-        out = np.ones_like(dn)
-        return float(out) if np.isscalar(delta_n) else out
     r = cavity.reflectivity_at(wavelength_nm)
     coefficient, _ = finesse(r, r)
-    if coefficient == 0:
+    if cavity.angled_facets or coefficient == 0:
         out = np.ones_like(dn)
         return float(out) if np.isscalar(delta_n) else out
     n_eff = refractive_index(
@@ -194,6 +191,8 @@ def simulate_fpi_trace(
         raise ValueError("pump schedule is empty")
     if duration_s is None:
         duration_s = schedule.horizon_s
+    if not duration_s >= 0:
+        raise ValueError(f"duration_s must be >= 0, got {duration_s!r}")
     n_samples = int(math.floor(duration_s / sample_period_s)) + 1
     t = np.arange(n_samples) * sample_period_s
     dn = delta_n_temporal(params, schedule, t)

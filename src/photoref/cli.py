@@ -465,7 +465,11 @@ def main(argv=None) -> int:
         return 1
 
     out_dir = Path(args.out if args.out is not None else config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names an existing regular file
+        log.error("validation error: %s", exc)
+        return 1
     seed = args.seed if args.seed is not None else config.seed
     runner = _Runner(config, out_dir, seed, args.quiet)
 

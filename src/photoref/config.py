@@ -308,9 +308,6 @@ class Config:
         canonical = json.dumps(self.resolved, sort_keys=True, default=str)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.resolved, sort_keys=True)
-
     # -- builders ------------------------------------------------------------
 
     def material(self) -> MaterialModel:
@@ -358,17 +355,17 @@ class Config:
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"photorefraction[{key!r}]: {exc}") from None
 
-    def fpi_cavity(self, material: MaterialModel | None = None) -> FpiCavity:
+    def fpi_cavity(self) -> FpiCavity:
         section = self.resolved["devices"]["fpi"]
         try:
-            return FpiCavity(material=material or self.material(), **section)
+            return FpiCavity(material=self.material(), **section)
         except ValueError as exc:
             raise ConfigError(f"devices.fpi: {exc}") from None
 
-    def squeezer_cavity(self, material: MaterialModel | None = None) -> SqueezerCavity:
+    def squeezer_cavity(self) -> SqueezerCavity:
         section = self.resolved["devices"]["squeezer"]
         try:
-            return SqueezerCavity(material=material or self.material(), **section)
+            return SqueezerCavity(material=self.material(), **section)
         except ValueError as exc:
             raise ConfigError(f"devices.squeezer: {exc}") from None
 

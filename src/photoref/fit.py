@@ -1,17 +1,15 @@
 """Damped nonlinear least squares and the prebuilt fitting pipelines.
 
 The engine is a deterministic Levenberg-Marquardt loop (multiply/divide the
-damping by 10 on reject/accept) with box constraints.  It uses the
-problem's analytic Jacobian when one is given and forward finite
-differences otherwise, and stops once the undamped Gauss-Newton step
-promises a decrease of at most 1e-14 of the cost, which rounding hides.
-On top of it sit two pipelines, both with analytic Jacobians: recovering
-the saturable index-shift law from coupler reflectivity sweeps, and
-recovering the total index excursion and build-up time from a cavity
-transmission trace.  The sweep fit inverts R = 1 - (kL*sin(x)/x)^2,
-x = L*sqrt(4k^2 + delta_beta^2)/2, on the branch that ends at the first
-stationary point above x = kL (sin x = 0 or tan x = x), in one bisection
-over all points.  The trace fit scans a start grid in one broadcast cost
+damping by 10 on reject/accept) with box constraints and the problem's
+analytic Jacobian.  It stops once the undamped Gauss-Newton step promises a
+decrease of at most 1e-14 of the cost, which rounding hides.  On top of it
+sit two pipelines: recovering the saturable index-shift law from coupler
+reflectivity sweeps, and recovering the total index excursion and build-up
+time from a cavity transmission trace.  The sweep fit inverts
+R = 1 - (kL*sin(x)/x)^2, x = L*sqrt(4k^2 + delta_beta^2)/2, on the branch
+that ends at the first stationary point above x = kL (sin x = 0 or
+tan x = x), in one bisection over all points.  The trace fit scans a start grid in one broadcast cost
 evaluation, then descends from the cheapest grid points until a fit
 reaches the trace's noise floor, and flags the fit when none does.
 """
@@ -50,8 +48,6 @@ _MIN_DAMPING = 1e-16
 _STEP_TOL = 1e-10  # accepted step, relative to 1 + max |parameter|
 _GRAD_TOL = 1e-10  # largest free gradient component
 _GAIN_FLOOR = 1e-14  # Gauss-Newton gain, relative to the cost, that rounding hides
-_FD_RELATIVE_STEP = 1e-6
-_FD_ABSOLUTE_FLOOR = 1e-12
 _MAX_DESCENTS = 16  # LM descents per trace fit
 _BISECT_TOL = 1e-13  # bracket width, relative to max(1, upper end)
 _GAUGE_B_MW = 10.0  # b of the saturable law, pinned (only a/b and a/c are identifiable)
@@ -65,21 +61,20 @@ class FitError(RuntimeError):
 class FitProblem:
     """A weighted residual function with bounded parameters.
 
-    ``residual`` maps a parameter vector to (predictions - observations).
-    ``jacobian``, when set, maps it to the derivatives of the (unweighted)
-    residual, one row per point and one column per parameter; without it
-    the engine takes forward finite differences.  ``weights`` are per-point
-    standard deviations; residuals are divided by them.  The initial guess
-    must lie inside the bounds and the number of residuals must be at least
-    the number of parameters.
+    ``residual`` maps a parameter vector to (predictions - observations),
+    and ``jacobian`` maps it to the derivatives of the (unweighted) residual,
+    one row per point and one column per parameter.  ``weights`` are
+    per-point standard deviations; residuals are divided by them.  The
+    initial guess must lie inside the bounds and the number of residuals
+    must be at least the number of parameters.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray], np.ndarray]
     initial_guess: np.ndarray
     lower_bounds: np.ndarray | None = None
     upper_bounds: np.ndarray | None = None
     weights: np.ndarray | None = None
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         p0 = np.atleast_1d(np.asarray(self.initial_guess, dtype=float))
@@ -116,9 +111,8 @@ class FitResult:
     ``covariance`` is the Gauss-Newton estimate from the final Jacobian,
     scaled by the reduced chi-square; ``residual_history`` records the
     accepted residual norms, starting from the initial point.
-    ``residual_evaluations`` counts calls of the problem's residual (finite
-    difference steps included) and ``jacobian_evaluations`` the Jacobians
-    formed.
+    ``residual_evaluations`` counts calls of the problem's residual and
+    ``jacobian_evaluations`` calls of its Jacobian.
     """
 
     parameters: np.ndarray
@@ -158,24 +152,8 @@ def _weighted_residual(problem: FitProblem, params: np.ndarray) -> np.ndarray:
     return r
 
 
-def _fd_jacobian(problem: FitProblem, params: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    """Forward finite differences; steps back off the upper bound when needed."""
-    m = len(params)
-    jac = np.empty((len(r0), m))
-    for j in range(m):
-        h = max(_FD_RELATIVE_STEP * abs(params[j]), _FD_ABSOLUTE_FLOOR)
-        if params[j] + h > problem.upper_bounds[j]:
-            h = -h
-        stepped = params.copy()
-        stepped[j] += h
-        jac[:, j] = (_weighted_residual(problem, stepped) - r0) / h
-    return jac
-
-
-def _jacobian(problem: FitProblem, params: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Jacobian of the weighted residual: analytic if the problem has one."""
-    if problem.jacobian is None:
-        return _fd_jacobian(problem, params, r)
+def _jacobian(problem: FitProblem, params: np.ndarray) -> np.ndarray:
+    """Jacobian of the weighted residual."""
     jac = np.asarray(problem.jacobian(params), dtype=float)
     if problem.weights is not None:
         jac = jac / problem.weights[:, None]
@@ -209,10 +187,8 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
     history = [math.sqrt(cost)]
     warnings: list[str] = []
     damping: float | None = None
-    jac = _jacobian(problem, params, r)
-    # A finite-difference Jacobian costs one residual per parameter.
-    jacobian_residuals = len(params) if problem.jacobian is None else 0
-    evaluations, jacobians = 1 + jacobian_residuals, 1
+    jac = _jacobian(problem, params)
+    evaluations, jacobians = 1, 1
     iterations = 0
     converged = False
 
@@ -277,8 +253,7 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
         cost = cost_trial
         iterations += 1
         history.append(math.sqrt(cost))
-        jac = _jacobian(problem, params, r)
-        evaluations += jacobian_residuals
+        jac = _jacobian(problem, params)
         jacobians += 1
         if np.max(np.abs(effective_step)) < _STEP_TOL * (1.0 + np.max(np.abs(params))):
             converged = True

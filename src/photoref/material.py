@@ -36,8 +36,6 @@ __all__ = [
     "PumpSegment",
     "PumpSchedule",
     "delta_n_temporal",
-    "default_material",
-    "default_photorefraction",
     "DEFAULT_MODE_TARGETS",
     "DEFAULT_PHOTOREFRACTION",
 ]
@@ -179,12 +177,6 @@ class MaterialModel:
             offsets[mode] = n_target - coefficients.index(lam_nm, t_c)
         return cls(coefficients=coefficients, mode_offsets=offsets)
 
-    def bulk_index(self, wavelength_nm, temperature_c):
-        return self.coefficients.index(wavelength_nm, temperature_c)
-
-    def index(self, wavelength_nm, temperature_c, mode: str):
-        return refractive_index(self, wavelength_nm, temperature_c, mode)
-
 
 def refractive_index(
     model: MaterialModel, wavelength_nm, temperature_c: float, mode: str
@@ -215,11 +207,6 @@ DEFAULT_MODE_TARGETS: Mapping[str, tuple[float, float, float]] = MappingProxyTyp
         "fundamental-nir": (775.0, 30.0, 2.18),
     }
 )
-
-
-def default_material() -> MaterialModel:
-    """Material model calibrated to the default mode targets."""
-    return MaterialModel.calibrated(DEFAULT_MODE_TARGETS)
 
 
 @dataclass(frozen=True)
@@ -256,11 +243,6 @@ class PhotorefractionParams:
                 "(tau_erase_s < tau_dark_s)"
             )
 
-    @property
-    def saturation_magnitude(self) -> float:
-        """Upper bound on |dn_ss|: a/c for c > 0, unbounded otherwise."""
-        return self.a / self.c if self.c > 0 else math.inf
-
 
 def delta_n_steady(params: PhotorefractionParams, pump_power_mw):
     """Steady-state index shift -a*P/(b + c*P); zero at P = 0, always <= 0."""
@@ -282,17 +264,6 @@ DEFAULT_PHOTOREFRACTION: Mapping[float, PhotorefractionParams] = MappingProxyTyp
         90.0: PhotorefractionParams(a=1.5e-7, b=10.0, c=0.02, temperature_c=90.0),
     }
 )
-
-
-def default_photorefraction(temperature_c: float) -> PhotorefractionParams:
-    """Default parameter set for one of the tabulated temperatures."""
-    try:
-        return DEFAULT_PHOTOREFRACTION[float(temperature_c)]
-    except KeyError:
-        known = ", ".join(str(t) for t in sorted(DEFAULT_PHOTOREFRACTION))
-        raise KeyError(
-            f"no default photorefraction set at {temperature_c} C (available: {known})"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -335,12 +306,6 @@ class PumpSchedule:
     @property
     def horizon_s(self) -> float:
         return self.segments[-1].end_s if self.segments else 0.0
-
-    @classmethod
-    def single_pump(
-        cls, power_mw: float, on_s: float, off_s: float
-    ) -> "PumpSchedule":
-        return cls([PumpSegment(on_s, off_s, power_mw)])
 
 
 def _segment_conditions(

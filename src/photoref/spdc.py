@@ -25,15 +25,18 @@ __all__ = [
     "qpm_mismatch",
     "calibrate_poling_period",
     "spdc_spectrum",
-    "degeneracy_power",
     "effective_squeezing_vs_power",
-    "DB_PER_NEPER",
 ]
+
+# Guided modes of the beams: the pump in the near-infrared mode, signal and
+# idler in the telecom mode.
+_PUMP_MODE = "fundamental-nir"
+_TELECOM_MODE = "fundamental-telecom"
 
 
 @dataclass(frozen=True)
 class QpmDevice:
-    """Periodically poled waveguide with mode assignments per beam.
+    """Periodically poled waveguide.
 
     ``telecom_shift_fraction`` optionally applies that fraction of the pump
     index shift to the signal and idler indices as well, for sensitivity
@@ -43,9 +46,6 @@ class QpmDevice:
     poling_period_um: float
     length_mm: float
     material: MaterialModel
-    pump_mode: str = "fundamental-nir"
-    signal_mode: str = "fundamental-telecom"
-    idler_mode: str = "fundamental-telecom"
     telecom_shift_fraction: float = 0.0
 
     def __post_init__(self):
@@ -103,11 +103,9 @@ def qpm_mismatch(
     lam_i = idler_wavelength(point.pump_wavelength_nm, lam_s)
     t = point.temperature_c
     dn = delta_n_steady(photorefraction, point.pump_power_mw)
-    n_p = refractive_index(
-        device.material, point.pump_wavelength_nm, t, device.pump_mode
-    ) + dn
-    n_s = refractive_index(device.material, lam_s, t, device.signal_mode)
-    n_i = refractive_index(device.material, lam_i, t, device.idler_mode)
+    n_p = refractive_index(device.material, point.pump_wavelength_nm, t, _PUMP_MODE) + dn
+    n_s = refractive_index(device.material, lam_s, t, _TELECOM_MODE)
+    n_i = refractive_index(device.material, lam_i, t, _TELECOM_MODE)
     if device.telecom_shift_fraction:
         n_s = n_s + device.telecom_shift_fraction * dn
         n_i = n_i + device.telecom_shift_fraction * dn
@@ -127,9 +125,6 @@ def calibrate_poling_period(
     temperature_c: float,
     pump_wavelength_nm: float,
     degeneracy_wavelength_nm: float,
-    pump_mode: str = "fundamental-nir",
-    signal_mode: str = "fundamental-telecom",
-    idler_mode: str = "fundamental-telecom",
     pump_index_shift: float = 0.0,
 ) -> float:
     """Poling period (um) nulling the mismatch at a chosen degeneracy point.
@@ -139,13 +134,12 @@ def calibrate_poling_period(
     photorefractive offset so that dk = 0 is hit at a reference pump power
     rather than at zero power.
     """
-    n_p = refractive_index(material, pump_wavelength_nm, temperature_c, pump_mode)
+    n_p = refractive_index(material, pump_wavelength_nm, temperature_c, _PUMP_MODE)
     n_p += pump_index_shift
-    n_s = refractive_index(material, degeneracy_wavelength_nm, temperature_c, signal_mode)
-    n_i = refractive_index(material, degeneracy_wavelength_nm, temperature_c, idler_mode)
+    n_s = refractive_index(material, degeneracy_wavelength_nm, temperature_c, _TELECOM_MODE)
     lam_p_mm = pump_wavelength_nm * 1e-6
     lam_deg_mm = degeneracy_wavelength_nm * 1e-6
-    inverse_period = n_p / lam_p_mm - (n_s + n_i) / lam_deg_mm  # 1/mm
+    inverse_period = n_p / lam_p_mm - 2.0 * n_s / lam_deg_mm  # 1/mm (n_i = n_s)
     if inverse_period <= 0:
         raise ValueError(
             "dispersion insufficient for quasi-phase matching at these inputs "
@@ -183,35 +177,6 @@ def spdc_spectrum(
     density = np.sinc(half_phase / math.pi) ** 2 + np.sinc(half_phase_twin / math.pi) ** 2
     density = density + background
     return density / density.max()
-
-
-def degeneracy_power(
-    device: QpmDevice,
-    pump_wavelength_nm: float,
-    temperature_c: float,
-    photorefraction: PhotorefractionParams,
-    max_power_mw: float = 100.0,
-) -> float | None:
-    """Pump power at which the mismatch at degeneracy crosses zero.
-
-    The mismatch is affine in the index shift dn, so its values at zero and
-    at ``max_power_mw`` give the root dn*; inverting dn(P) = -a*P/(b + c*P)
-    gives P* = -b*dn*/(a + c*dn*).  Returns None when the mismatch does not
-    change sign on [0, max_power_mw].
-    """
-    def mismatch_at(p):
-        pt = SpdcOperatingPoint(pump_wavelength_nm, temperature_c, p)
-        return qpm_mismatch(device, pt, 2.0 * pump_wavelength_nm, photorefraction)
-
-    f_lo, f_hi = mismatch_at(0.0), mismatch_at(float(max_power_mw))
-    if f_lo == 0.0:
-        return 0.0
-    if f_lo * f_hi > 0:
-        return None
-    dn_max = delta_n_steady(photorefraction, float(max_power_mw))
-    dn_root = dn_max * f_lo / (f_lo - f_hi)
-    a, b, c = photorefraction.a, photorefraction.b, photorefraction.c
-    return -b * dn_root / (a + c * dn_root)
 
 
 def effective_squeezing_vs_power(

@@ -8,25 +8,26 @@ settings.register_profile("repeatable", derandomize=True)
 settings.load_profile("repeatable")
 from photoref.coupler import CouplerGeometry
 from photoref.material import (
+    DEFAULT_MODE_TARGETS,
+    DEFAULT_PHOTOREFRACTION,
+    MaterialModel,
     PhotorefractionParams,
-    default_material,
-    default_photorefraction,
 )
 
 
 @pytest.fixture(scope="session")
-def material():
-    return default_material()
+def material() -> MaterialModel:
+    return MaterialModel.calibrated(DEFAULT_MODE_TARGETS)
 
 
 @pytest.fixture(scope="session")
 def params30() -> PhotorefractionParams:
-    return default_photorefraction(30.0)
+    return DEFAULT_PHOTOREFRACTION[30.0]
 
 
 @pytest.fixture(scope="session")
 def params90() -> PhotorefractionParams:
-    return default_photorefraction(90.0)
+    return DEFAULT_PHOTOREFRACTION[90.0]
 
 
 @pytest.fixture(scope="session")

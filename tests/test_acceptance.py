@@ -31,8 +31,9 @@ from photoref.coupler import (
 from photoref.data import SweepData
 from photoref.fit import fit_delta_n_from_reflectivity
 from photoref.material import (
-    default_material,
-    default_photorefraction,
+    DEFAULT_MODE_TARGETS,
+    DEFAULT_PHOTOREFRACTION,
+    MaterialModel,
     delta_n_steady,
 )
 from photoref.spdc import (
@@ -276,9 +277,9 @@ def test_criterion_6_opo_limits():
     crit.finish()
 
 
-def test_criterion_7_fit_recovery(coupler30):
+def test_criterion_7_fit_recovery(coupler30, params30):
     crit = Criterion(7, "index-shift fit recovery", 60.0)
-    truth = default_photorefraction(30.0)
+    truth = params30
     anchor = abs(delta_n_steady(truth, 10.0))
     crit.check(
         f"|dn(10 mW)| = {anchor:.3e} in [0.8, 1.2]e-4",
@@ -303,8 +304,8 @@ def test_criterion_7_fit_recovery(coupler30):
 
 
 def qpm_device(reference_power_mw: float = 0.0) -> QpmDevice:
-    material = default_material()
-    shift = delta_n_steady(default_photorefraction(30.0), reference_power_mw)
+    material = MaterialModel.calibrated(DEFAULT_MODE_TARGETS)
+    shift = delta_n_steady(DEFAULT_PHOTOREFRACTION[30.0], reference_power_mw)
     period = calibrate_poling_period(
         material, 30.0, 770.73, 2 * 770.73, pump_index_shift=shift
     )

@@ -88,6 +88,14 @@ def run(sub, config_path, out, *extra) -> int:
     return main([sub, "--config", config_path, "--out", str(out), "--quiet", *extra])
 
 
+def src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
 class TestSubcommands:
     def test_all_subcommands_succeed(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -214,6 +222,36 @@ class TestExitCodes:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "empty" in manifest["error"]
+
+    def test_negative_duration_is_validation_error(self, tmp_path, caplog):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"run": {"fpi_trace": {"duration_s": -1.0}}}))
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR"):
+            code = main(["fpi-trace", "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert any("duration_s" in rec.getMessage() for rec in caplog.records)
+        assert not (out / "fpi_trace.csv").exists()
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "duration_s" in manifest["error"]
+
+    def test_out_naming_a_file_is_validation_error(self, tmp_path):
+        """A file where the output directory should go: exit 1, logged, no traceback."""
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({}))
+        occupied = tmp_path / "occupied"
+        occupied.write_text("not a directory\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "photoref.cli", "fpi-char", "--config", str(path),
+             "--out", str(occupied), "--quiet"],
+            env=src_env(), capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert "validation error" in done.stderr
+        assert str(occupied) in done.stderr
+        assert "Traceback" not in done.stderr
+        assert occupied.read_text() == "not a directory\n"
 
     def test_fit_dn_without_inputs(self, tmp_path):
         path = tmp_path / "config.yaml"
@@ -385,18 +423,13 @@ class TestGenerateDatasets:
 class TestImports:
     def test_cli_import_loads_no_scipy(self):
         """A fresh interpreter importing the CLI never loads SciPy."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(src), env.get("PYTHONPATH")])
-        )
         probe = (
             "import sys, photoref.cli; "
             "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))"
         )
         done = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True,
+            [sys.executable, "-c", probe], env=src_env(), capture_output=True,
             text=True, check=True,
         )
         assert done.stdout.strip() == "[]"

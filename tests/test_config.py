@@ -110,7 +110,7 @@ class TestParsing:
 
 class TestDerivedSchema:
     def test_resolved_example_with_optional_keys_accepted(self, tmp_path):
-        payload = yaml.safe_load(parse_config(EXAMPLE).to_yaml())
+        payload = yaml.safe_load(yaml.safe_dump(parse_config(EXAMPLE).resolved))
         payload["devices"]["qpm"]["poling_period_um"] = 19.5
         payload["devices"]["homodyne_coupler"]["interaction_length_mm"] = 5.0
         config = parse_config(write_config(tmp_path, payload), strict=True)
@@ -300,7 +300,7 @@ def _leaf_paths(tree, path=()):
         yield path
 
 
-EXAMPLE_TREE = yaml.safe_load(parse_config(EXAMPLE).to_yaml())
+EXAMPLE_TREE = yaml.safe_load(yaml.safe_dump(parse_config(EXAMPLE).resolved))
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)
 )
@@ -333,14 +333,14 @@ class TestRoundTrip:
     def test_serialize_parse_identity(self, tmp_path):
         config = parse_config(EXAMPLE)
         dumped = tmp_path / "dumped.yaml"
-        dumped.write_text(config.to_yaml(), encoding="utf-8")
+        dumped.write_text(yaml.safe_dump(config.resolved), encoding="utf-8")
         again = parse_config(dumped)
         assert again.resolved == config.resolved
         assert again.config_hash() == config.config_hash()
 
     def test_hash_changes_with_any_value(self, tmp_path):
         config = parse_config(EXAMPLE)
-        payload = yaml.safe_load(config.to_yaml())
+        payload = yaml.safe_load(yaml.safe_dump(config.resolved))
         payload["devices"]["fpi"]["length_mm"] = 14.999
         changed = parse_config(write_config(tmp_path, payload))
         assert changed.config_hash() != config.config_hash()

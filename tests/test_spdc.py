@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photoref.material import PhotorefractionParams, delta_n_steady
+from photoref.material import delta_n_steady
 from photoref.spdc import (
     QpmDevice,
     SpdcOperatingPoint,
     calibrate_poling_period,
-    degeneracy_power,
     effective_squeezing_vs_power,
     idler_wavelength,
     qpm_mismatch,
@@ -23,22 +22,16 @@ PUMP_90 = 774.63
 
 
 @pytest.fixture(scope="module")
-def device_rest(material30=None):
+def device_rest(material):
     """Poling period calibrated at zero pump power, 30 C."""
-    from photoref.material import default_material
-
-    material = default_material()
     period = calibrate_poling_period(material, 30.0, PUMP_30, 2 * PUMP_30)
     return QpmDevice(poling_period_um=period, length_mm=15.0, material=material)
 
 
 @pytest.fixture(scope="module")
-def device_ref(params_ref=None):
+def device_ref(material, params30):
     """Poling period absorbing the photorefractive shift at 5 mW, 30 C."""
-    from photoref.material import default_material, default_photorefraction
-
-    material = default_material()
-    shift = delta_n_steady(default_photorefraction(30.0), 5.0)
+    shift = delta_n_steady(params30, 5.0)
     period = calibrate_poling_period(
         material, 30.0, PUMP_30, 2 * PUMP_30, pump_index_shift=shift
     )
@@ -116,12 +109,10 @@ class TestCalibration:
         asymmetry = abs((hi - degeneracy) - (degeneracy - lo)) / (hi - lo)
         assert asymmetry < 0.10
 
-    def test_insufficient_dispersion_rejected(self):
-        from photoref.material import default_material
-
+    def test_insufficient_dispersion_rejected(self, material):
         with pytest.raises(ValueError, match="insufficient"):
             # Degenerate pair at the pump wavelength itself: negative period.
-            calibrate_poling_period(default_material(), 30.0, 775.0, 1200.0)
+            calibrate_poling_period(material, 30.0, 775.0, 1200.0)
 
 
 class TestSpectrum:
@@ -178,10 +169,10 @@ class TestSpectrum:
         assert separations[0] > separations[1] > separations[2]
 
     def test_degeneracy_reached_at_finite_power(self, device_ref, params30):
-        power = degeneracy_power(device_ref, PUMP_30, 30.0, params30)
-        assert power is not None
-        assert 0.0 < power < 100.0
-        assert power == pytest.approx(5.0, abs=1e-6)  # calibrated reference power
+        """One crossing on [0, 100] mW, at the calibrated reference power."""
+        [(lo, hi)] = self.sign_change(device_ref, params30, 0.0, 100.0)
+        [(lo, hi)] = self.sign_change(device_ref, params30, lo, hi)
+        assert lo - 1e-9 <= 5.0 <= hi + 1e-9
 
     @staticmethod
     def sign_change(device, params, lo, hi, points=1000):
@@ -196,8 +187,14 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("fraction", [0.0, 0.3])
     def test_degeneracy_power_matches_dense_scan(self, device_ref, params30, fraction):
+        """The crossing sits where (1 - fraction)*dn(P) meets the 5 mW shift.
+
+        At degeneracy the telecom share of the shift cancels that fraction of
+        the pump's, and dn = -a*P/(b + c*P) inverts to P = -b*dn/(a + c*dn).
+        """
         device = dataclasses.replace(device_ref, telecom_shift_fraction=fraction)
-        power = degeneracy_power(device, PUMP_30, 30.0, params30)
+        dn = delta_n_steady(params30, 5.0) / (1.0 - fraction)
+        power = -params30.b * dn / (params30.a + params30.c * dn)
         [(lo, hi)] = self.sign_change(device, params30, 0.0, 100.0)
         # Refine the bracket to about 1e-4 mW with a second scan inside it.
         [(lo, hi)] = self.sign_change(device, params30, lo, hi)
@@ -205,7 +202,6 @@ class TestSpectrum:
 
     def test_degeneracy_power_none_below_crossing(self, device_ref, params30):
         assert self.sign_change(device_ref, params30, 0.0, 4.0) == []
-        assert degeneracy_power(device_ref, PUMP_30, 30.0, params30, max_power_mw=4.0) is None
 
     def test_high_temperature_power_insensitivity(self, device_ref, params90):
         grid = np.linspace(1440.0, 1660.0, 3001)

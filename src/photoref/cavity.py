@@ -170,6 +170,9 @@ def fpi_characteristics(
     return fsr_pm, fsr_pm / conventional
 
 
+_MAX_TRACE_SAMPLES = 10**7
+
+
 def simulate_fpi_trace(
     cavity: FpiCavity,
     schedule: PumpSchedule,
@@ -193,8 +196,13 @@ def simulate_fpi_trace(
         duration_s = schedule.horizon_s
     if not duration_s >= 0:
         raise ValueError(f"duration_s must be >= 0, got {duration_s!r}")
-    n_samples = int(math.floor(duration_s / sample_period_s)) + 1
-    t = np.arange(n_samples) * sample_period_s
+    ratio = duration_s / sample_period_s
+    if ratio >= _MAX_TRACE_SAMPLES:  # 80 MB per float64 array of the grid
+        raise ValueError(
+            f"duration_s / sample_period_s = {ratio:g} asks for more than "
+            f"{_MAX_TRACE_SAMPLES} samples"
+        )
+    t = np.arange(int(math.floor(ratio)) + 1) * sample_period_s
     dn = delta_n_temporal(params, schedule, t)
     values = fpi_transmission(cavity, probe_wavelength_nm, temperature_c, dn)
     reference = fpi_transmission(cavity, probe_wavelength_nm, temperature_c, 0.0)

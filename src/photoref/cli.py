@@ -41,7 +41,6 @@ from .coupler import (
 )
 from .data import (
     SweepData,
-    Trace,
     read_sweep_csv,
     read_trace_csv,
     write_columns_csv,
@@ -49,14 +48,8 @@ from .data import (
     write_trace_csv,
 )
 from .fit import FitError, fit_delta_n_from_reflectivity, fit_fpi_trace
-from .material import PumpSchedule, PumpSegment, delta_n_steady, refractive_index
-from .spdc import (
-    QpmDevice,
-    SpdcOperatingPoint,
-    calibrate_poling_period,
-    effective_squeezing_vs_power,
-    spdc_spectrum,
-)
+from .material import PumpSchedule, PumpSegment, refractive_index
+from .spdc import SpdcOperatingPoint, effective_squeezing_vs_power, spdc_spectrum
 
 log = logging.getLogger(__name__)
 
@@ -102,29 +95,18 @@ class _Runner:
         self.quiet = quiet
         self.outputs: list[str] = []
         self.warnings: list[str] = []
-        self.comments = [
-            f"photoref {__version__}",
-            f"config_hash {config.config_hash()}",
-            f"seed {seed}",
-        ]
         self.provenance = {
             "photoref": __version__,
             "config_hash": config.config_hash(),
             "seed": seed,
         }
+        self.comments = [f"{key} {value}" for key, value in self.provenance.items()]
 
     # Each writer lists its file as an output only once the file is written,
     # so a writer that refuses its data leaves no phantom entry in the manifest.
-    def write_columns(self, name: str, header: list[str], columns) -> None:
-        write_columns_csv(self.out_dir / name, header, columns, self.comments)
-        self.outputs.append(name)
-
-    def write_trace(self, name: str, trace: Trace) -> None:
-        write_trace_csv(self.out_dir / name, trace, self.comments)
-        self.outputs.append(name)
-
-    def write_sweep(self, name: str, sweep: SweepData) -> None:
-        write_sweep_csv(self.out_dir / name, sweep, self.comments)
+    def write(self, name: str, writer, *data) -> None:
+        """Write a CSV with ``writer(path, *data, comments)``."""
+        writer(self.out_dir / name, *data, self.comments)
         self.outputs.append(name)
 
     def write_json(self, name: str, payload: dict) -> None:
@@ -137,30 +119,6 @@ class _Runner:
         self.warnings.append(message)
         if not self.quiet:
             log.warning("%s", message)
-
-
-def _qpm_device(runner: _Runner) -> QpmDevice:
-    config = runner.config
-    material = config.material()
-    section = config.qpm_section()
-    period = section.get("poling_period_um")
-    if period is None:
-        cal = section["calibration"]
-        params = config.photorefraction(cal["temperature_c"])
-        shift = delta_n_steady(params, cal["reference_pump_power_mw"])
-        period = calibrate_poling_period(
-            material,
-            cal["temperature_c"],
-            cal["pump_wavelength_nm"],
-            cal["degeneracy_wavelength_nm"],
-            pump_index_shift=shift,
-        )
-    return QpmDevice(
-        poling_period_um=period,
-        length_mm=section["length_mm"],
-        material=material,
-        telecom_shift_fraction=section["telecom_shift_fraction"],
-    )
 
 
 def _run_fpi_trace(runner: _Runner) -> None:
@@ -178,7 +136,7 @@ def _run_fpi_trace(runner: _Runner) -> None:
         sample_period_s=section["sample_period_s"],
         duration_s=section["duration_s"],
     )
-    runner.write_trace("fpi_trace.csv", trace)
+    runner.write("fpi_trace.csv", write_trace_csv, trace)
 
 
 def _run_fpi_char(runner: _Runner) -> None:
@@ -223,7 +181,7 @@ def _run_coupler_sweep(runner: _Runner) -> None:
             values = values * (1.0 + noise * rng.standard_normal(len(values)))
             sweep = SweepData(sweep.abscissa, values, sigma)
         name = f"coupler_sweep_T{_fmt(temperature)}"
-        runner.write_sweep(f"{name}.csv", sweep)
+        runner.write(f"{name}.csv", write_sweep_csv, sweep)
         runner.write_json(
             f"{name}.json",
             {
@@ -257,7 +215,7 @@ def _run_homodyne(runner: _Runner) -> None:
             )
         )
         levels.append(10.0 * math.log10(noise / lo))
-    runner.write_columns("homodyne.csv", ["phase_rad", "value"], [phases, levels])
+    runner.write("homodyne.csv", write_columns_csv, ["phase_rad", "value"], [phases, levels])
 
 
 def _run_opo_spectrum(runner: _Runner) -> None:
@@ -265,12 +223,15 @@ def _run_opo_spectrum(runner: _Runner) -> None:
     sigma = pump_parameter_for_squeezing_db(section["initial_squeezing_db"])
     eta = section["detection_efficiency"]
     step = section["omega_step"]
+    if not step > 0:
+        raise ConfigError(f"run.opo_spectrum.omega_step must be > 0, got {step!r}")
     omega = np.arange(0.0, section["omega_max"] + step / 2, step)
     detunings = section["detunings"]
     for delta in detunings:
         levels = eta * np.array(opo_extremal_spectra(sigma, delta, omega)) + (1.0 - eta)
-        runner.write_columns(
+        runner.write(
             f"opo_spectrum_delta{_fmt(delta)}.csv",
+            write_columns_csv,
             ["omega", "squeezed_db", "antisqueezed_db"],
             [omega, *10 * np.log10(levels)],
         )
@@ -278,8 +239,9 @@ def _run_opo_spectrum(runner: _Runner) -> None:
         opo_optimal_levels(sigma, delta, eta, omega_max=section["omega_max"])
         for delta in detunings
     ]
-    runner.write_columns(
+    runner.write(
         "opo_optimal_levels.csv",
+        write_columns_csv,
         ["delta", "best_squeezing_db", "best_antisqueezing_db"],
         [detunings, *zip(*best)],
     )
@@ -288,20 +250,20 @@ def _run_opo_spectrum(runner: _Runner) -> None:
 def _run_spdc_spectrum(runner: _Runner) -> None:
     config = runner.config
     section = config.run_section("spdc_spectrum")
-    device = _qpm_device(runner)
-    pump_map = section["pump_wavelength_nm"]
+    device = config.qpm_device()
     span = section["wavelength_span_nm"]
     points = section["points"]
     background = section["background"]
     for temperature in section["temperatures_c"]:
-        lam_p = pump_map[repr(temperature)]
+        lam_p = config.temperature_entry("run.spdc_spectrum.pump_wavelength_nm", temperature)
         params = config.photorefraction(temperature)
         grid = np.linspace(2 * lam_p - span / 2, 2 * lam_p + span / 2, points)
         for power in section["pump_powers_mw"]:
             point = SpdcOperatingPoint(lam_p, temperature, power)
             density = spdc_spectrum(device, point, params, grid, background)
-            runner.write_columns(
+            runner.write(
                 f"spdc_spectrum_T{_fmt(temperature)}_P{_fmt(power)}.csv",
+                write_columns_csv,
                 ["wavelength_nm", "normalized_density"],
                 [grid, density],
             )
@@ -319,18 +281,17 @@ def _run_squeeze_budget(runner: _Runner) -> None:
         sweep = measured_squeezing_vs_residual_pump(
             geometry, params, probe, level, powers
         )
-        runner.write_sweep(f"homodyne_budget_{_fmt(abs(level))}dB.csv", sweep)
-    device = _qpm_device(runner)
+        runner.write(f"homodyne_budget_{_fmt(abs(level))}dB.csv", write_sweep_csv, sweep)
     ideal, degraded = effective_squeezing_vs_power(
-        device,
+        config.qpm_device(),
         temperature,
         section["spdc_pump_wavelength_nm"],
         params,
         section["mu0_per_sqrt_mw"],
         section["spdc_pump_powers_mw"],
     )
-    runner.write_sweep("squeeze_ideal.csv", ideal)
-    runner.write_sweep("squeeze_photorefractive.csv", degraded)
+    runner.write("squeeze_ideal.csv", write_sweep_csv, ideal)
+    runner.write("squeeze_photorefractive.csv", write_sweep_csv, degraded)
 
 
 def _run_fit_dn(runner: _Runner) -> None:
@@ -348,7 +309,7 @@ def _run_fit_dn(runner: _Runner) -> None:
     )
     for temperature, outcome in sorted(outcomes.items()):
         tag = f"T{_fmt(temperature)}"
-        runner.write_sweep(f"delta_n_points_{tag}.csv", outcome.delta_n_points)
+        runner.write(f"delta_n_points_{tag}.csv", write_sweep_csv, outcome.delta_n_points)
         payload = outcome.result.to_json_dict()
         payload["model"] = "delta_n = -a*P/(b + c*P)"
         payload["fitted"] = {
@@ -415,7 +376,7 @@ def _write_manifest(
         "status": status,
         "error": error,
         "config_path": runner.config.source_path,
-        "config_hash": runner.config.config_hash(),
+        "config_hash": runner.provenance["config_hash"],
         "seed": runner.seed,
         "versions": {
             "photoref": __version__,

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import hashlib
 import json
 import logging
 import math
+import operator
 import types
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -33,7 +35,9 @@ from .material import (
     MaterialModel,
     PhotorefractionParams,
     SellmeierCoefficients,
+    delta_n_steady,
 )
+from .spdc import QpmDevice, calibrate_poling_period
 
 __all__ = ["ConfigError", "Config", "parse_config", "DEFAULT_CONFIG"]
 
@@ -294,7 +298,12 @@ class Config:
     # -- generic access -----------------------------------------------------
 
     def run_section(self, name: str) -> dict[str, Any]:
-        return self.resolved["run"][name]
+        """A run section; a grid whose default is not empty may not be empty."""
+        section = self.resolved["run"][name]
+        for key, default in DEFAULT_CONFIG["run"][name].items():
+            if isinstance(default, list) and default and not section[key]:
+                raise ConfigError(f"run.{name}.{key}: the list is empty")
+        return section
 
     @property
     def seed(self) -> int:
@@ -310,108 +319,101 @@ class Config:
 
     # -- builders ------------------------------------------------------------
 
+    def temperature_entry(self, path: str, temperature_c: float) -> Any:
+        """The entry at ``temperature_c`` of the temperature-keyed map at ``path``."""
+        table = functools.reduce(operator.getitem, path.split("."), self.resolved)
+        key = repr(float(temperature_c))
+        if key not in table:
+            known = ", ".join(sorted(table))
+            raise ConfigError(f"{path}: no entry at {temperature_c} C (configured: {known})")
+        return table[key]
+
     def material(self) -> MaterialModel:
         section = self.resolved["material"]
-        try:
+        with _invariants("material.sellmeier"):
             coeffs = SellmeierCoefficients(**section["sellmeier"])
-        except ValueError as exc:
-            raise ConfigError(f"material.sellmeier: {exc}") from None
-        try:
+        with _invariants("material.modes"):
             targets = {
                 mode: (entry["wavelength_nm"], entry["temperature_c"], entry["n_eff"])
                 for mode, entry in section["modes"].items()
             }
             return MaterialModel.calibrated(targets, coeffs)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"material.modes: {exc}") from None
 
     def photorefraction_temperatures(self) -> list[float]:
         return sorted(float(k) for k in self.resolved["photorefraction"])
 
     def photorefraction(self, temperature_c: float) -> PhotorefractionParams:
-        key = repr(float(temperature_c))
-        table = self.resolved["photorefraction"]
-        if key not in table:
-            known = ", ".join(sorted(table))
-            raise ConfigError(
-                f"photorefraction: no parameter set at {temperature_c} C "
-                f"(configured: {known})"
-            )
-        entry = table[key]
         # Time constants left out fall back to the PhotorefractionParams defaults.
-        times = {
-            name: entry[name]
-            for name in ("tau_build_s", "tau_dark_s", "tau_erase_s")
-            if name in entry
-        }
-        try:
-            return PhotorefractionParams(
-                a=entry["a"],
-                b=entry["b"],
-                c=entry["c"],
-                temperature_c=float(temperature_c),
-                **times,
-            )
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"photorefraction[{key!r}]: {exc}") from None
+        entry = self.temperature_entry("photorefraction", temperature_c)
+        with _invariants(f"photorefraction[{repr(float(temperature_c))!r}]"):
+            return PhotorefractionParams(temperature_c=float(temperature_c), **entry)
 
     def fpi_cavity(self) -> FpiCavity:
-        section = self.resolved["devices"]["fpi"]
-        try:
-            return FpiCavity(material=self.material(), **section)
-        except ValueError as exc:
-            raise ConfigError(f"devices.fpi: {exc}") from None
+        material = self.material()
+        with _invariants("devices.fpi"):
+            return FpiCavity(material=material, **self.resolved["devices"]["fpi"])
 
     def squeezer_cavity(self) -> SqueezerCavity:
-        section = self.resolved["devices"]["squeezer"]
-        try:
-            return SqueezerCavity(material=self.material(), **section)
-        except ValueError as exc:
-            raise ConfigError(f"devices.squeezer: {exc}") from None
+        material = self.material()
+        with _invariants("devices.squeezer"):
+            return SqueezerCavity(material=material, **self.resolved["devices"]["squeezer"])
 
-    def _coupling_constant(self, section_name: str, temperature_c: float) -> float:
-        table = self.resolved["devices"][section_name]["coupling_constant_per_mm"]
-        key = repr(float(temperature_c))
-        if key not in table:
-            known = ", ".join(sorted(table))
-            raise ConfigError(
-                f"devices.{section_name}.coupling_constant_per_mm: no value at "
-                f"{temperature_c} C (configured: {known})"
+    def _coupler(self, name: str, temperature_c: float) -> CouplerGeometry:
+        section = self.resolved["devices"][name]
+        k = self.temperature_entry(f"devices.{name}.coupling_constant_per_mm", temperature_c)
+        with _invariants(f"devices.{name}"):
+            balanced = section.get("balanced", False)  # only the homodyne coupler
+            return CouplerGeometry(
+                coupling_constant_per_mm=k,
+                interaction_length_mm=(
+                    1.5 * coupling_length(k) if balanced else section["interaction_length_mm"]
+                ),
+                waveguide_separation_um=section["waveguide_separation_um"],
+                design_wavelength_nm=section["design_wavelength_nm"],
             )
-        return table[key]
 
     def coupler_geometry(self, temperature_c: float) -> CouplerGeometry:
-        section = self.resolved["devices"]["coupler"]
-        k = self._coupling_constant("coupler", temperature_c)
-        try:
-            return CouplerGeometry(
-                coupling_constant_per_mm=k,
-                interaction_length_mm=section["interaction_length_mm"],
-                waveguide_separation_um=section["waveguide_separation_um"],
-                design_wavelength_nm=section["design_wavelength_nm"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"devices.coupler: {exc}") from None
+        return self._coupler("coupler", temperature_c)
 
     def homodyne_geometry(self, temperature_c: float) -> CouplerGeometry:
-        section = self.resolved["devices"]["homodyne_coupler"]
-        k = self._coupling_constant("homodyne_coupler", temperature_c)
-        try:
-            if section["balanced"]:
-                length = 1.5 * coupling_length(k)
-            else:
-                length = section["interaction_length_mm"]
-            return CouplerGeometry(
-                coupling_constant_per_mm=k,
-                interaction_length_mm=length,
-                waveguide_separation_um=section["waveguide_separation_um"],
-                design_wavelength_nm=section["design_wavelength_nm"],
-            )
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"devices.homodyne_coupler: {exc}") from None
+        return self._coupler("homodyne_coupler", temperature_c)
 
     def qpm_section(self) -> dict[str, Any]:
         return self.resolved["devices"]["qpm"]
+
+    def qpm_device(self) -> QpmDevice:
+        """The poled waveguide; without a poling period, the period that nulls
+        the mismatch at the calibration point and reference pump power."""
+        section = self.qpm_section()
+        material = self.material()
+        period = section.get("poling_period_um")
+        if period is None:
+            cal = section["calibration"]
+            with _invariants("devices.qpm.calibration"):
+                params = self.photorefraction(cal["temperature_c"])
+                period = calibrate_poling_period(
+                    material,
+                    cal["temperature_c"],
+                    cal["pump_wavelength_nm"],
+                    cal["degeneracy_wavelength_nm"],
+                    pump_index_shift=delta_n_steady(params, cal["reference_pump_power_mw"]),
+                )
+        with _invariants("devices.qpm"):
+            return QpmDevice(
+                poling_period_um=period,
+                length_mm=section["length_mm"],
+                material=material,
+                telecom_shift_fraction=section["telecom_shift_fraction"],
+            )
+
+
+@contextlib.contextmanager
+def _invariants(where: str):
+    """Raise a domain object's refusal as a ConfigError naming ``where``."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_config(path, strict: bool = False) -> Config:
@@ -459,18 +461,12 @@ def parse_config(path, strict: bool = False) -> Config:
 
 def _validate(config: Config) -> None:
     """Construct every configured domain object so invariants are enforced."""
-    config.material()
-    for t in config.photorefraction_temperatures():
-        config.photorefraction(t)
     config.fpi_cavity()
     config.squeezer_cavity()
+    for t in config.photorefraction_temperatures():
+        config.photorefraction(t)
     for name, build in (("coupler", config.coupler_geometry),
                         ("homodyne_coupler", config.homodyne_geometry)):
         for key in config.resolved["devices"][name]["coupling_constant_per_mm"]:
             build(float(key))
-    qpm = config.qpm_section()
-    if qpm["length_mm"] <= 0:
-        raise ConfigError("devices.qpm.length_mm must be > 0")
-    period = qpm.get("poling_period_um")
-    if period is not None and period <= 0:
-        raise ConfigError("devices.qpm.poling_period_um must be > 0")
+    config.qpm_device()

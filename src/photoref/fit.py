@@ -37,7 +37,6 @@ __all__ = [
     "invert_reflectivity",
     "DeltaNFit",
     "fit_delta_n_from_reflectivity",
-    "OscillationEstimate",
     "estimate_delta_n_from_oscillations",
     "FpiTraceFit",
     "fit_fpi_trace",
@@ -560,16 +559,7 @@ def _count_prominent_extrema(values: np.ndarray, prominence: float) -> int:
     return max(confirmed - 1, 0)
 
 
-class OscillationEstimate(NamedTuple):
-    """Index excursion bound from counting transmission half-oscillations."""
-
-    half_periods: int
-    delta_n_magnitude: float
-
-
-def estimate_delta_n_from_oscillations(
-    trace: Trace, cavity: FpiCavity, probe_wavelength_nm: float
-) -> OscillationEstimate:
+def estimate_delta_n_from_oscillations(trace: Trace) -> int:
     """Count prominent interior extrema of the trace; each is a half-oscillation.
 
     A half-oscillation of the cavity transmission corresponds to an index
@@ -584,11 +574,7 @@ def estimate_delta_n_from_oscillations(
         kernel = np.full(window, 1.0 / window)
         values = np.convolve(values, kernel, mode="valid")
     prominence = 0.15 * (values.max() - values.min())
-    if prominence == 0:
-        return OscillationEstimate(0, 0.0)
-    n_half = _count_prominent_extrema(values, prominence)
-    quantum = probe_wavelength_nm / (4.0 * cavity.length_mm * 1e6)
-    return OscillationEstimate(n_half, n_half * quantum)
+    return 0 if prominence == 0 else _count_prominent_extrema(values, prominence)
 
 
 def _cheapest(costs: np.ndarray, count: int) -> np.ndarray:
@@ -700,8 +686,7 @@ def fit_fpi_trace(
         ))
 
     quantum = probe_wavelength_nm / (4.0 * cavity.length_mm * 1e6)
-    estimate = estimate_delta_n_from_oscillations(trace, cavity, probe_wavelength_nm)
-    dn_start = -(estimate.half_periods + 0.5) * quantum
+    dn_start = -(estimate_delta_n_from_oscillations(trace) + 0.5) * quantum
     lower = np.array([-5e-3, span * 1e-4, -2.0 * math.pi])
     upper = np.array([0.0, span * 1e2, 2.0 * math.pi])
 

@@ -346,19 +346,11 @@ def delta_n_temporal(params: PhotorefractionParams, schedule: PumpSchedule, t):
     # dark interval is appended.
 
     # Propagate the state to each interval start.
-    starts = np.array([iv[0] for iv in intervals])
-    state = 0.0
-    states = []
-    for i, (t0, target, tau) in enumerate(intervals):
-        states.append(state)
-        t1 = intervals[i + 1][0] if i + 1 < len(intervals) else None
-        if t1 is not None:
-            state = target + (state - target) * math.exp(-(t1 - t0) / tau)
+    states = [0.0]
+    for (t0, target, tau), (t1, _, _) in zip(intervals, intervals[1:]):
+        states.append(target + (states[-1] - target) * math.exp(-(t1 - t0) / tau))
 
-    idx = np.clip(np.searchsorted(starts, t_arr, side="right") - 1, 0, None)
-    out = np.empty_like(t_arr)
-    for i, (t0, target, tau) in enumerate(intervals):
-        sel = idx == i
-        if np.any(sel):
-            out[sel] = target + (states[i] - target) * np.exp(-(t_arr[sel] - t0) / tau)
+    starts, targets, taus = map(np.array, zip(*intervals))
+    i = np.clip(np.searchsorted(starts, t_arr, side="right") - 1, 0, None)
+    out = targets[i] + (np.array(states)[i] - targets[i]) * np.exp(-(t_arr - starts[i]) / taus[i])
     return float(out) if np.isscalar(t) else out

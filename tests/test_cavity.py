@@ -154,6 +154,14 @@ class TestTraceSimulation:
         with pytest.raises(ValueError, match="empty"):
             simulate_fpi_trace(fpi, PumpSchedule([]), params30, LAM, T_C, 0.1)
 
+    @pytest.mark.parametrize("period", [1e-6, 5e-324])
+    def test_oversized_grid_refused(self, fpi, params30, period):
+        """2e7 samples, and a subnormal period whose ratio overflows to inf:
+        both refused before the grid is allocated."""
+        schedule = PumpSchedule([PumpSegment(0.0, 20.0, 5.0)])
+        with pytest.raises(ValueError, match="duration_s / sample_period_s"):
+            simulate_fpi_trace(fpi, schedule, params30, LAM, T_C, period, duration_s=20.0)
+
     def test_normalized_to_prepump(self, fpi, params30):
         schedule = PumpSchedule([PumpSegment(10.0, 40.0, 5.0)])
         trace = simulate_fpi_trace(fpi, schedule, params30, LAM, T_C, 0.5)

@@ -253,6 +253,68 @@ class TestExitCodes:
         assert "Traceback" not in done.stderr
         assert occupied.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("step", [0.0, -0.1])
+    def test_non_positive_omega_step_fails_with_manifest(self, tmp_path, caplog, step):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"run": {"opo_spectrum": {"omega_step": step}}}))
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR"):
+            code = main(["opo-spectrum", "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert any("run.opo_spectrum.omega_step" in rec.getMessage() for rec in caplog.records)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "run.opo_spectrum.omega_step" in manifest["error"]
+        assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
+
+    @pytest.mark.parametrize(
+        "subcommand, section, key",
+        [
+            ("coupler-sweep", "coupler_sweep", "pump_powers_mw"),
+            ("homodyne", "homodyne", "phases_rad"),
+            ("opo-spectrum", "opo_spectrum", "detunings"),
+            ("fpi-char", "fpi_char", "wavelengths_nm"),
+        ],
+    )
+    def test_empty_grid_fails_with_manifest(self, tmp_path, subcommand, section, key):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"run": {section: {key: []}}}))
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert f"run.{section}.{key}" in manifest["error"]
+        assert "empty" in manifest["error"]
+        assert manifest["outputs"] == []
+        assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
+
+    @pytest.mark.parametrize(
+        "subcommand, payload, named",
+        [
+            ("fpi-trace", {"run": {"fpi_trace": {"sample_period_s": 1.0e-9}}},
+             ["sample_period_s", "duration_s"]),
+            ("spdc-spectrum", {"run": {"spdc_spectrum": {"temperatures_c": [60.0]}}},
+             ["run.spdc_spectrum.pump_wavelength_nm", "60"]),
+        ],
+        ids=["trace-grid", "spdc-pump-map"],
+    )
+    def test_refusal_logged_without_traceback(self, tmp_path, subcommand, payload, named):
+        """An oversized trace grid and a temperature missing from the SPDC pump
+        map: exit 1, the refusal on stderr, a failed manifest."""
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(payload))
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "photoref.cli", subcommand, "--config", str(path),
+             "--out", str(out), "--quiet"],
+            env=src_env(), capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        for word in named:
+            assert word in done.stderr
+        assert json.loads((out / "run_manifest.json").read_text())["status"] == "failed"
+
     def test_fit_dn_without_inputs(self, tmp_path):
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump({}))

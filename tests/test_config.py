@@ -200,6 +200,10 @@ class TestMalformedValues:
             ({"devices": {"qpm": {"poling_period_um": "wide"}}},
              "devices.qpm.poling_period_um"),
             ({"material": {"sellmeier": {"a1": -100.0}}}, "material.sellmeier"),
+            ({"photorefraction": {"45": {"b": 10.0, "c": 0.02}}},
+             r"photorefraction\['45.0'\]"),
+            ({"devices": {"qpm": {"calibration": {"temperature_c": 45.0}}}},
+             r"devices\.qpm\.calibration: photorefraction"),
         ],
     )
     def test_bad_value_names_its_path(self, tmp_path, payload, where):
@@ -374,9 +378,11 @@ class TestBuilders:
 
     def test_unknown_temperature_named(self):
         config = parse_config(EXAMPLE)
-        with pytest.raises(ConfigError, match="no parameter set at 45"):
+        with pytest.raises(ConfigError, match=r"^photorefraction: no entry at 45"):
             config.photorefraction(45.0)
-        with pytest.raises(ConfigError, match="no value at 45"):
+        with pytest.raises(
+            ConfigError, match=r"^devices\.coupler\.coupling_constant_per_mm: no entry at 45"
+        ):
             config.coupler_geometry(45.0)
 
     def test_material_calibration_targets(self):

@@ -138,6 +138,30 @@ def fig2_like_schedule() -> PumpSchedule:
     )
 
 
+def masked_loop_reference(params, schedule, t: np.ndarray) -> np.ndarray:
+    """dn(t) with one masked evaluation per interval, dark gaps included."""
+    intervals, cursor = [], 0.0
+    for seg in schedule.segments:
+        if seg.start_s > cursor:
+            intervals.append((cursor, 0.0, params.tau_dark_s))
+        if seg.erasing_light:
+            intervals.append((seg.start_s, 0.0, params.tau_erase_s))
+        elif seg.pump_power_mw > 0:
+            steady = delta_n_steady(params, seg.pump_power_mw)
+            intervals.append((seg.start_s, steady, params.tau_build_s))
+        else:
+            intervals.append((seg.start_s, 0.0, params.tau_dark_s))
+        cursor = seg.end_s
+    ends = [iv[0] for iv in intervals[1:]] + [math.inf]
+    out, state = np.empty_like(t), 0.0
+    for (t0, target, tau), t1 in zip(intervals, ends):
+        sel = (t >= t0) & (t < t1)
+        out[sel] = target + (state - target) * np.exp(-(t[sel] - t0) / tau)
+        if t1 < math.inf:
+            state = target + (state - target) * math.exp(-(t1 - t0) / tau)
+    return out
+
+
 class TestTemporal:
     def test_initial_condition(self, params30):
         assert delta_n_temporal(params30, fig2_like_schedule(), 0.0) == 0.0
@@ -201,6 +225,22 @@ class TestTemporal:
         vec = delta_n_temporal(params30, schedule, times)
         scalars = [delta_n_temporal(params30, schedule, float(t)) for t in times]
         np.testing.assert_allclose(vec, scalars, rtol=0, atol=0)
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            fig2_like_schedule(),
+            PumpSchedule([PumpSegment(20.0, 60.0, 3.0), PumpSegment(90.0, 120.0, 8.0),
+                          PumpSegment(200.0, 260.0, 0.0, erasing_light=True)]),
+        ],
+        ids=["fig2", "dark-gaps"],
+    )
+    def test_matches_masked_loop_bit_for_bit(self, params30, schedule):
+        times = np.linspace(0.0, 400.0, 4001)
+        np.testing.assert_array_equal(
+            delta_n_temporal(params30, schedule, times),
+            masked_loop_reference(params30, schedule, times),
+        )
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="start < end"):

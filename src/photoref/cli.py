@@ -169,6 +169,8 @@ def _run_coupler_sweep(runner: _Runner) -> None:
     probe = section["probe_wavelength_nm"]
     powers = section["pump_powers_mw"]
     noise = section["noise_fraction"]
+    if not noise >= 0:
+        raise ConfigError(f"run.coupler_sweep.noise_fraction must be >= 0, got {noise!r}")
     rng = np.random.default_rng(runner.seed)
     for temperature in section["temperatures_c"]:
         geometry = config.coupler_geometry(temperature)
@@ -225,7 +227,10 @@ def _run_opo_spectrum(runner: _Runner) -> None:
     step = section["omega_step"]
     if not step > 0:
         raise ConfigError(f"run.opo_spectrum.omega_step must be > 0, got {step!r}")
-    omega = np.arange(0.0, section["omega_max"] + step / 2, step)
+    omega_max = section["omega_max"]
+    if not omega_max >= 0:
+        raise ConfigError(f"run.opo_spectrum.omega_max must be >= 0, got {omega_max!r}")
+    omega = np.arange(0.0, omega_max + step / 2, step)
     detunings = section["detunings"]
     for delta in detunings:
         levels = eta * np.array(opo_extremal_spectra(sigma, delta, omega)) + (1.0 - eta)
@@ -236,7 +241,7 @@ def _run_opo_spectrum(runner: _Runner) -> None:
             [omega, *10 * np.log10(levels)],
         )
     best = [
-        opo_optimal_levels(sigma, delta, eta, omega_max=section["omega_max"])
+        opo_optimal_levels(sigma, delta, eta, omega_max=omega_max)
         for delta in detunings
     ]
     runner.write(
@@ -253,6 +258,8 @@ def _run_spdc_spectrum(runner: _Runner) -> None:
     device = config.qpm_device()
     span = section["wavelength_span_nm"]
     points = section["points"]
+    if points < 2:
+        raise ConfigError(f"run.spdc_spectrum.points must be >= 2, got {points!r}")
     background = section["background"]
     for temperature in section["temperatures_c"]:
         lam_p = config.temperature_entry("run.spdc_spectrum.pump_wavelength_nm", temperature)

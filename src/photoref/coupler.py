@@ -119,10 +119,6 @@ class HomodyneConfig:
         if self.squeezing_parameter < 0:
             raise ValueError("squeezing parameter must be >= 0")
 
-    @property
-    def transmissivity(self) -> float:
-        return 1.0 - self.reflectivity
-
 
 def homodyne_noise(config: HomodyneConfig):
     """Variance of the difference photocurrent, in LO photon-flux units.
@@ -131,12 +127,16 @@ def homodyne_noise(config: HomodyneConfig):
     keeping only the term quadratic in the LO amplitude.  At s = 0 this is
     exactly |a|^2 for every splitting ratio (vacuum in, shot noise out).
     """
-    r = config.reflectivity
-    t = config.transmissivity
-    s = config.squeezing_parameter
-    phi = config.phase_rad
+    return config.lo_amplitude_sq * _noise_per_lo(
+        config.reflectivity, config.squeezing_parameter, config.phase_rad
+    )
+
+
+def _noise_per_lo(r, s: float, phi: float):
+    """The bracket of :func:`homodyne_noise`; the reflectivity ``r`` may be an array."""
+    t = 1.0 - r
     quad = math.exp(2 * s) * math.sin(phi) ** 2 + math.exp(-2 * s) * math.cos(phi) ** 2
-    return config.lo_amplitude_sq * ((t - r) ** 2 + 4.0 * r * t * quad)
+    return (t - r) ** 2 + 4.0 * r * t * quad
 
 
 def squeezing_parameter_from_db(squeezing_db: float) -> float:
@@ -171,13 +171,6 @@ def measured_squeezing_vs_residual_pump(
     powers = np.asarray(pump_powers_mw, dtype=float)
     dn = delta_n_steady(params, powers)
     db = delta_beta_from_index_shift(dn, probe_wavelength_nm)
-    reflectivities = np.atleast_1d(coupler_reflectivity(geometry, db))
-
-    levels = np.empty_like(np.atleast_1d(powers), dtype=float)
-    for i, r_p in enumerate(reflectivities):
-        noise = homodyne_noise(
-            HomodyneConfig(reflectivity=float(r_p), squeezing_parameter=s)
-        )
-        shot = homodyne_noise(HomodyneConfig(reflectivity=float(r0)))
-        levels[i] = 10.0 * math.log10(noise / shot)
+    shot = _noise_per_lo(r0, 0.0, 0.0)
+    levels = 10.0 * np.log10(_noise_per_lo(coupler_reflectivity(geometry, db), s, 0.0) / shot)
     return SweepData(powers, levels)

@@ -247,7 +247,7 @@ class PhotorefractionParams:
 def delta_n_steady(params: PhotorefractionParams, pump_power_mw):
     """Steady-state index shift -a*P/(b + c*P); zero at P = 0, always <= 0."""
     p = np.asarray(pump_power_mw, dtype=float)
-    if np.any(p < 0):
+    if (p < 0).any():
         raise ValueError("pump power must be >= 0")
     dn = -params.a * p / (params.b + params.c * p)
     return float(dn) if np.isscalar(pump_power_mw) else dn

@@ -78,10 +78,10 @@ def idler_wavelength(pump_wavelength_nm: float, signal_wavelength_nm):
 
 
 def _check_signal_range(pump_wavelength_nm: float, signal_wavelength_nm) -> None:
-    lam_s = np.atleast_1d(np.asarray(signal_wavelength_nm, dtype=float))
+    lam_s = np.asarray(signal_wavelength_nm, dtype=float)
     lo = 2.0 * pump_wavelength_nm * 0.7
     hi = 2.0 * pump_wavelength_nm * 1.5
-    if np.any(lam_s <= lo) or np.any(lam_s >= hi):
+    if (lam_s <= lo).any() or (lam_s >= hi).any():
         raise ValueError(
             f"signal wavelength outside the physical window ({lo:.1f}, {hi:.1f}) nm"
         )
@@ -99,25 +99,32 @@ def qpm_mismatch(
     with the idler fixed by energy conservation.
     """
     _check_signal_range(point.pump_wavelength_nm, signal_wavelength_nm)
-    lam_s = np.asarray(signal_wavelength_nm, dtype=float)
-    lam_i = idler_wavelength(point.pump_wavelength_nm, lam_s)
-    t = point.temperature_c
     dn = delta_n_steady(photorefraction, point.pump_power_mw)
-    n_p = refractive_index(device.material, point.pump_wavelength_nm, t, _PUMP_MODE) + dn
-    n_s = refractive_index(device.material, lam_s, t, _TELECOM_MODE)
-    n_i = refractive_index(device.material, lam_i, t, _TELECOM_MODE)
+    dk = _mismatch(device, point.pump_wavelength_nm, point.temperature_c,
+                   signal_wavelength_nm, dn)
+    return float(dk) if np.isscalar(signal_wavelength_nm) else dk
+
+
+def _mismatch(device: QpmDevice, pump_wavelength_nm: float, temperature_c: float,
+              signal_wavelength_nm, dn):
+    """dk of :func:`qpm_mismatch` for an index shift ``dn``, scalar or one per power."""
+    lam_s = np.asarray(signal_wavelength_nm, dtype=float)
+    lam_i = idler_wavelength(pump_wavelength_nm, lam_s)
+    material, t = device.material, temperature_c
+    n_p = refractive_index(material, pump_wavelength_nm, t, _PUMP_MODE) + dn
+    n_s = refractive_index(material, lam_s, t, _TELECOM_MODE)
+    n_i = refractive_index(material, lam_i, t, _TELECOM_MODE)
     if device.telecom_shift_fraction:
         n_s = n_s + device.telecom_shift_fraction * dn
         n_i = n_i + device.telecom_shift_fraction * dn
     # All lengths in mm: wavelengths nm * 1e-6, poling period um * 1e-3.
-    lam_p_mm = point.pump_wavelength_nm * 1e-6
+    lam_p_mm = pump_wavelength_nm * 1e-6
     lam_s_mm = lam_s * 1e-6
     lam_i_mm = lam_i * 1e-6
     period_mm = device.poling_period_um * 1e-3
-    dk = 2.0 * math.pi * (
+    return 2.0 * math.pi * (
         n_p / lam_p_mm - n_s / lam_s_mm - n_i / lam_i_mm - 1.0 / period_mm
     )
-    return float(dk) if np.isscalar(signal_wavelength_nm) else dk
 
 
 def calibrate_poling_period(
@@ -159,9 +166,10 @@ def spdc_spectrum(
 
     Each grid wavelength collects its own sinc^2 phase-matching weight plus
     the twin contribution at the energy-conserving partner wavelength, so
-    the plotted density covers both photons of each pair.  An optional
-    constant background stands in for detector dark counts.  Normalized to
-    unit maximum.
+    the plotted density covers both photons of each pair.  dk is symmetric
+    under signal <-> idler exchange, so the two weights are equal and the
+    density is 2*sinc^2(dk*L/2).  An optional constant background stands in
+    for detector dark counts.  Normalized to unit maximum.
     """
     grid = np.asarray(wavelength_grid_nm, dtype=float)
     degeneracy = 2.0 * point.pump_wavelength_nm
@@ -170,12 +178,10 @@ def spdc_spectrum(
     if background < 0:
         raise ValueError("background must be >= 0")
     half_phase = qpm_mismatch(device, point, grid, photorefraction) * device.length_mm / 2.0
-    twin = idler_wavelength(point.pump_wavelength_nm, grid)
-    half_phase_twin = (
-        qpm_mismatch(device, point, twin, photorefraction) * device.length_mm / 2.0
-    )
-    density = np.sinc(half_phase / math.pi) ** 2 + np.sinc(half_phase_twin / math.pi) ** 2
-    density = density + background
+    # The partners must lie in the physical window too.
+    lam_p = point.pump_wavelength_nm
+    _check_signal_range(lam_p, idler_wavelength(lam_p, grid))
+    density = 2.0 * np.sinc(half_phase / math.pi) ** 2 + background
     return density / density.max()
 
 
@@ -196,20 +202,10 @@ def effective_squeezing_vs_power(
     """
     if mu0_per_sqrt_mw <= 0:
         raise ValueError("nonlinear efficiency must be > 0")
+    SpdcOperatingPoint(pump_wavelength_nm, temperature_c)  # the pump-wavelength window
     powers = np.asarray(pump_powers_mw, dtype=float)
-    if np.any(powers < 0):
-        raise ValueError("pump powers must be >= 0")
-    s_ideal = mu0_per_sqrt_mw * np.sqrt(powers)
-    ideal_db = -DB_PER_NEPER * s_ideal
-
-    degraded_db = np.empty_like(ideal_db)
-    degeneracy = 2.0 * pump_wavelength_nm
-    for i, p in enumerate(powers):
-        point = SpdcOperatingPoint(pump_wavelength_nm, temperature_c, float(p))
-        half_phase = (
-            qpm_mismatch(device, point, degeneracy, photorefraction)
-            * device.length_mm
-            / 2.0
-        )
-        degraded_db[i] = -DB_PER_NEPER * s_ideal[i] * abs(np.sinc(half_phase / math.pi))
+    dn = delta_n_steady(photorefraction, powers)  # refuses negative powers
+    ideal_db = -DB_PER_NEPER * (mu0_per_sqrt_mw * np.sqrt(powers))
+    dk = _mismatch(device, pump_wavelength_nm, temperature_c, 2.0 * pump_wavelength_nm, dn)
+    degraded_db = ideal_db * np.abs(np.sinc(dk * device.length_mm / 2.0 / math.pi))
     return SweepData(powers, ideal_db), SweepData(powers, degraded_db)

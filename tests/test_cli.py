@@ -268,6 +268,32 @@ class TestExitCodes:
         assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
 
     @pytest.mark.parametrize(
+        "subcommand, section, key, value",
+        [
+            ("opo-spectrum", "opo_spectrum", "omega_max", -1.0),
+            ("spdc-spectrum", "spdc_spectrum", "points", 0),
+            ("spdc-spectrum", "spdc_spectrum", "points", 1),
+            ("coupler-sweep", "coupler_sweep", "noise_fraction", -0.5),
+        ],
+    )
+    def test_out_of_range_knob_fails_with_manifest(
+        self, tmp_path, caplog, subcommand, section, key, value
+    ):
+        """Refused before any data file is written; the message names the key."""
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"run": {section: {key: value}}}))
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR"):
+            code = main([subcommand, "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert any(f"run.{section}.{key}" in rec.getMessage() for rec in caplog.records)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert f"run.{section}.{key}" in manifest["error"]
+        assert manifest["outputs"] == []
+        assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
+
+    @pytest.mark.parametrize(
         "subcommand, section, key",
         [
             ("coupler-sweep", "coupler_sweep", "pump_powers_mw"),

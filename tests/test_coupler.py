@@ -204,6 +204,25 @@ class TestMeasuredSqueezing:
         ]
         np.testing.assert_allclose(sweep.value, with_pump, atol=1e-12)
 
+    @pytest.mark.parametrize("level", [-3.0, -5.0, -10.0])
+    @pytest.mark.parametrize("params", ["params30", "params90"])
+    def test_matches_per_point_oracle(self, request, level, params):
+        """One HomodyneConfig and one shot-noise calibration per residual power."""
+        geometry = balanced_geometry()
+        params = request.getfixturevalue(params)
+        powers = np.linspace(0.0, 20.0, 41)
+        sweep = measured_squeezing_vs_residual_pump(geometry, params, 1550.0, level, powers)
+        s = squeezing_parameter_from_db(level)
+        r0 = coupler_reflectivity(geometry, 0.0)
+        oracle = [
+            10.0 * math.log10(
+                homodyne_noise(HomodyneConfig(reflectivity=float(r), squeezing_parameter=s))
+                / homodyne_noise(HomodyneConfig(reflectivity=float(r0)))
+            )
+            for r in reflectivity_vs_pump(geometry, params, 1550.0, powers).value
+        ]
+        np.testing.assert_allclose(sweep.value, oracle, rtol=0.0, atol=1e-12)
+
     def test_unbalanced_design_rejected(self, params30, coupler30):
         with pytest.raises(ValueError, match="not balanced"):
             measured_squeezing_vs_residual_pump(

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import photoref.material as material_module
+from photoref.coupler import DB_PER_NEPER
 from photoref.material import delta_n_steady
 from photoref.spdc import (
     QpmDevice,
@@ -19,6 +21,29 @@ from photoref.spdc import (
 
 PUMP_30 = 770.73
 PUMP_90 = 774.63
+
+
+# The per-partner and per-power loop forms, oracles for the array forms.
+def twin_summed_spectrum(device, point, params, grid, background=0.0):
+    """Each grid wavelength plus its energy-conserving partner, one dk call each."""
+    half_phase = qpm_mismatch(device, point, grid, params) * device.length_mm / 2.0
+    twin = idler_wavelength(point.pump_wavelength_nm, grid)
+    half_phase_twin = qpm_mismatch(device, point, twin, params) * device.length_mm / 2.0
+    density = (
+        np.sinc(half_phase / math.pi) ** 2 + np.sinc(half_phase_twin / math.pi) ** 2
+        + background
+    )
+    return density / density.max()
+
+
+def degraded_squeezing_loop(device, temperature, lam_p, params, mu0, powers):
+    """One operating point and one dk at degeneracy per pump power."""
+    degraded = []
+    for p in powers:
+        point = SpdcOperatingPoint(lam_p, temperature, float(p))
+        half_phase = qpm_mismatch(device, point, 2.0 * lam_p, params) * device.length_mm / 2.0
+        degraded.append(-DB_PER_NEPER * mu0 * math.sqrt(p) * abs(np.sinc(half_phase / math.pi)))
+    return np.array(degraded)
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +236,36 @@ class TestSpectrum:
             spectra.append(spdc_spectrum(device_ref, point, params90, grid))
         assert np.max(np.abs(spectra[0] - spectra[1])) < 0.01
 
+    @pytest.mark.parametrize("background", [0.0, 0.05])
+    @pytest.mark.parametrize("fraction", [0.0, 0.3])
+    @pytest.mark.parametrize("power", [0.25, 5.0, 15.0])
+    def test_matches_twin_summed_oracle(self, device_ref, params30, background, fraction,
+                                        power):
+        device = dataclasses.replace(device_ref, telecom_shift_fraction=fraction)
+        point = SpdcOperatingPoint(PUMP_30, 30.0, power)
+        grid = np.linspace(2 * PUMP_30 - 110.0, 2 * PUMP_30 + 110.0, 881)
+        density = spdc_spectrum(device, point, params30, grid, background)
+        oracle = twin_summed_spectrum(device, point, params30, grid, background)
+        np.testing.assert_allclose(density, oracle, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("widened", [False, True])
+    def test_partner_outside_window_rejected(self, monkeypatch, device_ref, params30,
+                                             widened):
+        """Signals in (1.4, 1.5]*lam_p have partners beyond 3*lam_p.
+
+        Those partners also lie beyond the validated dispersion range, which
+        refuses them first; with the range widened the window refuses them.
+        """
+        if widened:
+            monkeypatch.setattr(material_module, "WAVELENGTH_RANGE_NM", (400.0, 2600.0))
+        match = "physical window" if widened else "validated range"
+        point = SpdcOperatingPoint(PUMP_30, 30.0, 0.25)
+        grid = np.linspace(1.45 * PUMP_30, 2.2 * PUMP_30, 101)
+        with pytest.raises(ValueError, match=match):
+            twin_summed_spectrum(device_ref, point, params30, grid)
+        with pytest.raises(ValueError, match=match):
+            spdc_spectrum(device_ref, point, params30, grid)
+
     def test_background_floor(self, device_ref, params30):
         point = SpdcOperatingPoint(PUMP_30, 30.0, 0.25)
         grid = np.linspace(1430.0, 1660.0, 501)
@@ -254,3 +309,31 @@ class TestEffectiveSqueezing:
             effective_squeezing_vs_power(
                 device_rest, 30.0, PUMP_30, params30, 0.0, [1.0]
             )
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.3])
+    @pytest.mark.parametrize("temperature, lam_p, params", [(30.0, PUMP_30, "params30"),
+                                                            (90.0, PUMP_90, "params90")])
+    def test_matches_per_power_oracle(self, request, device_ref, fraction, temperature,
+                                      lam_p, params):
+        device = dataclasses.replace(device_ref, telecom_shift_fraction=fraction)
+        params = request.getfixturevalue(params)
+        powers = np.linspace(0.0, 100.0, 41)
+        _, degraded = effective_squeezing_vs_power(
+            device, temperature, lam_p, params, 0.101, powers
+        )
+        oracle = degraded_squeezing_loop(device, temperature, lam_p, params, 0.101, powers)
+        np.testing.assert_allclose(degraded.value, oracle, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "lam_p, temperature, powers",
+        [(810.0, 30.0, [0.0, 5.0]), (690.0, 30.0, [5.0]), (PUMP_30, 30.0, [0.0, 5.0, -1.0]),
+         (PUMP_30, 250.0, [1.0])],
+        ids=["pump-above-window", "pump-below-window", "negative-power", "dispersion-range"],
+    )
+    def test_refusals_match_per_power_oracle(self, device_rest, params30, lam_p, temperature,
+                                             powers):
+        args = (device_rest, temperature, lam_p, params30, 0.101, powers)
+        with pytest.raises(ValueError):
+            degraded_squeezing_loop(*args)
+        with pytest.raises(ValueError):
+            effective_squeezing_vs_power(*args)

@@ -31,7 +31,7 @@ from .cavity import (
     pump_parameter_for_squeezing_db,
     simulate_fpi_trace,
 )
-from .config import Config, ConfigError, parse_config
+from .config import Config, ConfigError, _invariants, parse_config
 from .coupler import (
     HomodyneConfig,
     homodyne_noise,
@@ -83,6 +83,14 @@ def _write_json(path: Path, payload: dict) -> None:
         raise FloatingPointError(f"{path}: {exc}") from None
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="utf-8")
+
+
+def _at_least(section: dict, path: str, bound: float, strict: bool = False):
+    """``path``'s value in its run ``section``: at least ``bound``, or above it if ``strict``."""
+    value = section[path.rpartition(".")[2]]
+    if not (value > bound if strict else value >= bound):
+        raise ConfigError(f"{path} must be {'>' if strict else '>='} {bound}, got {value!r}")
+    return value
 
 
 class _Runner:
@@ -168,9 +176,7 @@ def _run_coupler_sweep(runner: _Runner) -> None:
     section = config.run_section("coupler_sweep")
     probe = section["probe_wavelength_nm"]
     powers = section["pump_powers_mw"]
-    noise = section["noise_fraction"]
-    if not noise >= 0:
-        raise ConfigError(f"run.coupler_sweep.noise_fraction must be >= 0, got {noise!r}")
+    noise = _at_least(section, "run.coupler_sweep.noise_fraction", 0)
     rng = np.random.default_rng(runner.seed)
     for temperature in section["temperatures_c"]:
         geometry = config.coupler_geometry(temperature)
@@ -224,12 +230,8 @@ def _run_opo_spectrum(runner: _Runner) -> None:
     section = runner.config.run_section("opo_spectrum")
     sigma = pump_parameter_for_squeezing_db(section["initial_squeezing_db"])
     eta = section["detection_efficiency"]
-    step = section["omega_step"]
-    if not step > 0:
-        raise ConfigError(f"run.opo_spectrum.omega_step must be > 0, got {step!r}")
-    omega_max = section["omega_max"]
-    if not omega_max >= 0:
-        raise ConfigError(f"run.opo_spectrum.omega_max must be >= 0, got {omega_max!r}")
+    step = _at_least(section, "run.opo_spectrum.omega_step", 0, strict=True)
+    omega_max = _at_least(section, "run.opo_spectrum.omega_max", 0)
     omega = np.arange(0.0, omega_max + step / 2, step)
     detunings = section["detunings"]
     for delta in detunings:
@@ -256,11 +258,9 @@ def _run_spdc_spectrum(runner: _Runner) -> None:
     config = runner.config
     section = config.run_section("spdc_spectrum")
     device = config.qpm_device()
-    span = section["wavelength_span_nm"]
-    points = section["points"]
-    if points < 2:
-        raise ConfigError(f"run.spdc_spectrum.points must be >= 2, got {points!r}")
-    background = section["background"]
+    span = _at_least(section, "run.spdc_spectrum.wavelength_span_nm", 0, strict=True)
+    points = _at_least(section, "run.spdc_spectrum.points", 2)
+    background = _at_least(section, "run.spdc_spectrum.background", 0)
     for temperature in section["temperatures_c"]:
         lam_p = config.temperature_entry("run.spdc_spectrum.pump_wavelength_nm", temperature)
         params = config.photorefraction(temperature)
@@ -280,6 +280,10 @@ def _run_squeeze_budget(runner: _Runner) -> None:
     config = runner.config
     section = config.run_section("squeeze_budget")
     temperature = section["temperature_c"]
+    mu0 = _at_least(section, "run.squeeze_budget.mu0_per_sqrt_mw", 0, strict=True)
+    pump = section["spdc_pump_wavelength_nm"]
+    with _invariants("run.squeeze_budget.spdc_pump_wavelength_nm"):
+        SpdcOperatingPoint(pump, temperature)
     probe = section["probe_wavelength_nm"]
     params = config.photorefraction(temperature)
     geometry = config.homodyne_geometry(temperature)
@@ -292,9 +296,9 @@ def _run_squeeze_budget(runner: _Runner) -> None:
     ideal, degraded = effective_squeezing_vs_power(
         config.qpm_device(),
         temperature,
-        section["spdc_pump_wavelength_nm"],
+        pump,
         params,
-        section["mu0_per_sqrt_mw"],
+        mu0,
         section["spdc_pump_powers_mw"],
     )
     runner.write("squeeze_ideal.csv", write_sweep_csv, ideal)

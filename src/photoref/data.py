@@ -307,8 +307,8 @@ def write_columns_csv(path, header: list[str], columns: Iterable, comments=()) -
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_FLOAT_FMT % cell for cell in row) + "\n")
+        row = ",".join([_FLOAT_FMT] * len(columns)) + "\n"
+        fh.writelines(row % cells for cells in zip(*(c.tolist() for c in columns)))
 
 
 def write_trace_csv(path, trace: Trace, comments=()) -> None:

@@ -77,15 +77,9 @@ class FitProblem:
 
     def __post_init__(self):
         p0 = np.atleast_1d(np.asarray(self.initial_guess, dtype=float))
-        lo = (
-            np.full(p0.shape, -np.inf)
-            if self.lower_bounds is None
-            else np.asarray(self.lower_bounds, dtype=float)
-        )
-        hi = (
-            np.full(p0.shape, np.inf)
-            if self.upper_bounds is None
-            else np.asarray(self.upper_bounds, dtype=float)
+        lo, hi = (
+            np.full(p0.shape, fill) if bound is None else np.asarray(bound, dtype=float)
+            for bound, fill in ((self.lower_bounds, -np.inf), (self.upper_bounds, np.inf))
         )
         if lo.shape != p0.shape or hi.shape != p0.shape:
             raise ValueError("bounds must match the parameter vector shape")
@@ -93,9 +87,7 @@ class FitProblem:
             raise ValueError("lower bounds exceed upper bounds")
         if np.any(p0 < lo) or np.any(p0 > hi):
             raise ValueError("initial guess outside bounds")
-        self.initial_guess = p0
-        self.lower_bounds = lo
-        self.upper_bounds = hi
+        self.initial_guess, self.lower_bounds, self.upper_bounds = p0, lo, hi
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if np.any(w <= 0):
@@ -111,7 +103,8 @@ class FitResult:
     scaled by the reduced chi-square; ``residual_history`` records the
     accepted residual norms, starting from the initial point.
     ``residual_evaluations`` counts calls of the problem's residual and
-    ``jacobian_evaluations`` calls of its Jacobian.
+    ``jacobian_evaluations`` calls of its Jacobian.  ``termination`` names
+    the test that stopped the run (see ``least_squares``).
     """
 
     parameters: np.ndarray
@@ -119,6 +112,7 @@ class FitResult:
     residual_norm: float
     iterations: int
     converged: bool
+    termination: str
     warnings: list[str] = field(default_factory=list)
     residual_history: list[float] = field(default_factory=list)
     residual_evaluations: int = 0
@@ -138,6 +132,7 @@ class FitResult:
             "residual_evaluations": int(self.residual_evaluations),
             "jacobian_evaluations": int(self.jacobian_evaluations),
             "converged": bool(self.converged),
+            "termination": self.termination,
             "warnings": list(self.warnings),
         }
 
@@ -152,8 +147,8 @@ def _weighted_residual(problem: FitProblem, params: np.ndarray) -> np.ndarray:
 
 
 def _jacobian(problem: FitProblem, params: np.ndarray) -> np.ndarray:
-    """Jacobian of the weighted residual."""
-    jac = np.asarray(problem.jacobian(params), dtype=float)
+    """Jacobian of the weighted residual, column-major for einsum's J^T J."""
+    jac = np.asarray(problem.jacobian(params), dtype=float, order="F")
     if problem.weights is not None:
         jac = jac / problem.weights[:, None]
     return jac
@@ -163,19 +158,21 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
     """Damped Gauss-Newton minimization of the weighted residual sum of squares.
 
     The damping is multiplied by 10 on a rejected step and divided by 10 on
-    an accepted one; accepted steps never increase the residual norm.
-    The fit converges when the free gradient g = J^T r is below
-    ``_GRAD_TOL``, an accepted step is below ``_STEP_TOL``, or the cost
-    r^T r reaches its rounding floor: the undamped Gauss-Newton step, with
+    an accepted one; accepted steps never increase the residual norm.  The
+    fit converges, and ``termination`` names the test, when the free gradient
+    g = J^T r is below ``_GRAD_TOL`` (``grad_tol``), the cost r^T r reaches
+    its rounding floor (``gain_floor``: the undamped Gauss-Newton step, with
     H = J^T J on the free parameters, promises a decrease g^T H^-1 g of at
-    most ``_GAIN_FLOOR`` times the cost (a singular or non-finite H skips
-    this test).  Hitting the iteration limit returns the best point found
-    with ``converged=False``.
+    most ``_GAIN_FLOOR`` times the cost; a singular or non-finite H skips
+    it) or an accepted step is below ``_STEP_TOL`` (``step_tol``).  The
+    iteration limit (``max_iter``) and a damping past ``_MAX_DAMPING``
+    without decrease (``damping_limit``) return the best point found.
     A parameter on a box bound whose gradient points out of the box is held
     fixed for that step; one that ends on a bound is named in a warning,
     because the Gauss-Newton covariance does not hold there.  Deterministic
     given identical inputs.
     """
+    lower, upper = problem.lower_bounds, problem.upper_bounds
     params = problem.initial_guess.copy()
     r = _weighted_residual(problem, params)
     if len(r) < len(params):
@@ -189,64 +186,62 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
     jac = _jacobian(problem, params)
     evaluations, jacobians = 1, 1
     iterations = 0
-    converged = False
+    termination = "max_iter"
 
     for _ in range(max_iter):
         gradient = jac.T @ r
         # A parameter on a bound that the gradient pushes outward is held out
         # of the step, so that clipping does not stall the others beside it.
-        free = np.flatnonzero(
-            ~((params == problem.lower_bounds) & (gradient > 0)
-              | (params == problem.upper_bounds) & (gradient < 0))
-        )
-        if np.max(np.abs(gradient[free]), initial=0.0) < _GRAD_TOL:
-            converged = True
+        free = ~((params == lower) & (gradient > 0) | (params == upper) & (gradient < 0))
+        every = free.all()
+        g = gradient if every else gradient[free]
+        if abs(g).max(initial=0.0) < _GRAD_TOL:
+            termination = "grad_tol"
             break
-        hessian = jac.T @ jac
-        reduced = hessian[np.ix_(free, free)]
+        hessian = np.einsum("ji,jk->ik", jac, jac)  # half BLAS's time on tall J
+        reduced = hessian if every else hessian[free][:, free]
         try:
-            gain = float(gradient[free] @ np.linalg.solve(reduced, gradient[free]))
+            gain = float(g @ np.linalg.solve(reduced, g))
         except np.linalg.LinAlgError:
             gain = math.nan
         if gain <= _GAIN_FLOOR * cost:
-            converged = True
+            termination = "gain_floor"
             break
-        diag = np.diag(hessian).copy()
+        diag = hessian.diagonal()
         scale = np.where(diag > 0, diag, 1.0)
         if damping is None:
-            damping = 1e-6 * float(np.max(scale))
-        accepted = False
-        while not accepted:
-            step = np.zeros_like(params)
+            damping = 1e-6 * float(scale.max())
+        weight = np.diag(scale if every else scale[free])
+        while True:
             try:
-                step[free] = np.linalg.solve(
-                    reduced + damping * np.diag(scale[free]), -gradient[free]
-                )
+                step = np.linalg.solve(reduced + damping * weight, -g)
             except np.linalg.LinAlgError:
                 step = None
-            if step is None or not np.all(np.isfinite(step)):
+            if step is None or not np.isfinite(step).all():
                 damping *= 10.0
                 if damping > _MAX_DAMPING:
                     raise FitError("singular Jacobian at maximal damping")
                 continue
-            trial = np.clip(params + step, problem.lower_bounds, problem.upper_bounds)
-            effective_step = trial - params
+            trial = params.copy()
+            trial[free] += step
+            np.minimum(np.maximum(trial, lower, out=trial), upper, out=trial)
             r_trial = _weighted_residual(problem, trial)
             evaluations += 1
             cost_trial = float(r_trial @ r_trial)
-            if np.isfinite(cost_trial) and cost_trial <= cost:
-                accepted = True
+            if math.isfinite(cost_trial) and cost_trial <= cost:
                 damping = max(damping / 10.0, _MIN_DAMPING)
-            else:
-                damping *= 10.0
-                if damping > _MAX_DAMPING:
-                    warnings.append(
-                        "damping limit reached without residual decrease; "
-                        "returning best point found"
-                    )
-                    break
-        if not accepted:
+                break
+            damping *= 10.0
+            if damping > _MAX_DAMPING:
+                termination = "damping_limit"
+                warnings.append(
+                    "damping limit reached without residual decrease; "
+                    "returning best point found"
+                )
+                break
+        if termination == "damping_limit":
             break
+        moved = abs(trial - params).max()
         params = trial
         r = r_trial
         cost = cost_trial
@@ -254,16 +249,14 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
         history.append(math.sqrt(cost))
         jac = _jacobian(problem, params)
         jacobians += 1
-        if np.max(np.abs(effective_step)) < _STEP_TOL * (1.0 + np.max(np.abs(params))):
-            converged = True
+        if moved < _STEP_TOL * (1.0 + abs(params).max()):
+            termination = "step_tol"
             break
     else:
         warnings.append(f"iteration limit ({max_iter}) reached")
 
-    for j in np.flatnonzero(
-        (params == problem.lower_bounds) | (params == problem.upper_bounds)
-    ):
-        side = "lower" if params[j] == problem.lower_bounds[j] else "upper"
+    for j in np.flatnonzero((params == lower) | (params == upper)):
+        side = "lower" if params[j] == lower[j] else "upper"
         warnings.append(
             f"parameter {j} ends on its {side} bound ({params[j]:g}); "
             "its covariance is not valid there"
@@ -274,7 +267,8 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
         covariance=covariance,
         residual_norm=math.sqrt(cost),
         iterations=iterations,
-        converged=converged,
+        converged=termination in ("grad_tol", "gain_floor", "step_tol"),
+        termination=termination,
         warnings=warnings,
         residual_history=history,
         residual_evaluations=evaluations,
@@ -283,7 +277,7 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
 
 
 def _gauss_newton_covariance(jac, cost, n_points, n_params, warnings):
-    hessian = jac.T @ jac
+    hessian = np.einsum("ji,jk->ik", jac, jac)
     dof = max(n_points - n_params, 1)
     try:
         inv = np.linalg.inv(hessian)
@@ -591,19 +585,26 @@ def _cheapest(costs: np.ndarray, count: int) -> np.ndarray:
     return candidates[np.argsort(flat[candidates], kind="stable")[:count]]
 
 
-def _trace_model(params, elapsed, coefficient, phase_scale):
-    """(decay, psi, transmission, reference) of the pump-on trace model.
+def _trace_model(params, elapsed, coefficient, phase_scale, work):
+    """(decay, rise, psi, transmission, reference) of the pump-on trace model.
 
-    decay = exp(-elapsed/tau), psi = phi0 + phase_scale*dn(t) with
-    dn(t) = dn_total*(1 - decay), and the Airy T(x) = 1/(1 + F*sin^2 x) at
-    psi (transmission) and at phi0 (reference).
+    decay = exp(-elapsed/tau), rise = 1 - decay, psi = phi0 + phase_scale*dn_total*rise
+    and the Airy T(x) = 1/(1 + F*sin^2 x) at psi (transmission) and at phi0
+    (reference); the arrays are the rows of ``work``, overwritten in place.
     """
     dn_total, tau, phi0 = params
-    decay = np.exp(-elapsed / tau)
-    psi = phi0 + phase_scale * (dn_total * (1.0 - decay))
-    transmission = 1.0 / (1.0 + coefficient * np.sin(psi) ** 2)
+    decay, rise, psi, transmission = work
+    np.exp(np.divide(elapsed, -tau, out=decay), out=decay)
+    np.subtract(1.0, decay, out=rise)
+    np.multiply(rise, dn_total, out=psi)
+    psi *= phase_scale
+    psi += phi0
+    np.square(np.sin(psi, out=transmission), out=transmission)
+    transmission *= coefficient
+    transmission += 1.0
+    np.divide(1.0, transmission, out=transmission)
     reference = 1.0 / (1.0 + coefficient * math.sin(phi0) ** 2)
-    return decay, psi, transmission, reference
+    return decay, rise, psi, transmission, reference
 
 
 @dataclass
@@ -660,30 +661,39 @@ def fit_fpi_trace(
     phase_scale = 2.0 * math.pi * cavity.length_mm * 1e6 / probe_wavelength_nm
     elapsed = np.clip(t - t0, 0.0, None)
 
-    last: dict[bytes, tuple] = {}  # the model at the last point evaluated
+    work, rows, columns = np.empty((4, len(t))), np.empty((2, len(t))), np.empty((3, len(t)))
+    last: dict[bytes, tuple] = {}  # the point whose model ``work`` holds
 
     def model(params):
         key = params.tobytes()
         if key not in last:
             last.clear()
-            last[key] = _trace_model(params, elapsed, coefficient, phase_scale)
+            last[key] = _trace_model(params, elapsed, coefficient, phase_scale, work)
         return last[key]
 
     def residual(params):
-        _, _, transmission, reference = model(params)
+        _, _, _, transmission, reference = model(params)
         return transmission / reference - y
 
     def jacobian(params):
         # dT/dpsi = -F*sin(2*psi)*T^2 at psi = phi0 + phase_scale*dn(t); the
         # reference T(phi0) adds T*F*sin(2*phi0) to the phi0 column.
         dn_total, tau, phi0 = params
-        decay, psi, transmission, reference = model(params)
-        slope = -coefficient * np.sin(2.0 * psi) * transmission**2 / reference
-        return np.column_stack((
-            slope * phase_scale * (1.0 - decay),
-            slope * (-phase_scale * dn_total * decay * elapsed / tau**2),
-            slope + transmission * coefficient * math.sin(2.0 * phi0),
-        ))
+        decay, rise, psi, transmission, reference = model(params)
+        slope, scratch = rows
+        np.sin(np.multiply(psi, 2.0, out=slope), out=slope)
+        slope *= -coefficient
+        slope *= np.square(transmission, out=scratch)
+        slope /= reference
+        np.multiply(np.multiply(slope, phase_scale, out=scratch), rise, out=columns[0])
+        np.multiply(decay, -phase_scale * dn_total, out=scratch)
+        scratch *= elapsed
+        scratch /= tau**2
+        np.multiply(slope, scratch, out=columns[1])
+        np.multiply(transmission, coefficient, out=scratch)
+        scratch *= math.sin(2.0 * phi0)
+        np.add(slope, scratch, out=columns[2])
+        return columns.T
 
     quantum = probe_wavelength_nm / (4.0 * cavity.length_mm * 1e6)
     dn_start = -(estimate_delta_n_from_oscillations(trace) + 0.5) * quantum
@@ -709,22 +719,25 @@ def fit_fpi_trace(
     ))
     norm = (1.0 + coefficient * np.sin(phi_grid) ** 2)[:, None]  # 1 / T(phi0)
     costs = np.empty((len(dn_grid), len(tau_grid), len(phi_grid)))
-    inverse = np.empty((len(phi_grid), *rise.shape))  # (phi0, tau, t), reused
-    flat = inverse.reshape(len(phi_grid), -1)
+    inverse = np.empty((len(phi_grid), rise.size))  # (phi0, (tau, t)), reused
+    samples = inverse.reshape(-1, len(y_thin))  # one row per (phi0, tau)
+    rise = rise.ravel()
+    basis = np.empty((3, len(rise)))  # (1, cos, sin) of the angle, reused
+    basis[0] = 1.0
     for i, dn_total in enumerate(dn_grid):
-        angle = 2.0 * phase_scale * dn_total * rise.ravel()
-        basis = np.stack((np.ones_like(angle), np.cos(angle), np.sin(angle)))
-        np.reciprocal(np.dot(mix, basis, out=flat), out=flat)
+        angle = np.multiply(rise, 2.0 * phase_scale * dn_total, out=basis[2])
+        np.cos(angle, out=basis[1])
+        np.sin(angle, out=basis[2])
+        np.reciprocal(np.matmul(mix, basis, out=inverse), out=inverse)
         # sum((norm*inverse - y)^2), expanded so that no model array is formed
-        squares = np.einsum("ijk,ijk->ij", inverse, inverse)
-        costs[i] = (norm * (norm * squares - 2.0 * (inverse @ y_thin))).T
+        squares = np.einsum("ij,ij->i", samples, samples).reshape(len(phi_grid), -1)
+        costs[i] = (norm * (norm * squares - 2.0 * (samples @ y_thin).reshape(squares.shape))).T
     costs += y_thin @ y_thin
 
     # Noise variance from second differences (white noise of variance s^2
     # gives them variance 6 s^2), over evenly spaced samples only, so that a
     # masked gap does not count as curvature.
-    steps = np.diff(t)
-    even = np.isclose(steps[1:], steps[:-1], rtol=1e-6, atol=0.0)
+    even = abs(np.diff(t, 2)) <= 1e-6 * abs(np.diff(t)[:-1])
     second = np.diff(y, 2)[even]
     noise_variance = float(np.mean(second**2)) / 6.0 if len(second) else 0.0
 

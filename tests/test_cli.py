@@ -274,6 +274,10 @@ class TestExitCodes:
             ("spdc-spectrum", "spdc_spectrum", "points", 0),
             ("spdc-spectrum", "spdc_spectrum", "points", 1),
             ("coupler-sweep", "coupler_sweep", "noise_fraction", -0.5),
+            ("spdc-spectrum", "spdc_spectrum", "wavelength_span_nm", 0.0),
+            ("spdc-spectrum", "spdc_spectrum", "background", -0.1),
+            ("squeeze-budget", "squeeze_budget", "mu0_per_sqrt_mw", 0.0),
+            ("squeeze-budget", "squeeze_budget", "spdc_pump_wavelength_nm", 810.0),
         ],
     )
     def test_out_of_range_knob_fails_with_manifest(

@@ -329,3 +329,56 @@ class TestWriteRefusesNonFinite:
                 path, ["x", "value"], [[0.0, 1.0, 2.0], [1.0, 2.0, bad]], ["note"]
             )
         assert not path.exists()
+
+
+def per_cell_csv(header, columns, comments=()):
+    """The text of the former writer, one ``%.17g`` cell at a time: the oracle."""
+    lines = [f"# {comment}\n" for comment in comments] + [",".join(header) + "\n"]
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    for row in zip(*columns):
+        lines.append(",".join("%.17g" % cell for cell in row) + "\n")
+    return "".join(lines)
+
+
+class TestWriteMatchesPerCellFormat:
+    """The row-template writer gives the per-cell writer's text, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [[-0.0, 0.0, 5e-324, -5e-324], [1e308, -1e308, 2.2250738585072014e-308, 1.0]],
+            [[0.0, 1.0, 2.0, 1e16, 2.0**53 + 2.0], [-3.0, 7.0, 1e22, 123456789.0, -1.0]],
+            [[0.1, 1.0 / 3.0, 2.0 / 3.0], [np.pi, np.e, -np.sqrt(2.0)], [0.0, 1.0, 0.0]],
+            [[], []],
+        ],
+        ids=["zeros-and-extremes", "integer-valued", "three-columns", "empty"],
+    )
+    def test_named_cases(self, tmp_path, columns):
+        header = ["a", "b", "c"][: len(columns)]
+        path = tmp_path / "columns.csv"
+        write_columns_csv(path, header, columns, ["note"])
+        assert path.read_text(encoding="utf-8") == per_cell_csv(header, columns, ["note"])
+
+    def test_masked_trace(self, tmp_path, rng):
+        time = np.linspace(0.0, 60.0, 2401)
+        trace = Trace(time, rng.uniform(0.0, 1.0, 2401)).with_masked_interval(20.0, 23.0)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace)
+        expected = per_cell_csv(
+            ["time_s", "value", "masked"], [time, trace.value, trace.mask.astype(float)]
+        )
+        assert path.read_text(encoding="utf-8") == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        max_size=30,
+    ))
+    def test_random_rows(self, tmp_path_factory, rows):
+        columns = [[a for a, _ in rows], [b for _, b in rows]]
+        path = tmp_path_factory.mktemp("csv") / "columns.csv"
+        write_columns_csv(path, ["x", "y"], columns)
+        assert path.read_text(encoding="utf-8") == per_cell_csv(["x", "y"], columns)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photoref.fit as fit_module
-from photoref.cavity import FpiCavity, simulate_fpi_trace
+from photoref.cavity import FpiCavity, finesse, simulate_fpi_trace
 from photoref.coupler import CouplerGeometry, coupler_reflectivity, reflectivity_vs_pump
 from photoref.data import SweepData, Trace
 from photoref.fit import (
@@ -91,6 +91,7 @@ class TestLeastSquares:
         y = 2.0 + 3.0 * x
         result = least_squares(linear_problem(x, y))
         assert result.converged
+        assert result.termination == "grad_tol"
         assert result.iterations <= 3
         np.testing.assert_allclose(result.parameters, [2.0, 3.0], rtol=1e-8)
         assert result.residual_norm < 1e-9
@@ -108,11 +109,53 @@ class TestLeastSquares:
         history = np.asarray(result.residual_history)
         assert np.all(np.diff(history) <= 1e-14)
         np.testing.assert_allclose(result.parameters, [1.0, 1.0], atol=1e-6)
+        assert result.termination == "grad_tol"
 
     def test_iteration_limit_flagged(self):
         result = least_squares(valley_problem(), max_iter=2)
         assert not result.converged
+        assert result.termination == "max_iter"
+        assert result.iterations == 2
         assert any("iteration limit" in w for w in result.warnings)
+
+    def test_no_decrease_left_hits_the_damping_limit(self):
+        """Every trial point costs more than the start, however short the step."""
+        x0 = np.array([1.0])
+        problem = FitProblem(
+            residual=lambda p: np.array([1.0 if p[0] == x0[0] else 2.0]),
+            jacobian=lambda p: np.array([[1.0]]),
+            initial_guess=x0,
+        )
+        result = least_squares(problem)
+        assert not result.converged
+        assert result.termination == "damping_limit"
+        assert result.iterations == 0
+        np.testing.assert_array_equal(result.parameters, x0)
+        assert any("damping limit" in w for w in result.warnings)
+
+    def test_noisy_data_stops_at_the_rounding_floor(self, rng):
+        x = np.linspace(0.0, 2.0, 40)
+        y = 1.5 * np.exp(-1.3 * x) + 0.01 * rng.standard_normal(40)
+        result = least_squares(FitProblem(
+            residual=lambda p: p[0] * np.exp(p[1] * x) - y,
+            jacobian=exponential_jacobian(x),
+            initial_guess=np.array([1.0, -1.0]),
+        ))
+        assert result.converged
+        assert result.termination == "gain_floor"
+        assert result.residual_norm > 0.01
+
+    def test_large_parameters_stop_on_the_relative_step(self):
+        """A step of a few units is below 1e-10 of a 1e12 intercept.
+
+        The first, slightly damped step already counts as converged.
+        """
+        x = np.linspace(0.0, 5.0, 20)
+        result = least_squares(linear_problem(x, 1e12 + 3.0 * x, guess=(1e12, 0.0)))
+        assert result.converged
+        assert result.termination == "step_tol"
+        assert result.iterations == 1
+        assert result.parameters[1] == pytest.approx(3.0, rel=1e-2)
 
     def test_bounds_respected(self):
         x = np.linspace(0.0, 5.0, 20)
@@ -178,6 +221,7 @@ class TestLeastSquares:
         assert result.jacobian_evaluations == result.iterations + 1
         assert calls["jacobian"] == result.jacobian_evaluations
         payload = result.to_json_dict()
+        assert payload["termination"] == result.termination
         assert payload["residual_evaluations"] == calls["residual"]
         assert payload["jacobian_evaluations"] == result.jacobian_evaluations
 
@@ -502,6 +546,7 @@ class TestFpiTracePipeline:
         trace, cavity = synthetic_trace()
         fit = fit_fpi_trace(trace, cavity, LAM, 30.0)
         assert fit.result.converged
+        assert fit.result.termination in ("grad_tol", "gain_floor", "step_tol")
         assert fit.delta_n_total == pytest.approx(-8e-5, rel=1e-4)
         assert fit.tau_build_s == pytest.approx(5.0, rel=1e-4)
 
@@ -675,6 +720,90 @@ class TestAnalyticJacobians:
         rng = np.random.default_rng(12)
         points = rng.uniform(0.0, 1.0, (20, 2)) * problem.upper_bounds
         self.assert_matches_differences(problem, points)
+
+
+def oracle_trace_model(params, elapsed, coefficient, phase_scale):
+    """The trace model as first written, on fresh arrays: the kernel's oracle."""
+    dn_total, tau, phi0 = params
+    decay = np.exp(-elapsed / tau)
+    psi = phi0 + phase_scale * (dn_total * (1.0 - decay))
+    transmission = 1.0 / (1.0 + coefficient * np.sin(psi) ** 2)
+    reference = 1.0 / (1.0 + coefficient * math.sin(phi0) ** 2)
+    return decay, psi, transmission, reference
+
+
+def oracle_trace_jacobian(params, elapsed, coefficient, phase_scale):
+    """The trace Jacobian as first written, one column_stack of fresh arrays."""
+    dn_total, tau, phi0 = params
+    decay, psi, transmission, reference = oracle_trace_model(
+        params, elapsed, coefficient, phase_scale
+    )
+    slope = -coefficient * np.sin(2.0 * psi) * transmission**2 / reference
+    return np.column_stack((
+        slope * phase_scale * (1.0 - decay),
+        slope * (-phase_scale * dn_total * decay * elapsed / tau**2),
+        slope + transmission * coefficient * math.sin(2.0 * phi0),
+    ))
+
+
+class TestInPlaceTraceKernel:
+    """The preallocated trace model and Jacobian against their first forms."""
+
+    @staticmethod
+    def assert_close(actual, expected):
+        # 1e-12 of each column's largest magnitude: elementwise relative
+        # error is meaningless where a column crosses zero.
+        error = np.abs(actual - expected).max(axis=0)
+        assert np.all(error <= 1e-12 * np.abs(expected).max(axis=0)), error
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_the_oracle(self, monkeypatch, masked):
+        trace, cavity = synthetic_trace(noise=0.02, rng=np.random.default_rng(4000))
+        if masked:
+            trace = trace.with_masked_interval(5.0, 10.0)
+        problems = capture_problems(monkeypatch)
+        fit_fpi_trace(trace, cavity, LAM, 30.0)
+        problem = problems[0]
+        reflectivity = cavity.reflectivity_at(LAM)
+        coefficient, _ = finesse(reflectivity, reflectivity)
+        t, y = trace.unmasked()
+        elapsed = t - t[0]
+        phase_scale = 2.0 * math.pi * cavity.length_mm * 1e6 / LAM
+        lower, upper = problem.lower_bounds, problem.upper_bounds
+        points = [
+            [-8e-5, 5.0, 0.0],
+            [-8e-5, 5.0, math.pi / 2],
+            [-3e-5, 1.0, 1.0],
+            [-8e-5, 5.0, upper[2] * (1 - 1e-12)],  # phase near its bound
+            [-1e-12, 5.0, 0.3],  # excursion near its bound
+            [-8e-5, lower[1] * (1 + 1e-9), 0.3],  # build-up time near its bound
+            [lower[0] * (1 - 1e-12), upper[1], -1.0],
+        ]
+        work = np.empty((4, len(t)))
+        for params in map(np.array, points):
+            decay, psi, transmission, reference = oracle_trace_model(
+                params, elapsed, coefficient, phase_scale
+            )
+            kernel = fit_module._trace_model(params, elapsed, coefficient, phase_scale, work)
+            for actual, expected in zip(kernel, (decay, 1.0 - decay, psi, transmission)):
+                assert actual.base is work
+                self.assert_close(actual, expected)
+            assert kernel[4] == reference
+            # The Jacobian first, so that it evaluates its own model.
+            jacobian = problem.jacobian(params).copy()
+            self.assert_close(
+                jacobian, oracle_trace_jacobian(params, elapsed, coefficient, phase_scale)
+            )
+            self.assert_close(problem.residual(params), transmission / reference - y)
+
+    def test_jacobian_reuses_its_buffer(self, monkeypatch):
+        trace, cavity = synthetic_trace()
+        problems = capture_problems(monkeypatch)
+        fit_fpi_trace(trace, cavity, LAM, 30.0)
+        problem = problems[0]
+        first = problem.jacobian(np.array([-8e-5, 5.0, 0.3]))
+        second = problem.jacobian(np.array([-7e-5, 4.0, 0.2]))
+        assert np.shares_memory(first, second)
 
 
 def count_calls(monkeypatch, *names):

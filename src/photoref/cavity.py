@@ -37,9 +37,7 @@ __all__ = [
     "fpi_characteristics",
     "simulate_fpi_trace",
     "delta_n_to_detuning",
-    "opo_spectrum_matrix",
     "opo_extremal_spectra",
-    "opo_quadrature_spectrum",
     "opo_optimal_levels",
     "detuned_threshold",
     "pump_parameter_for_squeezing_db",
@@ -235,7 +233,7 @@ def detuned_threshold(normalized_detuning: float) -> float:
     """Pump parameter at threshold for a detuned cavity: sqrt(1 + detuning^2).
 
     The detuning is in units of kappa, the cavity amplitude decay rate (the
-    half-width at half maximum), as in ``opo_spectrum_matrix``.
+    half-width at half maximum).
     """
     return math.sqrt(1.0 + normalized_detuning**2)
 
@@ -267,35 +265,17 @@ def _below_threshold(pump_parameter: float, normalized_detuning: float):
     return sigma, delta
 
 
-def opo_spectrum_matrix(pump_parameter: float, normalized_detuning: float, omega):
-    """Output quadrature spectral matrix of the detuned degenerate OPO.
-
-    Linearized intracavity equations in units of the cavity amplitude decay
-    rate (kappa = 1), pump parameter sigma below the detuned threshold,
-    detuning Delta, analysis frequency omega.  With quadrature vector
-    (X, Y), X squeezed at zero detuning, the input-output relations give a
-    real symmetric spectral matrix; returns ``(S_xx, S_yy, S_xy)``,
-    vacuum = 1.
-    """
-    sigma, delta = _below_threshold(pump_parameter, normalized_detuning)
-    w = np.asarray(omega, dtype=float)
-    det2 = (1.0 - w**2 - sigma**2 + delta**2) ** 2 + 4.0 * w**2
-    n1 = (1.0 - sigma) ** 2 + w**2 - delta**2
-    n2 = (1.0 + sigma) ** 2 + w**2 - delta**2
-    s_xx = (n1**2 + 4.0 * delta**2) / det2
-    s_yy = (n2**2 + 4.0 * delta**2) / det2
-    s_xy = 8.0 * sigma * delta / det2
-    return s_xx, s_yy, s_xy
-
-
 def opo_extremal_spectra(pump_parameter: float, normalized_detuning: float, omega):
     """Least and greatest quadrature noise of the detuned OPO at each omega.
 
-    The eigenvalues of the spectral form of ``opo_spectrum_matrix``, whose
-    denominator is det2 = q^2 - 4*sigma^2: (q -/+ 2*sigma)/(q +/- 2*sigma),
-    a pure state.  The squeezed one is evaluated as det2/(q + 2*sigma)^2 to
-    keep its precision near threshold.  Returns ``(squeezed, antisqueezed)``,
-    vacuum = 1, lossless.
+    In units of kappa = 1, with pump parameter sigma below the detuned
+    threshold and detuning Delta, the linearized input-output relations give
+    a real symmetric spectral matrix of the output quadratures with
+    denominator det2 = (1 - omega^2 - sigma^2 + Delta^2)^2 + 4*omega^2 =
+    q^2 - 4*sigma^2.  Its eigenvalues, the extremes over the quadrature
+    angle, are (q -/+ 2*sigma)/(q +/- 2*sigma): a pure state.  The squeezed
+    one is evaluated as det2/(q + 2*sigma)^2 to keep its precision near
+    threshold.  Returns ``(squeezed, antisqueezed)``, vacuum = 1, lossless.
     """
     sigma, delta = _below_threshold(pump_parameter, normalized_detuning)
     w2 = np.asarray(omega, dtype=float) ** 2
@@ -303,34 +283,6 @@ def opo_extremal_spectra(pump_parameter: float, normalized_detuning: float, omeg
     q = np.sqrt((1.0 + sigma**2 + w2 - delta**2) ** 2 + 4.0 * delta**2)
     squeezed = det2 / (q + 2.0 * sigma) ** 2
     return squeezed, 1.0 / squeezed
-
-
-def opo_quadrature_spectrum(
-    pump_parameter: float,
-    normalized_detuning: float,
-    omega,
-    quadrature_angle,
-    detection_efficiency: float = 1.0,
-):
-    """Vacuum-normalized noise of one output quadrature of the detuned OPO.
-
-    At zero detuning and zero quadrature angle this reduces to
-    S = 1 - 4*sigma/((1 + sigma)^2 + omega^2).  Detection efficiency mixes
-    the spectrum with vacuum: eta*S + (1 - eta).
-    """
-    eta = float(detection_efficiency)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("detection efficiency must lie in [0, 1]")
-    s_xx, s_yy, s_xy = opo_spectrum_matrix(
-        pump_parameter, normalized_detuning, omega
-    )
-    c = np.cos(quadrature_angle)
-    s = np.sin(quadrature_angle)
-    spec = c**2 * s_xx + s**2 * s_yy + 2.0 * c * s * s_xy
-    out = eta * spec + (1.0 - eta)
-    if np.isscalar(omega) and np.isscalar(quadrature_angle):
-        return float(out)
-    return out
 
 
 def opo_optimal_levels(
@@ -342,7 +294,7 @@ def opo_optimal_levels(
     """Best squeezing and antisqueezing of the detuned OPO, in dB.
 
     The detuning is in units of kappa, the cavity amplitude decay rate (the
-    half-width at half maximum), as in ``opo_spectrum_matrix``.  Optimizes
+    half-width at half maximum).  Optimizes
     over the quadrature angle and over analysis frequency in [0, omega_max]:
     both extremes of ``opo_extremal_spectra`` move away from vacuum as
     |1 + sigma^2 + omega^2 - Delta^2| falls, so both sit at

@@ -48,7 +48,7 @@ from .data import (
     write_trace_csv,
 )
 from .fit import FitError, fit_delta_n_from_reflectivity, fit_fpi_trace
-from .material import PumpSchedule, PumpSegment, refractive_index
+from .material import PumpSchedule, PumpSegment, delta_n_steady, refractive_index
 from .spdc import SpdcOperatingPoint, effective_squeezing_vs_power, spdc_spectrum
 
 log = logging.getLogger(__name__)
@@ -286,13 +286,15 @@ def _run_squeeze_budget(runner: _Runner) -> None:
         SpdcOperatingPoint(pump, temperature)
     probe = section["probe_wavelength_nm"]
     params = config.photorefraction(temperature)
+    for key in ("pump_powers_mw", "spdc_pump_powers_mw"):
+        with _invariants(f"run.squeeze_budget.{key}"):
+            delta_n_steady(params, section[key])
     geometry = config.homodyne_geometry(temperature)
-    powers = section["pump_powers_mw"]
-    for level in section["initial_levels_db"]:
-        sweep = measured_squeezing_vs_residual_pump(
-            geometry, params, probe, level, powers
-        )
-        runner.write(f"homodyne_budget_{_fmt(abs(level))}dB.csv", write_sweep_csv, sweep)
+    levels, powers = section["initial_levels_db"], section["pump_powers_mw"]
+    budgets = [
+        measured_squeezing_vs_residual_pump(geometry, params, probe, level, powers)
+        for level in levels
+    ]
     ideal, degraded = effective_squeezing_vs_power(
         config.qpm_device(),
         temperature,
@@ -301,6 +303,8 @@ def _run_squeeze_budget(runner: _Runner) -> None:
         mu0,
         section["spdc_pump_powers_mw"],
     )
+    for level, sweep in zip(levels, budgets):
+        runner.write(f"homodyne_budget_{_fmt(abs(level))}dB.csv", write_sweep_csv, sweep)
     runner.write("squeeze_ideal.csv", write_sweep_csv, ideal)
     runner.write("squeeze_photorefractive.csv", write_sweep_csv, degraded)
 

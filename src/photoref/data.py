@@ -46,7 +46,7 @@ def _as_float_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise ValueError(f"non-finite value in {name} at index {bad}")
     return arr
@@ -69,7 +69,7 @@ class Trace:
         v = _as_float_array(self.value, "value")
         if len(t) != len(v):
             raise ValueError("time and value columns must have equal length")
-        if len(t) and not np.all(np.diff(t) > 0):
+        if not (t[1:] > t[:-1]).all():
             bad = int(np.flatnonzero(np.diff(t) <= 0)[0]) + 1
             raise ValueError(f"time must be strictly increasing (row {bad})")
         m = self.mask
@@ -109,7 +109,7 @@ class SweepData:
         v = _as_float_array(self.value, "value")
         if len(x) != len(v):
             raise ValueError("abscissa and value columns must have equal length")
-        if len(x) and not np.all(np.diff(x) >= 0):
+        if not (x[1:] >= x[:-1]).all():
             bad = int(np.flatnonzero(np.diff(x) < 0)[0]) + 1
             raise ValueError(f"abscissa must be sorted ascending (row {bad})")
         s = self.sigma

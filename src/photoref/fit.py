@@ -629,7 +629,8 @@ def fit_fpi_trace(
     The model is a first-order index relaxation driving the Airy
     transmission: dn(t) = dn_total*(1 - exp(-(t - t0)/tau)) inside
     T(phi0 + 2*pi*L*dn/lambda), normalized to the pre-pump value.  Masked
-    trace samples are ignored.
+    trace samples are ignored.  The model has period pi in phi0, which is
+    reported in [0, pi).
 
     The cavity phase at pump-on is not known a priori, so the starts come
     from a scan: the cost over a (dn_total, tau, phi0) grid around the
@@ -772,7 +773,10 @@ def fit_fpi_trace(
             f"{ratio:.3g} times the noise variance (limit 1.5); the start scan "
             "may have missed the basin"
         )
-    dn_total, tau, phi0 = best.parameters
+    # Descents that end pi apart are one fit.  x % pi is pi for a tiny x < 0.
+    phi0 = float(best.parameters[2]) % math.pi
+    best.parameters[2] = phi0 = 0.0 if phi0 == math.pi else phi0
+    dn_total, tau = best.parameters[:2]
     if abs(dn_total) < quantum / 2.0:
         best.converged = False
         best.warnings.append(

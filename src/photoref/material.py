@@ -194,9 +194,46 @@ def refractive_index(
     else:
         known = ", ".join(sorted(model.mode_offsets)) or "none"
         raise KeyError(f"unknown mode id {mode!r} (registered: {known})")
-    _check_dispersion_range(wavelength_nm, temperature_c)
-    n = model.coefficients.index(wavelength_nm, temperature_c) + offset
-    return float(n) if np.isscalar(wavelength_nm) else n
+    # A scalar wavelength gives a float: Sellmeier ``index`` returns one.
+    return _bulk_index(model.coefficients, wavelength_nm, temperature_c) + offset
+
+
+# Bulk indices already evaluated, by (coefficients, wavelength, temperature):
+# the forward chain asks for the same few points over and over.  A key is
+# range-checked before its first evaluation, so only valid points are stored.
+# A full cache starts over: clearing is one atomic step for concurrent callers.
+_INDEX_CACHE: dict = {}
+_INDEX_CACHE_ENTRIES = 64
+_INDEX_CACHE_MAX_POINTS = 4096
+
+
+def _bulk_index(coefficients: SellmeierCoefficients, wavelength_nm, temperature_c):
+    """``coefficients.index`` after the range check, evaluated once per point.
+
+    Returns a scalar or the cached array itself: the caller adds the mode
+    offset, which hands out a new array.
+    """
+    if np.isscalar(wavelength_nm):
+        key = float(wavelength_nm)
+    else:
+        wavelength_nm = np.asarray(wavelength_nm, dtype=float)
+        key = None
+        if wavelength_nm.size <= _INDEX_CACHE_MAX_POINTS:
+            key = wavelength_nm.tobytes(), wavelength_nm.shape
+    # Only a Python float or int temperature is a key: an array does not hash,
+    # and a numpy scalar of another width computes in its own precision.
+    if key is None or not isinstance(temperature_c, (float, int)):
+        _check_dispersion_range(wavelength_nm, temperature_c)
+        return coefficients.index(wavelength_nm, temperature_c)
+    key = (coefficients, key, temperature_c)
+    n = _INDEX_CACHE.get(key)
+    if n is None:
+        _check_dispersion_range(wavelength_nm, temperature_c)
+        n = coefficients.index(wavelength_nm, temperature_c)
+        if len(_INDEX_CACHE) >= _INDEX_CACHE_ENTRIES:
+            _INDEX_CACHE.clear()
+        _INDEX_CACHE[key] = n
+    return n
 
 
 # Default calibration targets for the guided modes of the reference device:

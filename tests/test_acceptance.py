@@ -16,8 +16,6 @@ import yaml
 from photoref.cavity import (
     fpi_transmission,
     opo_optimal_levels,
-    opo_quadrature_spectrum,
-    opo_spectrum_matrix,
     pump_parameter_for_squeezing_db,
 )
 from photoref.cli import SUBCOMMANDS, main
@@ -45,6 +43,7 @@ from photoref.spdc import (
     qpm_mismatch,
     spdc_spectrum,
 )
+from test_opo import opo_quadrature_spectrum, opo_spectrum_matrix
 
 LAM = 1550.0
 

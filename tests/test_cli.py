@@ -278,6 +278,8 @@ class TestExitCodes:
             ("spdc-spectrum", "spdc_spectrum", "background", -0.1),
             ("squeeze-budget", "squeeze_budget", "mu0_per_sqrt_mw", 0.0),
             ("squeeze-budget", "squeeze_budget", "spdc_pump_wavelength_nm", 810.0),
+            ("squeeze-budget", "squeeze_budget", "pump_powers_mw", [0.0, -1.0]),
+            ("squeeze-budget", "squeeze_budget", "spdc_pump_powers_mw", [0.0, -1.0]),
         ],
     )
     def test_out_of_range_knob_fails_with_manifest(

@@ -35,8 +35,14 @@ class TestContainers:
         np.testing.assert_array_equal(t, [0.0, 3.0])
 
     def test_sweep_requires_sorted_abscissa(self):
-        with pytest.raises(ValueError, match="sorted ascending"):
+        with pytest.raises(ValueError, match=r"sorted ascending \(row 2\)"):
             SweepData([0.0, 2.0, 1.0], [1.0, 2.0, 3.0])
+        assert len(SweepData([0.0, 1.0, 1.0], [1.0, 2.0, 3.0])) == 3  # ties are sorted
+
+    def test_empty_and_single_sample_containers(self):
+        for n in (0, 1):
+            assert len(Trace(np.arange(n, dtype=float), np.ones(n))) == n
+            assert len(SweepData(np.arange(n, dtype=float), np.ones(n))) == n
 
     def test_sweep_sigma_length_checked(self):
         with pytest.raises(ValueError, match="sigma length"):

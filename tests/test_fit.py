@@ -606,6 +606,25 @@ class TestFpiTracePipeline:
         ratio = float(re.search(r"is (\S+) times the noise variance", warning)[1])
         assert ratio > 1.5
 
+    @pytest.mark.parametrize("shift", [math.pi, -math.pi])
+    def test_descents_pi_apart_report_one_phase(self, monkeypatch, shift):
+        """The Airy model has period pi in phi0: the phase is reported in [0, pi)."""
+        trace, cavity = synthetic_trace(noise=0.02, rng=np.random.default_rng(4000))
+        reference = fit_fpi_trace(trace, cavity, LAM, 30.0)
+        descend = fit_module.least_squares
+
+        def shifted(problem):
+            result = descend(problem)
+            result.parameters[2] += shift
+            return result
+
+        monkeypatch.setattr(fit_module, "least_squares", shifted)
+        fit = fit_fpi_trace(trace, cavity, LAM, 30.0)
+        assert 0.0 <= reference.phase_offset_rad < math.pi
+        assert fit.phase_offset_rad == pytest.approx(reference.phase_offset_rad, abs=1e-9)
+        assert fit.result.parameters[2] == fit.phase_offset_rad
+        assert fit.delta_n_total == reference.delta_n_total
+
     def test_angled_cavity_rejected(self, material, params30):
         cavity = FpiCavity(15.0, 0.14, 0.13, material, angled_facets=True)
         trace, _ = synthetic_trace()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import photoref.material as material_module
 from photoref.material import (
     BULK_MODE,
     MaterialModel,
@@ -81,6 +83,115 @@ class TestDispersion:
         target = coeffs.index(lam, t) + offset
         model = MaterialModel.calibrated({"m": (lam, t, target)}, coeffs)
         assert refractive_index(model, lam, t, "m") == target
+
+
+def uncached_index(model, wavelength_nm, temperature_c, mode):
+    """``refractive_index`` as evaluated before the dispersion cache."""
+    offset = 0.0 if mode == BULK_MODE else model.mode_offsets[mode]
+    n = model.coefficients.index(wavelength_nm, temperature_c) + offset
+    return float(n) if np.isscalar(wavelength_nm) else n
+
+
+def same_bits(a, b) -> bool:
+    return type(a) is type(b) and np.shape(a) == np.shape(b) and (
+        np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    )
+
+
+in_range_nm = st.floats(400.0, 2000.0)
+wavelengths = st.one_of(
+    in_range_nm,
+    st.integers(400, 2000),
+    in_range_nm.map(np.array),
+    st.lists(in_range_nm, min_size=1, max_size=8).map(np.array),
+    st.lists(st.integers(400, 2000), min_size=1, max_size=8).map(np.array),
+)
+temperatures = st.one_of(st.floats(20.0, 200.0), st.integers(20, 200))
+
+
+class TestIndexCache:
+    """The bulk index is evaluated once per (coefficients, wavelength, temperature)."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        material_module._INDEX_CACHE.clear()
+        yield
+        material_module._INDEX_CACHE.clear()
+
+    @given(lam=wavelengths, t=temperatures, mode=st.sampled_from(
+        [BULK_MODE, "fundamental-telecom", "fundamental-nir"]))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_uncached(self, material, lam, t, mode):
+        assert set(material.mode_offsets) == {"fundamental-telecom", "fundamental-nir"}
+        material_module._INDEX_CACHE.clear()
+        expected = uncached_index(material, lam, t, mode)
+        first = refractive_index(material, lam, t, mode)  # evaluated
+        again = refractive_index(material, lam, t, mode)  # from the cache
+        assert same_bits(first, expected)
+        assert same_bits(again, expected)
+
+    def test_shapes_of_one_wavelength_stay_apart(self, material):
+        for lam in (1550.0, np.array(1550.0), np.array([1550.0]), np.array([[1550.0]])):
+            got = refractive_index(material, lam, 30.0, "fundamental-telecom")
+            assert same_bits(got, uncached_index(material, lam, 30.0, "fundamental-telecom"))
+
+    def test_returned_array_is_a_copy(self, material):
+        lam = np.linspace(1500.0, 1600.0, 11)
+        expected = uncached_index(material, lam, 30.0, "fundamental-telecom")
+        for mode in (BULK_MODE, "fundamental-telecom"):
+            refractive_index(material, lam, 30.0, mode)[:] = 0.0
+        got = refractive_index(material, lam, 30.0, "fundamental-telecom")
+        assert same_bits(got, expected)
+        lam[0] = 1450.0  # the key is the wavelengths' value, not the array
+        got = refractive_index(material, lam, 30.0, "fundamental-telecom")
+        assert same_bits(got, uncached_index(material, lam, 30.0, "fundamental-telecom"))
+
+    @pytest.mark.parametrize(
+        "lam, t",
+        [(1550.0, math.nan), (1550.0, 250.0), (1550.0, 19.999), (math.nan, 30.0),
+         (2000.001, 30.0), (np.array([1550.0, math.nan]), 30.0),
+         (np.array([1550.0, 2500.0]), 30.0), (np.array([1550.0]), math.inf)],
+    )
+    def test_out_of_range_refused_on_every_call(self, material, lam, t):
+        # Nearby keys in the cache first: the same wavelength, the same
+        # temperature, and the in-range part of the array.
+        refractive_index(material, 1550.0, 30.0, BULK_MODE)
+        refractive_index(material, np.array([1550.0]), 30.0, BULK_MODE)
+        refractive_index(material, np.array([1550.0, 1550.0]), 30.0, BULK_MODE)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="outside validated range"):
+                refractive_index(material, lam, t, BULK_MODE)
+
+    def test_coefficient_sets_never_share_entries(self, material):
+        shifted = dataclasses.replace(material.coefficients, a1=5.36)
+        other = MaterialModel(coefficients=shifted)
+        lam = np.array([800.0, 1550.0])
+        for model in (material, other, material, other):
+            got = refractive_index(model, lam, 30.0, BULK_MODE)
+            assert same_bits(got, model.coefficients.index(lam, 30.0) + 0.0)
+        assert not np.array_equal(
+            refractive_index(material, lam, 30.0, BULK_MODE),
+            refractive_index(other, lam, 30.0, BULK_MODE),
+        )
+        keys = list(material_module._INDEX_CACHE)
+        assert [key[0] for key in keys] == [material.coefficients, shifted]
+
+    def test_bounded_by_its_constants(self, material):
+        entries = material_module._INDEX_CACHE_ENTRIES
+        points = material_module._INDEX_CACHE_MAX_POINTS
+        temperatures = np.linspace(20.0, 200.0, entries + 10)
+        for t in temperatures:
+            refractive_index(material, np.array([1550.0, 775.0]), float(t), BULK_MODE)
+        count = len(material_module._INDEX_CACHE)
+        assert 0 < count <= entries
+        last = (material.coefficients, (np.array([1550.0, 775.0]).tobytes(), (2,)),
+                float(temperatures[-1]))
+        assert last in material_module._INDEX_CACHE
+        long = np.linspace(400.0, 2000.0, points + 1)
+        got = refractive_index(material, long, 30.0, BULK_MODE)
+        assert same_bits(got, uncached_index(material, long, 30.0, BULK_MODE))
+        assert len(material_module._INDEX_CACHE) == count
+        assert max(np.size(n) for n in material_module._INDEX_CACHE.values()) <= points
 
 
 class TestSteadyState:

@@ -5,15 +5,63 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import photoref.cavity
 from photoref.cavity import (
     detuned_threshold,
     opo_extremal_spectra,
     opo_optimal_levels,
-    opo_quadrature_spectrum,
-    opo_spectrum_matrix,
     pump_parameter_for_squeezing_db,
 )
+
+
+# Oracles for the closed-form extremes, also criterion 6's in
+# test_acceptance.py: the full spectral matrix and one quadrature's noise.
+def opo_spectrum_matrix(pump_parameter: float, normalized_detuning: float, omega):
+    """Output quadrature spectral matrix of the detuned degenerate OPO.
+
+    Linearized intracavity equations in units of the cavity amplitude decay
+    rate (kappa = 1), pump parameter sigma below the detuned threshold,
+    detuning Delta, analysis frequency omega.  With quadrature vector
+    (X, Y), X squeezed at zero detuning, the input-output relations give a
+    real symmetric spectral matrix; returns ``(S_xx, S_yy, S_xy)``,
+    vacuum = 1.
+    """
+    sigma, delta = float(pump_parameter), float(normalized_detuning)
+    w = np.asarray(omega, dtype=float)
+    det2 = (1.0 - w**2 - sigma**2 + delta**2) ** 2 + 4.0 * w**2
+    n1 = (1.0 - sigma) ** 2 + w**2 - delta**2
+    n2 = (1.0 + sigma) ** 2 + w**2 - delta**2
+    s_xx = (n1**2 + 4.0 * delta**2) / det2
+    s_yy = (n2**2 + 4.0 * delta**2) / det2
+    s_xy = 8.0 * sigma * delta / det2
+    return s_xx, s_yy, s_xy
+
+
+def opo_quadrature_spectrum(
+    pump_parameter: float,
+    normalized_detuning: float,
+    omega,
+    quadrature_angle,
+    detection_efficiency: float = 1.0,
+):
+    """Vacuum-normalized noise of one output quadrature of the detuned OPO.
+
+    At zero detuning and zero quadrature angle this reduces to
+    S = 1 - 4*sigma/((1 + sigma)^2 + omega^2).  Detection efficiency mixes
+    the spectrum with vacuum: eta*S + (1 - eta).
+    """
+    eta = float(detection_efficiency)
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("detection efficiency must lie in [0, 1]")
+    s_xx, s_yy, s_xy = opo_spectrum_matrix(
+        pump_parameter, normalized_detuning, omega
+    )
+    c = np.cos(quadrature_angle)
+    s = np.sin(quadrature_angle)
+    spec = c**2 * s_xx + s**2 * s_yy + 2.0 * c * s * s_xy
+    out = eta * spec + (1.0 - eta)
+    if np.isscalar(omega) and np.isscalar(quadrature_angle):
+        return float(out)
+    return out
 
 
 def matrix_route(sigma, delta, omega):
@@ -56,11 +104,11 @@ class TestSpectrumMatrix:
 
     def test_threshold_enforced(self):
         with pytest.raises(ValueError, match="threshold"):
-            opo_spectrum_matrix(1.0, 0.0, 0.0)
+            opo_extremal_spectra(1.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="threshold"):
-            opo_spectrum_matrix(detuned_threshold(1.5) + 1e-9, 1.5, 0.0)
+            opo_extremal_spectra(detuned_threshold(1.5) + 1e-9, 1.5, 0.0)
         # Just below the detuned threshold is allowed.
-        opo_spectrum_matrix(detuned_threshold(1.5) - 1e-6, 1.5, 0.0)
+        opo_extremal_spectra(detuned_threshold(1.5) - 1e-6, 1.5, 0.0)
 
     def test_high_frequency_returns_to_vacuum(self):
         for sigma, delta in ((0.28, 0.0), (0.52, 1.5), (0.9, 2.0)):
@@ -208,19 +256,6 @@ class TestClosedFormOptimum:
         for omega_max in (-1.0, math.nan):
             with pytest.raises(ValueError, match="omega_max"):
                 opo_optimal_levels(0.28, 1.5, omega_max=omega_max)
-
-    def test_no_spectral_matrix_evaluations(self, monkeypatch):
-        calls = []
-        original = photoref.cavity.opo_spectrum_matrix
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(photoref.cavity, "opo_spectrum_matrix", counting)
-        for delta in (0.0, 1.5, 3.0, 30.0):
-            opo_optimal_levels(0.28, delta, 0.9)
-        assert calls == []
 
 
 class TestStochasticOracle:

@@ -31,7 +31,7 @@ from .cavity import (
     pump_parameter_for_squeezing_db,
     simulate_fpi_trace,
 )
-from .config import Config, ConfigError, _invariants, parse_config
+from .config import Config, ConfigError, parse_config
 from .coupler import (
     HomodyneConfig,
     homodyne_noise,
@@ -48,7 +48,7 @@ from .data import (
     write_trace_csv,
 )
 from .fit import FitError, fit_delta_n_from_reflectivity, fit_fpi_trace
-from .material import PumpSchedule, PumpSegment, delta_n_steady, refractive_index
+from .material import PumpSchedule, PumpSegment, refractive_index
 from .spdc import SpdcOperatingPoint, effective_squeezing_vs_power, spdc_spectrum
 
 log = logging.getLogger(__name__)
@@ -83,14 +83,6 @@ def _write_json(path: Path, payload: dict) -> None:
         raise FloatingPointError(f"{path}: {exc}") from None
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="utf-8")
-
-
-def _at_least(section: dict, path: str, bound: float, strict: bool = False):
-    """``path``'s value in its run ``section``: at least ``bound``, or above it if ``strict``."""
-    value = section[path.rpartition(".")[2]]
-    if not (value > bound if strict else value >= bound):
-        raise ConfigError(f"{path} must be {'>' if strict else '>='} {bound}, got {value!r}")
-    return value
 
 
 class _Runner:
@@ -176,11 +168,12 @@ def _run_coupler_sweep(runner: _Runner) -> None:
     section = config.run_section("coupler_sweep")
     probe = section["probe_wavelength_nm"]
     powers = section["pump_powers_mw"]
-    noise = _at_least(section, "run.coupler_sweep.noise_fraction", 0)
+    noise = section["noise_fraction"]
     rng = np.random.default_rng(runner.seed)
-    for temperature in section["temperatures_c"]:
-        geometry = config.coupler_geometry(temperature)
-        params = config.photorefraction(temperature)
+    # Every temperature's tables are looked up before the first file is written.
+    models = [(t, config.coupler_geometry(t), config.photorefraction(t))
+              for t in section["temperatures_c"]]
+    for temperature, geometry, params in models:
         sweep = reflectivity_vs_pump(geometry, params, probe, powers)
         sigma = None
         values = sweep.value
@@ -230,8 +223,7 @@ def _run_opo_spectrum(runner: _Runner) -> None:
     section = runner.config.run_section("opo_spectrum")
     sigma = pump_parameter_for_squeezing_db(section["initial_squeezing_db"])
     eta = section["detection_efficiency"]
-    step = _at_least(section, "run.opo_spectrum.omega_step", 0, strict=True)
-    omega_max = _at_least(section, "run.opo_spectrum.omega_max", 0)
+    step, omega_max = section["omega_step"], section["omega_max"]
     omega = np.arange(0.0, omega_max + step / 2, step)
     detunings = section["detunings"]
     for delta in detunings:
@@ -258,16 +250,15 @@ def _run_spdc_spectrum(runner: _Runner) -> None:
     config = runner.config
     section = config.run_section("spdc_spectrum")
     device = config.qpm_device()
-    span = _at_least(section, "run.spdc_spectrum.wavelength_span_nm", 0, strict=True)
-    points = _at_least(section, "run.spdc_spectrum.points", 2)
-    background = _at_least(section, "run.spdc_spectrum.background", 0)
-    for temperature in section["temperatures_c"]:
-        lam_p = config.temperature_entry("run.spdc_spectrum.pump_wavelength_nm", temperature)
-        params = config.photorefraction(temperature)
+    span, points = section["wavelength_span_nm"], section["points"]
+    pumps = "run.spdc_spectrum.pump_wavelength_nm"
+    models = [(t, config.temperature_entry(pumps, t), config.photorefraction(t))
+              for t in section["temperatures_c"]]
+    for temperature, lam_p, params in models:
         grid = np.linspace(2 * lam_p - span / 2, 2 * lam_p + span / 2, points)
         for power in section["pump_powers_mw"]:
             point = SpdcOperatingPoint(lam_p, temperature, power)
-            density = spdc_spectrum(device, point, params, grid, background)
+            density = spdc_spectrum(device, point, params, grid, section["background"])
             runner.write(
                 f"spdc_spectrum_T{_fmt(temperature)}_P{_fmt(power)}.csv",
                 write_columns_csv,
@@ -280,15 +271,8 @@ def _run_squeeze_budget(runner: _Runner) -> None:
     config = runner.config
     section = config.run_section("squeeze_budget")
     temperature = section["temperature_c"]
-    mu0 = _at_least(section, "run.squeeze_budget.mu0_per_sqrt_mw", 0, strict=True)
-    pump = section["spdc_pump_wavelength_nm"]
-    with _invariants("run.squeeze_budget.spdc_pump_wavelength_nm"):
-        SpdcOperatingPoint(pump, temperature)
     probe = section["probe_wavelength_nm"]
     params = config.photorefraction(temperature)
-    for key in ("pump_powers_mw", "spdc_pump_powers_mw"):
-        with _invariants(f"run.squeeze_budget.{key}"):
-            delta_n_steady(params, section[key])
     geometry = config.homodyne_geometry(temperature)
     levels, powers = section["initial_levels_db"], section["pump_powers_mw"]
     budgets = [
@@ -298,9 +282,9 @@ def _run_squeeze_budget(runner: _Runner) -> None:
     ideal, degraded = effective_squeezing_vs_power(
         config.qpm_device(),
         temperature,
-        pump,
+        section["spdc_pump_wavelength_nm"],
         params,
-        mu0,
+        section["mu0_per_sqrt_mw"],
         section["spdc_pump_powers_mw"],
     )
     for level, sweep in zip(levels, budgets):
@@ -446,8 +430,8 @@ def main(argv=None) -> int:
     except OSError as exc:  # e.g. --out names an existing regular file
         log.error("validation error: %s", exc)
         return 1
-    seed = args.seed if args.seed is not None else config.seed
-    runner = _Runner(config, out_dir, seed, args.quiet)
+    config.seed_flag = args.seed  # checked with the run section, inside the handler
+    runner = _Runner(config, out_dir, config.seed, args.quiet)
 
     start = time.perf_counter()
     try:

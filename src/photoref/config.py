@@ -32,12 +32,14 @@ from .material import (
     DEFAULT_MODE_TARGETS,
     DEFAULT_PHOTOREFRACTION,
     JUNDT_CLN_EXTRAORDINARY,
+    TEMPERATURE_RANGE_C,
+    WAVELENGTH_RANGE_NM,
     MaterialModel,
     PhotorefractionParams,
     SellmeierCoefficients,
     delta_n_steady,
 )
-from .spdc import QpmDevice, calibrate_poling_period
+from .spdc import PUMP_WAVELENGTH_RANGE_NM, QpmDevice, calibrate_poling_period
 
 __all__ = ["ConfigError", "Config", "parse_config", "DEFAULT_CONFIG"]
 
@@ -217,6 +219,40 @@ def _derive_schema(tree: Any, path: str = "") -> Any:
 
 _SCHEMA: dict[str, Any] = _derive_schema(DEFAULT_CONFIG)
 
+# Ranges of run values by key name (one quantity in every section), as (low, high,
+# ends) with "[]" closed and "()" open ends; list entries and keyed-map values take
+# their name's range.  Unbounded: detunings, phases, mask intervals, pump-on time.
+_RANGES: dict[str, tuple[float, float, str]] = {
+    "seed": (0, 2**64, "[)"),
+    "points": (2, math.inf, "[)"),
+    "initial_squeezing_db": (-math.inf, 0.0, "()"),
+    **dict.fromkeys(("squeezing_db", "initial_levels_db"), (-math.inf, 0.0, "(]")),
+    **dict.fromkeys(("reflectivity", "detection_efficiency"), (0.0, 1.0, "[]")),
+    **dict.fromkeys(("temperature_c", "temperatures_c"), (*TEMPERATURE_RANGE_C, "[]")),
+    **dict.fromkeys(("probe_wavelength_nm", "wavelengths_nm"), (*WAVELENGTH_RANGE_NM, "[]")),
+    **dict.fromkeys(("pump_wavelength_nm", "spdc_pump_wavelength_nm"),
+                    (*PUMP_WAVELENGTH_RANGE_NM, "[]")),
+    **dict.fromkeys(("sample_period_s", "lo_amplitude_sq", "omega_step", "wavelength_span_nm",
+                     "mu0_per_sqrt_mw"), (0.0, math.inf, "()")),
+    **dict.fromkeys(("duration_s", "start_s", "end_s", "noise_fraction", "omega_max",
+                     "background", "pump_power_mw", "pump_powers_mw", "spdc_pump_powers_mw"),
+                    (0.0, math.inf, "[)")),
+}
+
+
+def _check_ranges(value: Any, name: str, where: str) -> None:
+    """Refuse, by path, a number at ``where`` outside the range of its key ``name``."""
+    if isinstance(value, (list, Mapping)):
+        listed = isinstance(value, list)
+        for key, item in enumerate(value) if listed else value.items():
+            at = f"{where}[{key}]" if listed else f"{where}.{key}"
+            _check_ranges(item, name if listed or where in _KEYED_MAPS else key, at)
+    elif name in _RANGES:
+        lo, hi, ends = _RANGES[name]
+        if not ((lo < value if ends[0] == "(" else lo <= value)
+                and (value < hi if ends[1] == ")" else value <= hi)):
+            raise ConfigError(f"{where} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {value!r}")
+
 
 def _coerce(value: Any, kind: type, where: str) -> Any:
     """A scalar as ``kind``: a number may be a numeric string, an int integral
@@ -294,20 +330,23 @@ class Config:
 
     resolved: dict[str, Any]
     source_path: str | None = None
+    seed_flag: int | None = None  # --seed: overrides run.seed, outside the hash
 
     # -- generic access -----------------------------------------------------
 
     def run_section(self, name: str) -> dict[str, Any]:
-        """A run section; a grid whose default is not empty may not be empty."""
+        """The run section and the seed, refused by path when a grid is empty or out of range."""
         section = self.resolved["run"][name]
         for key, default in DEFAULT_CONFIG["run"][name].items():
             if isinstance(default, list) and default and not section[key]:
                 raise ConfigError(f"run.{name}.{key}: the list is empty")
+        _check_ranges(self.seed, "seed", "run.seed" if self.seed_flag is None else "--seed")
+        _check_ranges(section, name, f"run.{name}")
         return section
 
     @property
     def seed(self) -> int:
-        return self.resolved["run"]["seed"]
+        return self.resolved["run"]["seed"] if self.seed_flag is None else self.seed_flag
 
     @property
     def output_dir(self) -> str:

@@ -19,6 +19,7 @@ from .data import SweepData
 from .material import MaterialModel, PhotorefractionParams, delta_n_steady, refractive_index
 
 __all__ = [
+    "PUMP_WAVELENGTH_RANGE_NM",
     "QpmDevice",
     "SpdcOperatingPoint",
     "idler_wavelength",
@@ -32,6 +33,8 @@ __all__ = [
 # idler in the telecom mode.
 _PUMP_MODE = "fundamental-nir"
 _TELECOM_MODE = "fundamental-telecom"
+
+PUMP_WAVELENGTH_RANGE_NM = (700.0, 800.0)  # nm: the near-infrared pump band
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,9 @@ class SpdcOperatingPoint:
     pump_power_mw: float = 0.0
 
     def __post_init__(self):
-        if not 700.0 <= self.pump_wavelength_nm <= 800.0:
-            raise ValueError("pump wavelength must lie in [700, 800] nm")
+        lo, hi = PUMP_WAVELENGTH_RANGE_NM
+        if not lo <= self.pump_wavelength_nm <= hi:
+            raise ValueError(f"pump wavelength must lie in [{lo:g}, {hi:g}] nm")
         if self.pump_power_mw < 0:
             raise ValueError("pump power must be >= 0")
 

@@ -1,9 +1,13 @@
+import copy
+import functools
 import importlib.util
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +15,7 @@ import pytest
 import yaml
 
 from photoref.cli import SUBCOMMANDS, main
+from photoref.config import _RANGES, _SCHEMA, DEFAULT_CONFIG
 from photoref.data import read_sweep_csv, read_trace_csv
 
 TRIMMED_RUN = {
@@ -327,12 +332,18 @@ class TestExitCodes:
              ["sample_period_s", "duration_s"]),
             ("spdc-spectrum", {"run": {"spdc_spectrum": {"temperatures_c": [60.0]}}},
              ["run.spdc_spectrum.pump_wavelength_nm", "60"]),
+            ("coupler-sweep", {"run": {"coupler_sweep": {"temperatures_c": [30.0, 45.0]}}},
+             ["devices.coupler.coupling_constant_per_mm", "45"]),
+            ("spdc-spectrum", {"run": {"spdc_spectrum": {"temperatures_c": [30.0, 60.0]}}},
+             ["run.spdc_spectrum.pump_wavelength_nm", "60"]),
         ],
-        ids=["trace-grid", "spdc-pump-map"],
+        ids=["trace-grid", "spdc-pump-map", "coupler-second-temperature",
+             "spdc-second-temperature"],
     )
     def test_refusal_logged_without_traceback(self, tmp_path, subcommand, payload, named):
-        """An oversized trace grid and a temperature missing from the SPDC pump
-        map: exit 1, the refusal on stderr, a failed manifest."""
+        """An oversized trace grid and a temperature missing from a
+        temperature-keyed map, also after a good one: exit 1, the refusal on
+        stderr, a failed manifest and no data file."""
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump(payload))
         out = tmp_path / "out"
@@ -345,7 +356,41 @@ class TestExitCodes:
         assert "Traceback" not in done.stderr
         for word in named:
             assert word in done.stderr
-        assert json.loads((out / "run_manifest.json").read_text())["status"] == "failed"
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["outputs"] == []
+        assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
+
+    @pytest.mark.parametrize(
+        "subcommand, payload, flag, named",
+        [
+            ("coupler-sweep", {"run": {"seed": -1}}, [], "run.seed"),
+            ("coupler-sweep", {}, ["--seed", "-1"], "--seed"),
+            ("homodyne", {}, ["--seed", "-1"], "--seed"),
+            ("homodyne", {}, ["--seed", str(2**64)], "--seed"),
+        ],
+        ids=["config-negative", "flag-negative-rng", "flag-negative", "flag-too-large"],
+    )
+    def test_seed_outside_u64_is_refused_by_name(
+        self, tmp_path, subcommand, payload, flag, named
+    ):
+        """Refused by name before any file, although main reads the seed
+        before the handler runs: exit 1 and no traceback."""
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(payload))
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "photoref.cli", subcommand, "--config", str(path),
+             "--out", str(out), "--quiet", *flag],
+            env=src_env(), capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert f"{named} must lie in" in done.stderr
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert named in manifest["error"]
+        assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
 
     def test_fit_dn_without_inputs(self, tmp_path):
         path = tmp_path / "config.yaml"
@@ -446,6 +491,91 @@ class TestExitCodes:
         assert manifest["status"] == "failed"
         assert "not JSON compliant" in manifest["error"]
         assert manifest["outputs"] == []
+
+
+# Numeric run values with no range: detunings and phases take either sign,
+# and mask intervals and the pump-on time are read on the trace's own axis.
+UNBOUNDED = {"detunings", "phases_rad", "mask_intervals_s", "pump_on_time_s"}
+
+
+def _numeric_leaves(node, path=(), name=None):
+    """(path, key name, type) of every int or float leaf of a schema node; a
+    list entry is at index ``[]`` and a keyed-map value at key ``*``."""
+    if isinstance(node, types.UnionType):
+        node = node.__args__[0]
+    if isinstance(node, dict):
+        for key, sub in node.items():
+            keyed = isinstance(key, type)
+            yield from _numeric_leaves(sub, path + ("*" if keyed else key,),
+                                       name if keyed else key)
+    elif isinstance(node, list):
+        yield from _numeric_leaves(node[0], path + ("[]",), name)
+    elif isinstance(node, tuple):
+        for i, sub in enumerate(node):
+            yield from _numeric_leaves(sub, path + (i,), name)
+    elif node in (int, float):
+        yield path, name, node
+
+
+def _range_cases():
+    """(subcommand, payload, path) for each finite end of every ranged run
+    leaf: the value just outside a closed end, or on an open one, set in the
+    leaf's default section.  A list entry or keyed-map value is the default's
+    last one; ``run.seed`` is tried on ``fpi-char``."""
+    run = copy.deepcopy(DEFAULT_CONFIG["run"])
+    run["fit_dn"]["inputs"] = [{"path": "sweep.csv", "temperature_c": 30.0}]
+    for steps, name, kind in _numeric_leaves(_SCHEMA["run"]):
+        if name not in _RANGES:
+            continue
+        keys, node = [], run
+        for step in steps:
+            keys.append(len(node) - 1 if step == "[]" else list(node)[-1] if step == "*" else step)
+            node = node[keys[-1]]
+        where = "run" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+        lo, hi, ends = _RANGES[name]
+        for bound, outward, bracket in ((lo, -1, ends[0]), (hi, 1, ends[1])):
+            if math.isinf(bound):
+                continue
+            if bracket in "()":
+                bad = bound
+            elif kind is int:
+                bad = bound + outward
+            else:
+                bad = float(np.nextafter(bound, outward * math.inf))
+            tree = copy.deepcopy(run)
+            functools.reduce(operator.getitem, keys[:-1], tree)[keys[-1]] = bad
+            section = keys[0]
+            subcommand = "fpi-char" if section == "seed" else section.replace("_", "-")
+            yield pytest.param(
+                subcommand, {"run": {section: tree[section]}}, where, id=f"{where}={bad!r}"
+            )
+
+
+class TestRanges:
+    def test_every_numeric_run_leaf_is_ranged_or_unbounded(self):
+        """A new numeric run key needs a range in ``_RANGES`` or a place in UNBOUNDED."""
+        names = {name for _, name, _ in _numeric_leaves(_SCHEMA["run"])}
+        assert UNBOUNDED.isdisjoint(_RANGES)
+        assert names - UNBOUNDED - set(_RANGES) == set()
+        assert (UNBOUNDED | set(_RANGES)) - names == set()
+
+    @pytest.mark.parametrize("subcommand, payload, where", list(_range_cases()))
+    def test_out_of_range_value_is_refused_by_path(
+        self, tmp_path, caplog, subcommand, payload, where
+    ):
+        """Exit 1 before any data file, the full path logged and in the manifest."""
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(payload))
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR"):
+            code = main([subcommand, "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert any(f"{where} must lie in" in rec.getMessage() for rec in caplog.records)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith(f"{where} must lie in")
+        assert manifest["outputs"] == []
+        assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
 
 
 class TestDeterminism:

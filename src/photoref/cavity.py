@@ -241,14 +241,14 @@ def detuned_threshold(normalized_detuning: float) -> float:
 def pump_parameter_for_squeezing_db(squeezing_db: float) -> float:
     """Pump parameter whose zero-detuning squeezing floor is the given level.
 
-    Inverts S = 1 - 4*sigma/(1 + sigma)^2 = 10^(dB/10) on the below-threshold
+    S = 1 - 4*sigma/(1 + sigma)^2 = ((1 - sigma)/(1 + sigma))^2 = 10^(dB/10),
+    so sigma = (1 - g)/(1 + g) with g = 10^(dB/20) on the below-threshold
     branch; the floor sits at zero analysis frequency.
     """
     if squeezing_db >= 0:
         raise ValueError("squeezing level must be < 0 dB")
-    s = 10.0 ** (squeezing_db / 10.0)
-    b = 4.0 / (1.0 - s) - 2.0
-    return (b - math.sqrt(b * b - 4.0)) / 2.0
+    g = 10.0 ** (squeezing_db / 20.0)
+    return (1.0 - g) / (1.0 + g)
 
 
 def _below_threshold(pump_parameter: float, normalized_detuning: float):

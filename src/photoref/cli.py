@@ -121,9 +121,8 @@ class _Runner:
             log.warning("%s", message)
 
 
-def _run_fpi_trace(runner: _Runner) -> None:
+def _run_fpi_trace(runner: _Runner, section: dict) -> None:
     config = runner.config
-    section = config.run_section("fpi_trace")
     temperature = section["temperature_c"]
     # The schema walk left only known keys in each segment.
     schedule = PumpSchedule([PumpSegment(**seg) for seg in section["schedule"]])
@@ -139,10 +138,8 @@ def _run_fpi_trace(runner: _Runner) -> None:
     runner.write("fpi_trace.csv", write_trace_csv, trace)
 
 
-def _run_fpi_char(runner: _Runner) -> None:
-    config = runner.config
-    section = config.run_section("fpi_char")
-    cavity = config.fpi_cavity()
+def _run_fpi_char(runner: _Runner, section: dict) -> None:
+    cavity = runner.config.fpi_cavity()
     temperature = section["temperature_c"]
     report = {}
     for lam in section["wavelengths_nm"]:
@@ -163,12 +160,12 @@ def _run_fpi_char(runner: _Runner) -> None:
     runner.write_json("fpi_characteristics.json", report)
 
 
-def _run_coupler_sweep(runner: _Runner) -> None:
+def _run_coupler_sweep(runner: _Runner, section: dict) -> None:
     config = runner.config
-    section = config.run_section("coupler_sweep")
     probe = section["probe_wavelength_nm"]
     powers = section["pump_powers_mw"]
     noise = section["noise_fraction"]
+    separation = config.resolved["devices"]["coupler"]["waveguide_separation_um"]
     rng = np.random.default_rng(runner.seed)
     # Every temperature's tables are looked up before the first file is written.
     models = [(t, config.coupler_geometry(t), config.photorefraction(t))
@@ -190,7 +187,7 @@ def _run_coupler_sweep(runner: _Runner) -> None:
                 "probe_wavelength_nm": probe,
                 "coupling_constant_per_mm": geometry.coupling_constant_per_mm,
                 "interaction_length_mm": geometry.interaction_length_mm,
-                "waveguide_separation_um": geometry.waveguide_separation_um,
+                "waveguide_separation_um": separation,
                 "noise_fraction": noise,
                 "pump_power_mW": [float(x) for x in sweep.abscissa],
                 "value": [float(x) for x in sweep.value],
@@ -199,8 +196,7 @@ def _run_coupler_sweep(runner: _Runner) -> None:
         )
 
 
-def _run_homodyne(runner: _Runner) -> None:
-    section = runner.config.run_section("homodyne")
+def _run_homodyne(runner: _Runner, section: dict) -> None:
     reflectivity = section["reflectivity"]
     s = squeezing_parameter_from_db(section["squeezing_db"])
     lo = section["lo_amplitude_sq"]
@@ -219,8 +215,7 @@ def _run_homodyne(runner: _Runner) -> None:
     runner.write("homodyne.csv", write_columns_csv, ["phase_rad", "value"], [phases, levels])
 
 
-def _run_opo_spectrum(runner: _Runner) -> None:
-    section = runner.config.run_section("opo_spectrum")
+def _run_opo_spectrum(runner: _Runner, section: dict) -> None:
     sigma = pump_parameter_for_squeezing_db(section["initial_squeezing_db"])
     eta = section["detection_efficiency"]
     step, omega_max = section["omega_step"], section["omega_max"]
@@ -246,9 +241,8 @@ def _run_opo_spectrum(runner: _Runner) -> None:
     )
 
 
-def _run_spdc_spectrum(runner: _Runner) -> None:
+def _run_spdc_spectrum(runner: _Runner, section: dict) -> None:
     config = runner.config
-    section = config.run_section("spdc_spectrum")
     device = config.qpm_device()
     span, points = section["wavelength_span_nm"], section["points"]
     pumps = "run.spdc_spectrum.pump_wavelength_nm"
@@ -267,9 +261,8 @@ def _run_spdc_spectrum(runner: _Runner) -> None:
             )
 
 
-def _run_squeeze_budget(runner: _Runner) -> None:
+def _run_squeeze_budget(runner: _Runner, section: dict) -> None:
     config = runner.config
-    section = config.run_section("squeeze_budget")
     temperature = section["temperature_c"]
     probe = section["probe_wavelength_nm"]
     params = config.photorefraction(temperature)
@@ -293,16 +286,14 @@ def _run_squeeze_budget(runner: _Runner) -> None:
     runner.write("squeeze_photorefractive.csv", write_sweep_csv, degraded)
 
 
-def _run_fit_dn(runner: _Runner) -> None:
-    config = runner.config
-    section = config.run_section("fit_dn")
+def _run_fit_dn(runner: _Runner, section: dict) -> None:
     if not section["inputs"]:
         raise ConfigError("run.fit_dn.inputs: no input sweeps configured")
     sweeps, geometries = {}, {}
     for entry in section["inputs"]:
         temperature = entry["temperature_c"]
         sweeps[temperature] = read_sweep_csv(entry["path"])
-        geometries[temperature] = config.coupler_geometry(temperature)
+        geometries[temperature] = runner.config.coupler_geometry(temperature)
     outcomes = fit_delta_n_from_reflectivity(
         sweeps, geometries, section["probe_wavelength_nm"]
     )
@@ -324,9 +315,7 @@ def _run_fit_dn(runner: _Runner) -> None:
             runner.note(f"{tag}: {message}")
 
 
-def _run_fit_fpi(runner: _Runner) -> None:
-    config = runner.config
-    section = config.run_section("fit_fpi")
+def _run_fit_fpi(runner: _Runner, section: dict) -> None:
     if not section["input"]:
         raise ConfigError("run.fit_fpi.input: no input trace configured")
     trace = read_trace_csv(section["input"])
@@ -334,9 +323,8 @@ def _run_fit_fpi(runner: _Runner) -> None:
         trace = trace.with_masked_interval(start, end)
     fit = fit_fpi_trace(
         trace,
-        config.fpi_cavity(),
+        runner.config.fpi_cavity(),
         probe_wavelength_nm=section["probe_wavelength_nm"],
-        temperature_c=section["temperature_c"],
         pump_on_time_s=section["pump_on_time_s"],
     )
     payload = fit.result.to_json_dict()
@@ -430,19 +418,20 @@ def main(argv=None) -> int:
     except OSError as exc:  # e.g. --out names an existing regular file
         log.error("validation error: %s", exc)
         return 1
-    config.seed_flag = args.seed  # checked with the run section, inside the handler
+    config.seed_flag = args.seed  # checked with the run section, under the timer
     runner = _Runner(config, out_dir, config.seed, args.quiet)
 
     start = time.perf_counter()
     try:
-        _HANDLERS[args.subcommand](runner)
+        section = config.run_section(args.subcommand.replace("-", "_"))
+        _HANDLERS[args.subcommand](runner, section)
     except (ConfigError, ValueError, OSError, KeyError) as exc:
         _write_manifest(
             runner, args.subcommand, "failed", time.perf_counter() - start, str(exc)
         )
         log.error("validation error: %s", exc)
         return 1
-    except (FitError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FitError, FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
         _write_manifest(
             runner, args.subcommand, "failed", time.perf_counter() - start, str(exc)
         )

@@ -79,8 +79,7 @@ DEFAULT_CONFIG: dict[str, Any] = {
         },
         "coupler": {
             "interaction_length_mm": 4.3,
-            "waveguide_separation_um": 14.0,
-            "design_wavelength_nm": 1550.0,
+            "waveguide_separation_um": 14.0,  # echoed by coupler-sweep; no model reads it
             "coupling_constant_per_mm": {
                 "30.0": 0.46,
                 "60.0": 0.48039,
@@ -89,8 +88,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
         },
         "homodyne_coupler": {
             "balanced": True,
-            "waveguide_separation_um": 14.0,
-            "design_wavelength_nm": 1550.0,
             "coupling_constant_per_mm": {"30.0": 0.46},
         },
         "qpm": {
@@ -157,7 +154,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "fit_dn": {"probe_wavelength_nm": 1550.0, "inputs": []},
         "fit_fpi": {
             "input": "",
-            "temperature_c": 30.0,
             "probe_wavelength_nm": 1550.0,
             "pump_on_time_s": None,
             "mask_intervals_s": [],
@@ -222,11 +218,14 @@ _SCHEMA: dict[str, Any] = _derive_schema(DEFAULT_CONFIG)
 # Ranges of run values by key name (one quantity in every section), as (low, high,
 # ends) with "[]" closed and "()" open ends; list entries and keyed-map values take
 # their name's range.  Unbounded: detunings, phases, mask intervals, pump-on time.
+# The dB floor is the level whose amplitude 10^(dB/20) is one ulp of 1: there the
+# OPO pump parameter (1 - amplitude)/(1 + amplitude) still rounds below threshold.
+_DB_FLOOR = 20.0 * math.log10(math.ulp(1.0))
 _RANGES: dict[str, tuple[float, float, str]] = {
     "seed": (0, 2**64, "[)"),
     "points": (2, math.inf, "[)"),
-    "initial_squeezing_db": (-math.inf, 0.0, "()"),
-    **dict.fromkeys(("squeezing_db", "initial_levels_db"), (-math.inf, 0.0, "(]")),
+    "initial_squeezing_db": (_DB_FLOOR, 0.0, "[)"),
+    **dict.fromkeys(("squeezing_db", "initial_levels_db"), (_DB_FLOOR, 0.0, "[]")),
     **dict.fromkeys(("reflectivity", "detection_efficiency"), (0.0, 1.0, "[]")),
     **dict.fromkeys(("temperature_c", "temperatures_c"), (*TEMPERATURE_RANGE_C, "[]")),
     **dict.fromkeys(("probe_wavelength_nm", "wavelengths_nm"), (*WAVELENGTH_RANGE_NM, "[]")),
@@ -402,14 +401,8 @@ class Config:
         k = self.temperature_entry(f"devices.{name}.coupling_constant_per_mm", temperature_c)
         with _invariants(f"devices.{name}"):
             balanced = section.get("balanced", False)  # only the homodyne coupler
-            return CouplerGeometry(
-                coupling_constant_per_mm=k,
-                interaction_length_mm=(
-                    1.5 * coupling_length(k) if balanced else section["interaction_length_mm"]
-                ),
-                waveguide_separation_um=section["waveguide_separation_um"],
-                design_wavelength_nm=section["design_wavelength_nm"],
-            )
+            length = 1.5 * coupling_length(k) if balanced else section["interaction_length_mm"]
+            return CouplerGeometry(coupling_constant_per_mm=k, interaction_length_mm=length)
 
     def coupler_geometry(self, temperature_c: float) -> CouplerGeometry:
         return self._coupler("coupler", temperature_c)

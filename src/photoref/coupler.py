@@ -37,13 +37,11 @@ class CouplerGeometry:
     """Evanescent coupler: coupling constant and interaction length.
 
     The coupling constant is temperature specific; hold one geometry per
-    operating temperature.  ``waveguide_separation_um`` is metadata only.
+    operating temperature.
     """
 
     coupling_constant_per_mm: float
     interaction_length_mm: float
-    waveguide_separation_um: float | None = None
-    design_wavelength_nm: float = 1550.0
 
     def __post_init__(self):
         if self.coupling_constant_per_mm <= 0:

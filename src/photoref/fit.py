@@ -621,7 +621,7 @@ def fit_fpi_trace(
     trace: Trace,
     cavity: FpiCavity,
     probe_wavelength_nm: float,
-    temperature_c: float,
+    temperature_c: float | None = None,
     pump_on_time_s: float | None = None,
 ) -> FpiTraceFit:
     """Fit the pump-on transient of a normalized cavity transmission trace.
@@ -647,6 +647,9 @@ def fit_fpi_trace(
     warning gives the ratio), and a fitted excursion below lambda/(8L),
     where no transmission oscillation is resolved and the returned
     magnitude is only a bound.
+
+    ``temperature_c`` is unused: the fitted phi0 absorbs n_eff(T).  It is
+    kept so that calls passing it by position still work.
     """
     reflectivity = cavity.reflectivity_at(probe_wavelength_nm)
     coefficient, _ = finesse(reflectivity, reflectivity)

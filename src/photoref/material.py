@@ -28,7 +28,6 @@ __all__ = [
     "JUNDT_CLN_EXTRAORDINARY",
     "WAVELENGTH_RANGE_NM",
     "TEMPERATURE_RANGE_C",
-    "BULK_MODE",
     "MaterialModel",
     "refractive_index",
     "PhotorefractionParams",
@@ -43,9 +42,6 @@ __all__ = [
 # Validated range of the dispersion model.
 WAVELENGTH_RANGE_NM = (400.0, 2000.0)
 TEMPERATURE_RANGE_C = (20.0, 200.0)
-
-# Reserved mode id returning the bulk dispersion value (zero offset).
-BULK_MODE = "bulk"
 
 
 @dataclass(frozen=True)
@@ -183,19 +179,14 @@ def refractive_index(
 ):
     """Effective index of a registered mode: bulk dispersion plus offset.
 
-    The reserved mode id ``"bulk"`` returns the bare dispersion value.
     Raises for unknown mode ids and for (wavelength, temperature) outside the
     validated dispersion range.
     """
-    if mode == BULK_MODE:
-        offset = 0.0
-    elif mode in model.mode_offsets:
-        offset = model.mode_offsets[mode]
-    else:
+    if mode not in model.mode_offsets:
         known = ", ".join(sorted(model.mode_offsets)) or "none"
         raise KeyError(f"unknown mode id {mode!r} (registered: {known})")
     # A scalar wavelength gives a float: Sellmeier ``index`` returns one.
-    return _bulk_index(model.coefficients, wavelength_nm, temperature_c) + offset
+    return _bulk_index(model.coefficients, wavelength_nm, temperature_c) + model.mode_offsets[mode]
 
 
 # Bulk indices already evaluated, by (coefficients, wavelength, temperature):

@@ -52,7 +52,6 @@ def coupler30() -> CouplerGeometry:
     return CouplerGeometry(
         coupling_constant_per_mm=0.46,
         interaction_length_mm=4.3,
-        waveguide_separation_um=14.0,
     )
 
 
@@ -61,7 +60,6 @@ def coupler90() -> CouplerGeometry:
     return CouplerGeometry(
         coupling_constant_per_mm=0.53070,
         interaction_length_mm=4.3,
-        waveguide_separation_um=14.0,
     )
 
 

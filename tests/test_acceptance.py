@@ -407,8 +407,7 @@ def test_criterion_11_determinism(tmp_path):
         },
         "fit_fpi": {
             "input": str(out_dirs[0] / "fpi_trace.csv"),
-            "temperature_c": 30.0, "probe_wavelength_nm": LAM,
-            "pump_on_time_s": 5.0,
+            "probe_wavelength_nm": LAM, "pump_on_time_s": 5.0,
         },
     }
     config = tmp_path / "config.yaml"

@@ -73,7 +73,6 @@ def make_config(tmp_path):
         }
         payload["run"]["fit_fpi"] = {
             "input": str(out_dir / "fpi_trace.csv"),
-            "temperature_c": 30.0,
             "probe_wavelength_nm": 1550.0,
             "pump_on_time_s": 5.0,
         }
@@ -490,6 +489,21 @@ class TestExitCodes:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "not JSON compliant" in manifest["error"]
+        assert manifest["outputs"] == []
+
+    def test_overflow_is_numerical_failure(self, tmp_path, monkeypatch):
+        """An OverflowError from a model exits 2 with a failed manifest."""
+        def overflow(config):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr("photoref.cli.homodyne_noise", overflow)
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({}))
+        out = tmp_path / "out"
+        assert main(["homodyne", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "math range error"
         assert manifest["outputs"] == []
 
 

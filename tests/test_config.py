@@ -1,12 +1,24 @@
 import copy
 import types
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photoref.config import _SCHEMA, Config, ConfigError, _derive_schema, parse_config
+from photoref.cavity import delta_n_to_detuning, fpi_characteristics, fpi_transmission
+from photoref.config import (
+    _SCHEMA,
+    DEFAULT_CONFIG,
+    Config,
+    ConfigError,
+    _derive_schema,
+    parse_config,
+)
+from photoref.coupler import coupler_reflectivity
+from photoref.material import DEFAULT_MODE_TARGETS
+from photoref.spdc import SpdcOperatingPoint, qpm_mismatch, spdc_spectrum
 
 EXAMPLE = "configs/example.yaml"
 
@@ -192,8 +204,8 @@ class TestMalformedValues:
              "devices.squeezer.mirror_r1"),
             ({"devices": {"coupler": {"coupling_constant_per_mm": {"60": None}}}},
              r"devices\.coupler\.coupling_constant_per_mm\.60"),
-            ({"devices": {"homodyne_coupler": {"design_wavelength_nm": None}}},
-             "devices.homodyne_coupler.design_wavelength_nm"),
+            ({"devices": {"homodyne_coupler": {"interaction_length_mm": None}}},
+             "devices.homodyne_coupler.interaction_length_mm"),
             ({"devices": {"homodyne_coupler": {"balanced": False}}},
              "devices.homodyne_coupler"),
             ({"devices": {"qpm": {"length_mm": None}}}, "devices.qpm.length_mm"),
@@ -392,3 +404,73 @@ class TestBuilders:
 
         assert refractive_index(material, 1550.0, 30.0, "fundamental-telecom") == 2.13
         assert refractive_index(material, 775.0, 30.0, "fundamental-nir") == 2.18
+
+
+# Device leaves that no model reads, only echoed into an output.
+ECHOED = {"devices.coupler.waveguide_separation_um"}
+
+
+def _device_leaves(node, default, path=("devices",)):
+    """(path, default) of every device leaf that has a default; a keyed map
+    gives each of its default entries.  Leaves with no default (the poling
+    period, the length of an unbalanced homodyne coupler) are left out."""
+    if not isinstance(node, dict):
+        yield path, default
+        return
+    keyed = next((k for k in node if isinstance(k, type)), None)
+    for key in default:
+        yield from _device_leaves(node[keyed or key], default[key], path + (key,))
+
+
+def _perturbed(value):
+    """A valid neighbour of a default: a number scaled or moved off zero, a
+    flag flipped, a mode id swapped for the other default mode."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return next(mode for mode in DEFAULT_MODE_TARGETS if mode != value)
+    return value * 1.01 if value else 0.5
+
+
+def _device_readout(config: Config) -> np.ndarray:
+    """Fixed model calls over every device the configuration builds."""
+    fpi = config.fpi_cavity()
+    values = [fpi_transmission(fpi, lam, 30.0, np.array([0.0, -1e-5])) for lam in (1550.0, 775.0)]
+    values += [fpi_characteristics(fpi, lam, 30.0)[0] for lam in (1550.0, 775.0)]
+    values.append(delta_n_to_detuning(config.squeezer_cavity(), -1e-6, 1550.0))
+    for name, build in (("coupler", config.coupler_geometry),
+                        ("homodyne_coupler", config.homodyne_geometry)):
+        for key in config.resolved["devices"][name]["coupling_constant_per_mm"]:
+            values.append(coupler_reflectivity(build(float(key)), np.array([0.0, 0.3])))
+    device, params = config.qpm_device(), config.photorefraction(30.0)
+    point = SpdcOperatingPoint(770.73, 30.0, pump_power_mw=5.0)
+    grid = np.linspace(1500.0, 1580.0, 5)
+    values.append(qpm_mismatch(device, point, grid, params))
+    values.append(spdc_spectrum(device, point, params, grid))  # reads the QPM length
+    return np.concatenate([np.atleast_1d(v) for v in values])
+
+
+DEVICE_LEAVES = list(_device_leaves(_SCHEMA["devices"], DEFAULT_CONFIG["devices"]))
+
+
+class TestDeviceSettingsRead:
+    def test_echoed_settings_are_device_leaves(self):
+        assert ECHOED <= {".".join(path) for path, _ in DEVICE_LEAVES}
+
+    @pytest.mark.parametrize("path, default", [
+        pytest.param(path, default, id=".".join(path))
+        for path, default in DEVICE_LEAVES if ".".join(path) not in ECHOED
+    ])
+    def test_every_device_setting_changes_a_model_value(self, tmp_path, path, default):
+        """Perturbing one device default moves some model value or is refused."""
+        reference = _device_readout(parse_config(write_config(tmp_path, {})))
+        payload = value = _perturbed(default)
+        for key in reversed(path):
+            payload = {key: payload}
+        try:
+            config = parse_config(write_config(tmp_path, payload))
+        except ConfigError:
+            return
+        assert not np.array_equal(_device_readout(config), reference), (
+            f"{'.'.join(path)} = {value!r} changes no model value"
+        )

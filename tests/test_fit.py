@@ -350,7 +350,7 @@ class TestReflectivityInversion:
 
     def test_decreasing_branch_supported(self):
         # k*L in (pi, 3*pi/2) makes the reflectivity fall first.
-        geometry = CouplerGeometry(0.7, 5.0, 14.0)
+        geometry = CouplerGeometry(0.7, 5.0)
         branch = first_monotone_branch(geometry)
         assert not branch.increasing
         for db_true in (0.1, 0.5, 1.0):
@@ -468,7 +468,7 @@ class TestDeltaNPipeline:
     def test_out_of_branch_points_flagged(self):
         # Geometry whose first branch falls from 0.877 to 0.422: a smaller
         # reflectivity is only reachable past the extremum, i.e. ambiguous.
-        geometry = CouplerGeometry(0.7, 5.0, 14.0)
+        geometry = CouplerGeometry(0.7, 5.0)
         truth = PhotorefractionParams(a=1.1e-4, b=10.0, c=0.02, temperature_c=30.0)
         sweep = synthetic_sweep(truth, geometry, self.powers)
         values = sweep.value.copy()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import photoref.material as material_module
 from photoref.material import (
-    BULK_MODE,
     MaterialModel,
     PhotorefractionParams,
     PumpSchedule,
@@ -29,11 +28,14 @@ def hand_bulk_index(lam_um: float, t_c: float) -> float:
     return math.sqrt(term1 + term2 + term3 + term4)
 
 
+TELECOM = "fundamental-telecom"
+
+
 class TestDispersion:
     def test_bulk_index_matches_hand_evaluation(self, material):
-        got = refractive_index(material, 1550.0, 30.0, BULK_MODE)
+        got = material.coefficients.index(1550.0, 30.0)
         assert got == pytest.approx(hand_bulk_index(1.550, 30.0), abs=1e-12)
-        got775 = refractive_index(material, 775.0, 30.0, BULK_MODE)
+        got775 = material.coefficients.index(775.0, 30.0)
         assert got775 == pytest.approx(hand_bulk_index(0.775, 30.0), abs=1e-12)
 
     def test_calibrated_targets_are_exact(self, material):
@@ -51,28 +53,28 @@ class TestDispersion:
     )
     def test_out_of_range_rejected(self, material, lam, t):
         with pytest.raises(ValueError, match="outside validated range"):
-            refractive_index(material, lam, t, BULK_MODE)
+            refractive_index(material, lam, t, TELECOM)
 
     def test_array_names_first_out_of_range_wavelength(self, material):
         lam = np.array([1500.0, 2500.0, 1600.0, 300.0])
         with pytest.raises(ValueError, match=r"wavelength 2500\.0 nm outside"):
-            refractive_index(material, lam, 30.0, BULK_MODE)
+            refractive_index(material, lam, 30.0, TELECOM)
 
     def test_array_with_nan_rejected(self, material):
         lam = np.array([1500.0, math.nan, 1600.0])
         with pytest.raises(ValueError, match="wavelength nan nm outside"):
-            refractive_index(material, lam, 30.0, BULK_MODE)
+            refractive_index(material, lam, 30.0, TELECOM)
 
     @pytest.mark.parametrize("t", [20.0, 30.0, 90.0, 200.0])
     def test_index_above_unity(self, material, t):
         lam = np.linspace(400.0, 2000.0, 801)
-        n = refractive_index(material, lam, t, BULK_MODE)
+        n = material.coefficients.index(lam, t)
         assert np.all(n > 1.0)
 
     @pytest.mark.parametrize("t", [20.0, 30.0, 90.0, 200.0])
     def test_monotone_decreasing_in_band(self, material, t):
         lam = np.linspace(700.0, 1600.0, 901)
-        n = refractive_index(material, lam, t, BULK_MODE)
+        n = material.coefficients.index(lam, t)
         assert np.all(np.diff(n) < 0)
 
     @given(offset=st.floats(-0.4, 0.4), lam=st.floats(900.0, 1900.0),
@@ -87,8 +89,7 @@ class TestDispersion:
 
 def uncached_index(model, wavelength_nm, temperature_c, mode):
     """``refractive_index`` as evaluated before the dispersion cache."""
-    offset = 0.0 if mode == BULK_MODE else model.mode_offsets[mode]
-    n = model.coefficients.index(wavelength_nm, temperature_c) + offset
+    n = model.coefficients.index(wavelength_nm, temperature_c) + model.mode_offsets[mode]
     return float(n) if np.isscalar(wavelength_nm) else n
 
 
@@ -119,7 +120,7 @@ class TestIndexCache:
         material_module._INDEX_CACHE.clear()
 
     @given(lam=wavelengths, t=temperatures, mode=st.sampled_from(
-        [BULK_MODE, "fundamental-telecom", "fundamental-nir"]))
+        ["fundamental-telecom", "fundamental-nir"]))
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_uncached(self, material, lam, t, mode):
         assert set(material.mode_offsets) == {"fundamental-telecom", "fundamental-nir"}
@@ -138,7 +139,7 @@ class TestIndexCache:
     def test_returned_array_is_a_copy(self, material):
         lam = np.linspace(1500.0, 1600.0, 11)
         expected = uncached_index(material, lam, 30.0, "fundamental-telecom")
-        for mode in (BULK_MODE, "fundamental-telecom"):
+        for mode in ("fundamental-nir", "fundamental-telecom"):
             refractive_index(material, lam, 30.0, mode)[:] = 0.0
         got = refractive_index(material, lam, 30.0, "fundamental-telecom")
         assert same_bits(got, expected)
@@ -155,23 +156,23 @@ class TestIndexCache:
     def test_out_of_range_refused_on_every_call(self, material, lam, t):
         # Nearby keys in the cache first: the same wavelength, the same
         # temperature, and the in-range part of the array.
-        refractive_index(material, 1550.0, 30.0, BULK_MODE)
-        refractive_index(material, np.array([1550.0]), 30.0, BULK_MODE)
-        refractive_index(material, np.array([1550.0, 1550.0]), 30.0, BULK_MODE)
+        refractive_index(material, 1550.0, 30.0, TELECOM)
+        refractive_index(material, np.array([1550.0]), 30.0, TELECOM)
+        refractive_index(material, np.array([1550.0, 1550.0]), 30.0, TELECOM)
         for _ in range(3):
             with pytest.raises(ValueError, match="outside validated range"):
-                refractive_index(material, lam, t, BULK_MODE)
+                refractive_index(material, lam, t, TELECOM)
 
     def test_coefficient_sets_never_share_entries(self, material):
         shifted = dataclasses.replace(material.coefficients, a1=5.36)
-        other = MaterialModel(coefficients=shifted)
+        other = MaterialModel(coefficients=shifted, mode_offsets=material.mode_offsets)
         lam = np.array([800.0, 1550.0])
         for model in (material, other, material, other):
-            got = refractive_index(model, lam, 30.0, BULK_MODE)
-            assert same_bits(got, model.coefficients.index(lam, 30.0) + 0.0)
+            got = refractive_index(model, lam, 30.0, TELECOM)
+            assert same_bits(got, model.coefficients.index(lam, 30.0) + model.mode_offsets[TELECOM])
         assert not np.array_equal(
-            refractive_index(material, lam, 30.0, BULK_MODE),
-            refractive_index(other, lam, 30.0, BULK_MODE),
+            refractive_index(material, lam, 30.0, TELECOM),
+            refractive_index(other, lam, 30.0, TELECOM),
         )
         keys = list(material_module._INDEX_CACHE)
         assert [key[0] for key in keys] == [material.coefficients, shifted]
@@ -181,15 +182,15 @@ class TestIndexCache:
         points = material_module._INDEX_CACHE_MAX_POINTS
         temperatures = np.linspace(20.0, 200.0, entries + 10)
         for t in temperatures:
-            refractive_index(material, np.array([1550.0, 775.0]), float(t), BULK_MODE)
+            refractive_index(material, np.array([1550.0, 775.0]), float(t), TELECOM)
         count = len(material_module._INDEX_CACHE)
         assert 0 < count <= entries
         last = (material.coefficients, (np.array([1550.0, 775.0]).tobytes(), (2,)),
                 float(temperatures[-1]))
         assert last in material_module._INDEX_CACHE
         long = np.linspace(400.0, 2000.0, points + 1)
-        got = refractive_index(material, long, 30.0, BULK_MODE)
-        assert same_bits(got, uncached_index(material, long, 30.0, BULK_MODE))
+        got = refractive_index(material, long, 30.0, TELECOM)
+        assert same_bits(got, uncached_index(material, long, 30.0, TELECOM))
         assert len(material_module._INDEX_CACHE) == count
         assert max(np.size(n) for n in material_module._INDEX_CACHE.values()) <= points
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from photoref.cavity import (
     opo_optimal_levels,
     pump_parameter_for_squeezing_db,
 )
+from photoref.config import _RANGES
 
 
 # Oracles for the closed-form extremes, also criterion 6's in
@@ -150,6 +152,16 @@ class TestOptimalLevels:
         assert sigma == pytest.approx(0.280130, abs=1e-5)
         floor = opo_quadrature_spectrum(sigma, 0.0, 0.0, 0.0)
         assert floor == pytest.approx(10 ** (-0.5), abs=1e-9)
+
+    def test_calibration_is_the_closed_form(self):
+        """sigma = (1 - g)/(1 + g) with g = 10^(dB/20), without cancellation at
+        deep levels; the lowest configurable level stays below threshold."""
+        with decimal.localcontext() as context:
+            context.prec = 40
+            g = decimal.Decimal(10) ** (decimal.Decimal(-150) / 20)
+            exact = float((1 - g) / (1 + g))
+        assert pump_parameter_for_squeezing_db(-150.0) == pytest.approx(exact, rel=1e-15)
+        assert pump_parameter_for_squeezing_db(_RANGES["initial_squeezing_db"][0]) < 1.0
 
     def test_antisqueezing_dominates(self):
         for sigma in (0.1, 0.28, 0.52):

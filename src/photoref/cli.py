@@ -424,7 +424,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         section = config.run_section(args.subcommand.replace("-", "_"))
-        _HANDLERS[args.subcommand](runner, section)
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            _HANDLERS[args.subcommand](runner, section)
     except (ConfigError, ValueError, OSError, KeyError) as exc:
         _write_manifest(
             runner, args.subcommand, "failed", time.perf_counter() - start, str(exc)

@@ -12,6 +12,9 @@ that ends at the first stationary point above x = kL (sin x = 0 or
 tan x = x), in one bisection over all points.  The trace fit scans a start grid in one broadcast cost
 evaluation, then descends from the cheapest grid points until a fit
 reaches the trace's noise floor, and flags the fit when none does.
+The Airy model, its Jacobian and the start scan take sines and cosines from one tan,
+which numpy 2.4 vectorizes under AVX-512 while its float64 sin and cos run through
+scalar libm (neutral under AVX2 dispatch); the <= 3x3 LM algebra runs in Python floats.
 """
 
 from __future__ import annotations
@@ -154,6 +157,31 @@ def _jacobian(problem: FitProblem, params: np.ndarray) -> np.ndarray:
     return jac
 
 
+def _solve(matrix: list, rhs: list, shift=()) -> list | None:
+    """x with (matrix + diag(shift)) @ x = rhs, in Python floats, by Gaussian
+    elimination with partial pivoting; None when a pivot is exactly zero."""
+    n = len(rhs)
+    rows = [row + [b] for row, b in zip(matrix, rhs)]
+    for k, s in enumerate(shift):
+        rows[k][k] += s
+    for k in range(n):
+        rows[k:] = sorted(rows[k:], key=lambda row: -abs(row[k]))  # largest pivot first
+        head = rows[k]
+        if head[k] == 0.0:
+            return None
+        for row in rows[k + 1:]:
+            factor = row[k] / head[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= factor * head[j]
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        row, total = rows[k], rows[k][n]
+        for j in range(k + 1, n):
+            total -= row[j] * x[j]
+        x[k] = total / row[k]
+    return x
+
+
 def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
     """Damped Gauss-Newton minimization of the weighted residual sum of squares.
 
@@ -172,59 +200,52 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
     because the Gauss-Newton covariance does not hold there.  Deterministic
     given identical inputs.
     """
-    lower, upper = problem.lower_bounds, problem.upper_bounds
-    params = problem.initial_guess.copy()
-    r = _weighted_residual(problem, params)
-    if len(r) < len(params):
+    lower, upper = problem.lower_bounds.tolist(), problem.upper_bounds.tolist()
+    point = problem.initial_guess.tolist()  # the <= 3x3 algebra below runs in floats
+    r = _weighted_residual(problem, problem.initial_guess)
+    if len(r) < len(point):
         raise ValueError(
-            f"need at least as many data points ({len(r)}) as parameters ({len(params)})"
+            f"need at least as many data points ({len(r)}) as parameters ({len(point)})"
         )
     cost = float(r @ r)
     history = [math.sqrt(cost)]
     warnings: list[str] = []
     damping: float | None = None
-    jac = _jacobian(problem, params)
-    evaluations, jacobians = 1, 1
-    iterations = 0
+    jac = _jacobian(problem, problem.initial_guess)
+    evaluations, jacobians, iterations = 1, 1, 0
     termination = "max_iter"
 
     for _ in range(max_iter):
-        gradient = jac.T @ r
+        gradient = (jac.T @ r).tolist()
         # A parameter on a bound that the gradient pushes outward is held out
         # of the step, so that clipping does not stall the others beside it.
-        free = ~((params == lower) & (gradient > 0) | (params == upper) & (gradient < 0))
-        every = free.all()
-        g = gradient if every else gradient[free]
-        if abs(g).max(initial=0.0) < _GRAD_TOL:
+        free = [i for i, (p, d, lo, hi) in enumerate(zip(point, gradient, lower, upper))
+                if not (p == lo and d > 0 or p == hi and d < 0)]
+        every = len(free) == len(point)
+        g = gradient if every else [gradient[i] for i in free]
+        if max(map(abs, g), default=0.0) < _GRAD_TOL:
             termination = "grad_tol"
             break
-        hessian = np.einsum("ji,jk->ik", jac, jac)  # half BLAS's time on tall J
-        reduced = hessian if every else hessian[free][:, free]
-        try:
-            gain = float(g @ np.linalg.solve(reduced, g))
-        except np.linalg.LinAlgError:
-            gain = math.nan
+        hessian = np.einsum("ji,jk->ik", jac, jac).tolist()  # half BLAS's time on tall J
+        reduced = hessian if every else [[hessian[i][j] for j in free] for i in free]
+        solution = _solve(reduced, g)
+        gain = math.nan if solution is None else sum(a * b for a, b in zip(g, solution))
         if gain <= _GAIN_FLOOR * cost:
             termination = "gain_floor"
             break
-        diag = hessian.diagonal()
-        scale = np.where(diag > 0, diag, 1.0)
-        if damping is None:
-            damping = 1e-6 * float(scale.max())
-        weight = np.diag(scale if every else scale[free])
+        scale = [h[i] if h[i] > 0 else 1.0 for i, h in enumerate(hessian)]
+        damping = 1e-6 * max(scale) if damping is None else damping
         while True:
-            try:
-                step = np.linalg.solve(reduced + damping * weight, -g)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is None or not np.isfinite(step).all():
+            step = _solve(reduced, [-x for x in g], [damping * scale[i] for i in free])
+            if step is None or not all(map(math.isfinite, step)):
                 damping *= 10.0
                 if damping > _MAX_DAMPING:
                     raise FitError("singular Jacobian at maximal damping")
                 continue
-            trial = params.copy()
-            trial[free] += step
-            np.minimum(np.maximum(trial, lower, out=trial), upper, out=trial)
+            moved = point.copy()
+            for i, x in zip(free, step):
+                moved[i] = min(max(point[i] + x, lower[i]), upper[i])
+            trial = np.array(moved)
             r_trial = _weighted_residual(problem, trial)
             evaluations += 1
             cost_trial = float(r_trial @ r_trial)
@@ -241,29 +262,28 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
                 break
         if termination == "damping_limit":
             break
-        moved = abs(trial - params).max()
-        params = trial
-        r = r_trial
-        cost = cost_trial
+        largest = max(abs(b - a) for a, b in zip(point, moved))
+        point, r, cost = moved, r_trial, cost_trial
         iterations += 1
         history.append(math.sqrt(cost))
-        jac = _jacobian(problem, params)
+        jac = _jacobian(problem, trial)
         jacobians += 1
-        if moved < _STEP_TOL * (1.0 + abs(params).max()):
+        if largest < _STEP_TOL * (1.0 + max(map(abs, point))):
             termination = "step_tol"
             break
     else:
         warnings.append(f"iteration limit ({max_iter}) reached")
 
-    for j in np.flatnonzero((params == lower) | (params == upper)):
-        side = "lower" if params[j] == lower[j] else "upper"
-        warnings.append(
-            f"parameter {j} ends on its {side} bound ({params[j]:g}); "
-            "its covariance is not valid there"
-        )
-    covariance = _gauss_newton_covariance(jac, cost, len(r), len(params), warnings)
+    for j, (x, lo, hi) in enumerate(zip(point, lower, upper)):
+        if x in (lo, hi):
+            side = "lower" if x == lo else "upper"
+            warnings.append(
+                f"parameter {j} ends on its {side} bound ({x:g}); "
+                "its covariance is not valid there"
+            )
+    covariance = _gauss_newton_covariance(jac, cost, len(r), len(point), warnings)
     return FitResult(
-        parameters=params,
+        parameters=np.array(point),
         covariance=covariance,
         residual_norm=math.sqrt(cost),
         iterations=iterations,
@@ -473,12 +493,8 @@ def fit_delta_n_from_reflectivity(
             return np.column_stack((shape, -a_scaled * shape * shape))
 
         positive = powers_arr > 0
-        slope0 = (
-            float(np.sum(dn_arr[positive] * powers_arr[positive])
-                  / np.sum(powers_arr[positive] ** 2))
-            if np.any(positive)
-            else 0.0
-        )
+        slope0 = float(np.sum(dn_arr[positive] * powers_arr[positive])
+                       / np.sum(powers_arr[positive] ** 2)) if np.any(positive) else 0.0
         # Bounds keep the fit off the degenerate ridge a, c -> inf at fixed
         # a/c that opens up when the sweep carries no curvature information.
         problem = FitProblem(
@@ -586,25 +602,26 @@ def _cheapest(costs: np.ndarray, count: int) -> np.ndarray:
 
 
 def _trace_model(params, elapsed, coefficient, phase_scale, work):
-    """(decay, rise, psi, transmission, reference) of the pump-on trace model.
+    """(decay, rise, tan psi, transmission, reference) of the pump-on trace model.
 
     decay = exp(-elapsed/tau), rise = 1 - decay, psi = phi0 + phase_scale*dn_total*rise
     and the Airy T(x) = 1/(1 + F*sin^2 x) at psi (transmission) and at phi0
-    (reference); the arrays are the rows of ``work``, overwritten in place.
+    (reference); the arrays are the rows of ``work``, overwritten in place.  T at
+    psi is (1 + q)/(1 + (1 + F) q) = 1/(1 + F) + F/(1 + F)^2/(q + 1/(1 + F)), q = tan^2 psi.
     """
     dn_total, tau, phi0 = params
-    decay, rise, psi, transmission = work
+    decay, rise, tangent, transmission = work
     np.exp(np.divide(elapsed, -tau, out=decay), out=decay)
     np.subtract(1.0, decay, out=rise)
-    np.multiply(rise, dn_total, out=psi)
-    psi *= phase_scale
-    psi += phi0
-    np.square(np.sin(psi, out=transmission), out=transmission)
-    transmission *= coefficient
-    transmission += 1.0
-    np.divide(1.0, transmission, out=transmission)
+    np.multiply(rise, dn_total, out=tangent)
+    tangent *= phase_scale
+    tangent += phi0
+    lowest = 1.0 / (1.0 + coefficient)  # T at psi = pi/2
+    np.add(np.square(np.tan(tangent, out=tangent), out=transmission), lowest, out=transmission)
+    np.divide(coefficient * lowest * lowest, transmission, out=transmission)
+    transmission += lowest
     reference = 1.0 / (1.0 + coefficient * math.sin(phi0) ** 2)
-    return decay, rise, psi, transmission, reference
+    return decay, rise, tangent, transmission, reference
 
 
 @dataclass
@@ -680,13 +697,13 @@ def fit_fpi_trace(
         return transmission / reference - y
 
     def jacobian(params):
-        # dT/dpsi = -F*sin(2*psi)*T^2 at psi = phi0 + phase_scale*dn(t); the
-        # reference T(phi0) adds T*F*sin(2*phi0) to the phi0 column.
+        # dT/dpsi = -F*sin(2*psi)*T^2, with sin(2*psi) = 2t/(1 + t^2) at t = tan psi;
+        # the reference T(phi0) adds T*F*sin(2*phi0) to the phi0 column.
         dn_total, tau, phi0 = params
-        decay, rise, psi, transmission, reference = model(params)
+        decay, rise, tangent, transmission, reference = model(params)
         slope, scratch = rows
-        np.sin(np.multiply(psi, 2.0, out=slope), out=slope)
-        slope *= -coefficient
+        np.divide(tangent, np.add(np.square(tangent, out=scratch), 1.0, out=scratch), out=slope)
+        slope *= -2.0 * coefficient
         slope *= np.square(transmission, out=scratch)
         slope /= reference
         np.multiply(np.multiply(slope, phase_scale, out=scratch), rise, out=columns[0])
@@ -726,13 +743,18 @@ def fit_fpi_trace(
     inverse = np.empty((len(phi_grid), rise.size))  # (phi0, (tau, t)), reused
     samples = inverse.reshape(-1, len(y_thin))  # one row per (phi0, tau)
     rise = rise.ravel()
-    basis = np.empty((3, len(rise)))  # (1, cos, sin) of the angle, reused
+    # (1, cos 2a, sin 2a) at a = phase_scale*dn_total*rise and a scratch row, reused:
+    # from u = tan a, cos 2a = (1 - u^2)/(1 + u^2) and sin 2a = 2u/(1 + u^2).
+    basis = np.empty((4, len(rise)))
     basis[0] = 1.0
+    cosine, sine, scratch = basis[1:]
     for i, dn_total in enumerate(dn_grid):
-        angle = np.multiply(rise, 2.0 * phase_scale * dn_total, out=basis[2])
-        np.cos(angle, out=basis[1])
-        np.sin(angle, out=basis[2])
-        np.reciprocal(np.matmul(mix, basis, out=inverse), out=inverse)
+        np.tan(np.multiply(rise, phase_scale * dn_total, out=sine), out=sine)
+        np.subtract(1.0, np.square(sine, out=scratch), out=cosine)
+        scratch += 1.0
+        cosine /= scratch
+        np.divide(np.multiply(sine, 2.0, out=sine), scratch, out=sine)
+        np.reciprocal(np.matmul(mix, basis[:3], out=inverse), out=inverse)
         # sum((norm*inverse - y)^2), expanded so that no model array is formed
         squares = np.einsum("ij,ij->i", samples, samples).reshape(len(phi_grid), -1)
         costs[i] = (norm * (norm * squares - 2.0 * (samples @ y_thin).reshape(squares.shape))).T

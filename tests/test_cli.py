@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 import types
@@ -505,6 +506,26 @@ class TestExitCodes:
         assert manifest["status"] == "failed"
         assert manifest["error"] == "math range error"
         assert manifest["outputs"] == []
+
+    def test_nan_inside_a_model_is_numerical_failure(self, tmp_path):
+        """A NaN made inside a computation stops the run where it arises, with exit 2.
+
+        A coupling constant of 1e-300 per mm passes its range check, but the
+        coupler reflectivity then divides 0 by 0.  Without the handlers'
+        floating-point traps the NaN travelled on and was refused as
+        invalid input (exit 1, "non-finite value in value at index 0").
+        """
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(
+            {"devices": {"coupler": {"coupling_constant_per_mm": {"30.0": 1e-300}}}}
+        ))
+        out = tmp_path / "out"
+        assert main(["coupler-sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "invalid value encountered in divide"
+        for written in out.iterdir():
+            assert not re.search(r"\bnan\b", written.read_text(), re.IGNORECASE), written
 
 
 # Numeric run values with no range: detunings and phases take either sign,

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import photoref.fit as fit_module
@@ -769,11 +769,13 @@ class TestInPlaceTraceKernel:
     """The preallocated trace model and Jacobian against their first forms."""
 
     @staticmethod
-    def assert_close(actual, expected):
-        # 1e-12 of each column's largest magnitude: elementwise relative
-        # error is meaningless where a column crosses zero.
+    def assert_close(actual, expected, scale=None):
+        # 1e-12 of each column's largest magnitude (or of ``scale``):
+        # elementwise relative error is meaningless where a column crosses zero.
         error = np.abs(actual - expected).max(axis=0)
-        assert np.all(error <= 1e-12 * np.abs(expected).max(axis=0)), error
+        if scale is None:
+            scale = np.abs(expected).max(axis=0)
+        assert np.all(error <= 1e-12 * scale), error
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_matches_the_oracle(self, monkeypatch, masked):
@@ -804,15 +806,23 @@ class TestInPlaceTraceKernel:
                 params, elapsed, coefficient, phase_scale
             )
             kernel = fit_module._trace_model(params, elapsed, coefficient, phase_scale, work)
-            for actual, expected in zip(kernel, (decay, 1.0 - decay, psi, transmission)):
+            expected_rows = (decay, 1.0 - decay, np.tan(psi), transmission)
+            for actual, expected in zip(kernel, expected_rows):
                 assert actual.base is work
                 self.assert_close(actual, expected)
             assert kernel[4] == reference
             # The Jacobian first, so that it evaluates its own model.
             jacobian = problem.jacobian(params).copy()
-            self.assert_close(
-                jacobian, oracle_trace_jacobian(params, elapsed, coefficient, phase_scale)
-            )
+            oracle = oracle_trace_jacobian(params, elapsed, coefficient, phase_scale)
+            scale = np.abs(oracle).max(axis=0)
+            if params[0] == -1e-12:
+                # With no excursion, the phi0 column is what is left after its
+                # two terms, each of size F*sin(2*psi)*T^2/T(phi0), cancel: bound
+                # it by their size, since only the oracle's own operation order
+                # could meet 1e-12 of the remainder.
+                terms = coefficient * np.sin(2.0 * psi) * transmission**2 / reference
+                scale[2] = np.abs(terms).max()
+            self.assert_close(jacobian, oracle, scale)
             self.assert_close(problem.residual(params), transmission / reference - y)
 
     def test_jacobian_reuses_its_buffer(self, monkeypatch):
@@ -952,3 +962,130 @@ class TestCheapestStarts:
         np.testing.assert_array_equal(
             fit_module._cheapest(grid, fit_module._MAX_DESCENTS), expected
         )
+
+
+class TestTangentForms:
+    """The tan forms of the Airy model and the start scan against sin and cos.
+
+    T comes from the kernel itself; sin 2psi = 2t/(1 + t^2) (the Jacobian's,
+    and the scan's sin a at a = 2psi) and cos a = (1 - t^2)/(1 + t^2) are
+    formed as the fit forms them from t = tan psi.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        psi=st.one_of(
+            st.floats(-300.0, 300.0),
+            st.builds(
+                lambda k, side: math.pi / 2 + k * math.pi + side * 1e-9,
+                st.integers(-96, 95),
+                st.sampled_from([-1.0, 1.0]),
+            ),
+            st.just(math.pi / 2),
+        ),
+        coefficient=st.floats(1e-3, 1e3),
+    )
+    @example(psi=math.pi / 2, coefficient=0.76)
+    def test_match_the_sin_cos_forms(self, psi, coefficient):
+        angle = np.array([psi])
+        _, _, tangent, transmission, _ = fit_module._trace_model(
+            np.array([0.0, 1.0, psi]), np.zeros(1), coefficient, 1.0, np.empty((4, 1))
+        )
+        assert tangent[0] == np.tan(angle)[0]
+        expected = 1.0 / (1.0 + coefficient * np.sin(angle) ** 2)
+        assert abs(transmission[0] - expected[0]) <= 2e-15 * expected[0]
+        square = tangent * tangent
+        double_sine = 2.0 * tangent / (1.0 + square)
+        double_cosine = (1.0 - square) / (1.0 + square)
+        assert abs(double_sine[0] - np.sin(2.0 * angle)[0]) <= 1e-15
+        assert abs(double_cosine[0] - np.cos(2.0 * angle)[0]) <= 1e-15
+
+
+class TestFloatSolve:
+    """The LM engine's float elimination against LAPACK's solve."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_numpy_on_well_conditioned_systems(self, n):
+        rng = np.random.default_rng(20 + n)
+        for _ in range(200):
+            # Singular values in [1, 10]: condition numbers of at most 10.
+            left, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            right, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            matrix = 10.0 ** rng.uniform(-8, 8) * (left * rng.uniform(1, 10, n)) @ right.T
+            rhs = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8)
+            shift = np.abs(rng.standard_normal(n)) * np.abs(np.diag(matrix))
+            for diagonal in (np.zeros(n), shift):
+                expected = np.linalg.solve(matrix + np.diag(diagonal), rhs)
+                actual = fit_module._solve(matrix.tolist(), rhs.tolist(), diagonal.tolist())
+                error = np.linalg.norm(np.array(actual) - expected)
+                assert error <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[0.0]], [[1.0, 2.0], [2.0, 4.0]], [[2.0, 4.0, 1.0], [1.0, 2.0, 3.0], [4.0, 8.0, 2.0]]],
+    )
+    def test_exactly_singular_matrix(self, matrix):
+        rhs = [1.0] * len(matrix)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(matrix, rhs)
+        assert fit_module._solve(matrix, rhs) is None
+
+
+def oracle_scan_costs(trace, cavity):
+    """The start scan's cost grid as first written, with one cos and one sin per slice."""
+    reflectivity = cavity.reflectivity_at(LAM)
+    coefficient, _ = finesse(reflectivity, reflectivity)
+    t, y = trace.unmasked()
+    span = float(t[-1] - t[0])
+    phase_scale = 2.0 * math.pi * cavity.length_mm * 1e6 / LAM
+    elapsed = t - t[0]
+    quantum = LAM / (4.0 * cavity.length_mm * 1e6)
+    dn_start = -(estimate_delta_n_from_oscillations(trace) + 0.5) * quantum
+    stride = max(len(t) // 128, 1)
+    elapsed_thin, y_thin = elapsed[::stride], y[::stride]
+    dn_grid = np.clip(dn_start + quantum * np.linspace(-1.5, 1.5, 13), -5e-3, 0.0)
+    dn_grid = dn_grid[np.diff(dn_grid, prepend=-np.inf) > 0]
+    tau_grid = span * np.geomspace(1e-2, 1.0, 12)
+    phi_grid = np.linspace(0.0, math.pi, 32, endpoint=False)
+    rise = (1.0 - np.exp(-elapsed_thin / tau_grid[:, None])).ravel()
+    half = 0.5 * coefficient
+    mix = np.column_stack((
+        np.full(len(phi_grid), 1.0 + half),
+        -half * np.cos(2.0 * phi_grid),
+        half * np.sin(2.0 * phi_grid),
+    ))
+    norm = (1.0 + coefficient * np.sin(phi_grid) ** 2)[:, None]
+    costs = np.empty((len(dn_grid), len(tau_grid), len(phi_grid)))
+    for i, dn_total in enumerate(dn_grid):
+        angle = rise * (2.0 * phase_scale * dn_total)
+        inverse = 1.0 / (mix @ np.vstack((np.ones_like(angle), np.cos(angle), np.sin(angle))))
+        samples = inverse.reshape(-1, len(y_thin))
+        squares = np.einsum("ij,ij->i", samples, samples).reshape(len(phi_grid), -1)
+        costs[i] = (norm * (norm * squares - 2.0 * (samples @ y_thin).reshape(squares.shape))).T
+    return costs + y_thin @ y_thin
+
+
+class TestScanStarts:
+    """The tan-built start scan descends from the starts the sin/cos scan picks."""
+
+    @pytest.mark.parametrize("case", ["noise-free", "masked", *range(4000, 4010)])
+    def test_same_starts_as_the_sin_cos_scan(self, monkeypatch, case):
+        if case in ("noise-free", "masked"):
+            trace, cavity = synthetic_trace()
+            if case == "masked":
+                trace = trace.with_masked_interval(5.0, 10.0)
+        else:
+            trace, cavity = synthetic_trace(noise=0.02, rng=np.random.default_rng(case))
+        picked = []
+        cheapest = fit_module._cheapest
+
+        def recording(costs, count):
+            picked.append((costs.copy(), cheapest(costs, count)))
+            return picked[-1][1]
+
+        monkeypatch.setattr(fit_module, "_cheapest", recording)
+        fit_fpi_trace(trace, cavity, LAM, 30.0)
+        ((costs, starts),) = picked
+        oracle = oracle_scan_costs(trace, cavity)
+        np.testing.assert_allclose(costs, oracle, rtol=1e-9, atol=1e-12 * oracle.max())
+        np.testing.assert_array_equal(starts, cheapest(oracle, fit_module._MAX_DESCENTS))

@@ -309,9 +309,8 @@ def _run_fit_dn(runner: _Runner, section: dict) -> None:
             "temperature_c": temperature,
             "initial_slope_per_mw": outcome.params.a / outcome.params.b,
         }
-        payload["excluded_indices"] = outcome.excluded_indices
         runner.write_json(f"fit_dn_{tag}.json", payload)
-        for message in outcome.warnings:
+        for message in outcome.result.warnings:
             runner.note(f"{tag}: {message}")
 
 

@@ -401,6 +401,11 @@ class Config:
         k = self.temperature_entry(f"devices.{name}.coupling_constant_per_mm", temperature_c)
         with _invariants(f"devices.{name}"):
             balanced = section.get("balanced", False)  # only the homodyne coupler
+            if balanced and "interaction_length_mm" in section:
+                raise ValueError(
+                    f"devices.{name}.interaction_length_mm is not read while "
+                    f"devices.{name}.balanced is true (1.5 coupling lengths)"
+                )
             length = 1.5 * coupling_length(k) if balanced else section["interaction_length_mm"]
             return CouplerGeometry(coupling_constant_per_mm=k, interaction_length_mm=length)
 

@@ -6,11 +6,11 @@ analytic Jacobian.  It stops once the undamped Gauss-Newton step promises a
 decrease of at most 1e-14 of the cost, which rounding hides.  On top of it
 sit two pipelines: recovering the saturable index-shift law from coupler
 reflectivity sweeps, and recovering the total index excursion and build-up
-time from a cavity transmission trace.  The sweep fit inverts
-R = 1 - (kL*sin(x)/x)^2, x = L*sqrt(4k^2 + delta_beta^2)/2, on the branch
-that ends at the first stationary point above x = kL (sin x = 0 or
-tan x = x), in one bisection over all points.  The trace fit scans a start grid in one broadcast cost
-evaluation, then descends from the cheapest grid points until a fit
+time from a cavity transmission trace.  The sweep fit is one forward fit of
+R itself: the law gives delta_beta, and R = 1 - (kL*sin(x)/x)^2 with
+x = L*sqrt(4k^2 + delta_beta^2)/2 gives R; LM starts from the cheapest point
+of a coarse (a, c) scan.  The trace fit scans a start grid in one broadcast
+cost evaluation, then descends from the cheapest grid points until a fit
 reaches the trace's noise floor, and flags the fit when none does.
 The Airy model, its Jacobian and the start scan take sines and cosines from one tan,
 which numpy 2.4 vectorizes under AVX-512 while its float64 sin and cos run through
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -35,9 +35,6 @@ __all__ = [
     "FitProblem",
     "FitResult",
     "least_squares",
-    "ReflectivityBranch",
-    "first_monotone_branch",
-    "invert_reflectivity",
     "DeltaNFit",
     "fit_delta_n_from_reflectivity",
     "estimate_delta_n_from_oscillations",
@@ -51,8 +48,10 @@ _STEP_TOL = 1e-10  # accepted step, relative to 1 + max |parameter|
 _GRAD_TOL = 1e-10  # largest free gradient component
 _GAIN_FLOOR = 1e-14  # Gauss-Newton gain, relative to the cost, that rounding hides
 _MAX_DESCENTS = 16  # LM descents per trace fit
-_BISECT_TOL = 1e-13  # bracket width, relative to max(1, upper end)
 _GAUGE_B_MW = 10.0  # b of the saturable law, pinned (only a/b and a/c are identifiable)
+# The sweep fit's start scan: a over seven decades, c from none to strong saturation.
+_SWEEP_SCAN_A = np.geomspace(1e-9, 1e-2, 57)
+_SWEEP_SCAN_C = np.concatenate(([0.0], np.geomspace(1e-3, 100.0, 11)))
 
 
 class FitError(RuntimeError):
@@ -312,102 +311,13 @@ def _gauss_newton_covariance(jac, cost, n_points, n_params, warnings):
 # Pipeline 1: saturable index-shift law from coupler reflectivity sweeps.
 
 
-class ReflectivityBranch(NamedTuple):
-    """First monotone interval of R(delta_beta) starting at delta_beta = 0."""
-
-    delta_beta_max: float
-    r_start: float
-    r_end: float
-    increasing: bool
-
-
-def _bisect(f, lo, hi):
-    """Zeros of the increasing ``f``, elementwise, by bisection.
-
-    Each bracket [lo, hi] must hold its zero.  All brackets are halved
-    together, one call of ``f`` on the midpoints per halving, until each is
-    at most ``_BISECT_TOL * max(1, hi)`` wide; a midpoint where ``f`` is 0
-    closes its bracket.
-    """
-    while np.any(hi - lo > _BISECT_TOL * np.maximum(1.0, hi)):
-        mid = 0.5 * (lo + hi)
-        value = f(mid)
-        lo, hi = np.where(value > 0, lo, mid), np.where(value < 0, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def first_monotone_branch(geometry: CouplerGeometry) -> ReflectivityBranch:
-    """The monotone interval of R(|delta_beta|) that starts at zero mismatch.
-
-    With x = L*sqrt(4k^2 + delta_beta^2)/2, which rises from x0 = kL,
-    R = 1 - (x0*sin(x)/x)^2.  R is stationary only where sin x = 0 (a
-    maximum, R = 1) or tan x = x (a minimum; one root in each
-    (m*pi, (m + 1/2)*pi) for m >= 1).  The branch ends at the first of these
-    above x0: with x0 in [m*pi, (m + 1)*pi), it falls to the tan x = x root
-    of that period when x0 lies before it, and rises to (m + 1)*pi
-    otherwise.  Then delta_beta_max = (2/L)*sqrt(x^2 - x0^2).
-    """
-    length = geometry.interaction_length_mm
-    x0 = geometry.coupling_constant_per_mm * length
-    m = math.floor(x0 / math.pi)
-    if (m + 1) * math.pi <= x0:  # x0/pi rounded down across an integer
-        m += 1
-    x_end, increasing = (m + 1) * math.pi, True
-    if m >= 1:
-        root = float(_bisect(lambda x: np.tan(x) - x, m * math.pi, (m + 0.5) * math.pi))
-        if x0 < root:
-            x_end, increasing = root, False
-    delta_beta_max = 2.0 / length * math.sqrt(x_end**2 - x0**2)
-    return ReflectivityBranch(
-        delta_beta_max,
-        coupler_reflectivity(geometry, 0.0),
-        coupler_reflectivity(geometry, delta_beta_max),
-        increasing,
-    )
-
-
-def invert_reflectivity(
-    geometry: CouplerGeometry, reflectivity, branch: ReflectivityBranch | None = None
-):
-    """|delta_beta| whose reflectivity matches, on the first monotone branch.
-
-    Takes a scalar (and returns a float) or an array, which one bisection
-    inverts point for point.  Raises when a value cannot be reached on the
-    branch.  The branch's end values invert exactly to 0 and
-    ``delta_beta_max``.
-    """
-    r = np.asarray(reflectivity, dtype=float)
-    outside = ~((r >= 0.0) & (r <= 1.0))
-    if np.any(outside):
-        raise ValueError(f"reflectivity {float(r[outside].flat[0])!r} outside [0, 1]")
-    if branch is None:
-        branch = first_monotone_branch(geometry)
-    lo_val, hi_val = sorted((branch.r_start, branch.r_end))
-    unreachable = (r < lo_val - 1e-12) | (r > hi_val + 1e-12)
-    if np.any(unreachable):
-        raise ValueError(
-            f"reflectivity {float(r[unreachable].flat[0])!r} unreachable on the first "
-            f"monotone branch [{lo_val:.6f}, {hi_val:.6f}]"
-        )
-    r = np.clip(r, lo_val, hi_val)
-    sign = 1.0 if branch.increasing else -1.0
-    db = _bisect(
-        lambda db: sign * (coupler_reflectivity(geometry, db) - r),
-        np.where(r == branch.r_end, branch.delta_beta_max, 0.0),
-        np.where(r == branch.r_start, 0.0, branch.delta_beta_max),
-    )
-    return float(db) if np.isscalar(reflectivity) else db
-
-
 @dataclass
 class DeltaNFit:
     """Per-temperature outcome of the reflectivity-sweep pipeline."""
 
     params: PhotorefractionParams
-    delta_n_points: SweepData  # per-point |dn| inferred from the sweep
+    delta_n_points: SweepData  # the fitted |dn| at the sweep's powers
     result: FitResult
-    excluded_indices: list[int]
-    warnings: list[str]
 
 
 def fit_delta_n_from_reflectivity(
@@ -417,18 +327,16 @@ def fit_delta_n_from_reflectivity(
 ) -> dict[float, DeltaNFit]:
     """Recover the saturable index-shift law from reflectivity sweeps.
 
-    Two stages per temperature: (i) invert the coupled-mode reflectivity
-    of every point for |delta_beta| on the branch continuous from zero
-    mismatch, converting to |dn| = lambda*|delta_beta|/(2*pi); (ii) fit the
-    (P, |dn|) cloud with the saturable law.
-
-    The law a*P/(b + c*P) is invariant under common rescaling of (a, b, c),
-    so ``b`` is pinned to ``_GAUGE_B_MW`` and (a, c) are fitted; the
-    physical content (initial slope a/b, saturation a/c) is gauge
-    independent.  Points whose reflectivity falls beyond the first monotone
-    branch are excluded with a warning record.
+    One forward fit per temperature: the law |dn| = a*P/(b + c*P) gives the
+    mismatch delta_beta = 2*pi*|dn|/lambda, the coupled-mode model gives R
+    from it, and LM fits R itself, weighted by the sweep's sigma when it has
+    one.  The law is invariant under common rescaling of (a, b, c), so
+    ``b`` is pinned to ``_GAUGE_B_MW`` and (a, c) are fitted; the physical
+    content (initial slope a/b, saturation a/c) is gauge independent.  R is
+    flat at zero mismatch, so LM cannot start from a = 0: it starts from the
+    cheapest point of a coarse (a, c) scan instead.
     """
-    lam_mm = probe_wavelength_nm * 1e-6
+    to_beta = 2.0 * math.pi / (probe_wavelength_nm * 1e-6)
     outcomes: dict[float, DeltaNFit] = {}
     for temperature, sweep in sweeps.items():
         geometry = geometries[temperature] if isinstance(geometries, Mapping) else geometries
@@ -436,94 +344,68 @@ def fit_delta_n_from_reflectivity(
             raise ValueError(
                 f"{temperature} C sweep has {len(sweep)} points; need at least 4"
             )
-        branch = first_monotone_branch(geometry)
-        r_obs = sweep.value
-        outside = ~((r_obs >= 0.0) & (r_obs <= 1.0))
+        outside = ~((sweep.value >= 0.0) & (sweep.value <= 1.0))
         if np.any(outside):
             i = int(np.flatnonzero(outside)[0])
             raise ValueError(
-                f"{temperature} C sweep point {i}: reflectivity {float(r_obs[i])!r} "
+                f"{temperature} C sweep point {i}: reflectivity {float(sweep.value[i])!r} "
                 "outside the reachable range of the coupler model"
             )
-        # Noise can push a point behind the zero-mismatch value, where no
-        # |delta_beta| exists; such points are physically delta_beta ~ 0.
-        sign = 1.0 if branch.increasing else -1.0
-        behind = sign * (r_obs - branch.r_start) < 0
-        beyond = ~behind & (sign * (r_obs - branch.r_end) > 0)
-        warnings = [
-            f"point {i} (P = {sweep.abscissa[i]} mW, R = {r_obs[i]:.6f}) "
-            + ("behind the zero-mismatch reflectivity; clamped to |dn| = 0"
-               if behind[i] else
-               "beyond the first monotone branch; excluded (branch ambiguity)")
-            for i in np.flatnonzero(behind | beyond)
-        ]
-        excluded = np.flatnonzero(beyond).tolist()
-        keep = ~beyond
-        if np.count_nonzero(keep) < 4:
-            raise ValueError(
-                f"{temperature} C sweep: fewer than 4 usable points after branch checks"
-            )
-        powers_arr = sweep.abscissa[keep]
-        db = invert_reflectivity(
-            geometry, np.where(behind, branch.r_start, r_obs)[keep], branch
-        )
-        dn_arr = db * lam_mm / (2.0 * math.pi)
-        sigmas = None
-        if sweep.sigma is not None:
-            # Propagate the reflectivity uncertainty through the inversion:
-            # sigma_dn = sigma_R / |dR/ddb| * lam/(2*pi).
-            h = 1e-6
-            below = np.maximum(db - h, 0.0)
-            slope = (
-                coupler_reflectivity(geometry, db + h) - coupler_reflectivity(geometry, below)
-            ) / (db + h - below)
-            slope = np.maximum(np.abs(slope), 1e-6)
-            sigmas = sweep.sigma[keep] / slope * lam_mm / (2.0 * math.pi)
-        # Non-dimensionalize: index shifts are ~1e-4 while the engine
-        # tolerances are absolute, so fit a/scale against dn/scale.
-        scale = float(np.max(dn_arr)) or 1.0
-
-        def residual(params, p=powers_arr):
-            a_scaled, c = params
-            return a_scaled * p / (_GAUGE_B_MW + c * p) - dn_arr / scale
-
-        def jacobian(params, p=powers_arr):
-            a_scaled, c = params
-            shape = p / (_GAUGE_B_MW + c * p)
-            return np.column_stack((shape, -a_scaled * shape * shape))
-
-        positive = powers_arr > 0
-        slope0 = float(np.sum(dn_arr[positive] * powers_arr[positive])
-                       / np.sum(powers_arr[positive] ** 2)) if np.any(positive) else 0.0
-        # Bounds keep the fit off the degenerate ridge a, c -> inf at fixed
-        # a/c that opens up when the sweep carries no curvature information.
-        problem = FitProblem(
-            residual=residual,
-            initial_guess=np.array([max(slope0 * _GAUGE_B_MW / scale, 1e-9), 0.0]),
-            lower_bounds=np.array([0.0, 0.0]),
-            upper_bounds=np.array([1.0 / scale, 100.0]),
-            weights=None if sigmas is None else sigmas / scale,
-            jacobian=jacobian,
-        )
-        result = least_squares(problem)
-        a_fit = result.parameters[0] * scale
-        c_fit = result.parameters[1]
-        result.parameters = np.array([a_fit, c_fit])
-        result.covariance = result.covariance * np.array(
-            [[scale * scale, scale], [scale, 1.0]]
-        )
-        params = PhotorefractionParams(
-            a=float(a_fit), b=_GAUGE_B_MW, c=float(c_fit), temperature_c=temperature
-        )
-        result.warnings.extend(warnings)
+        result = _fit_sweep(sweep, geometry, to_beta)
+        a, c = (float(x) for x in result.parameters)
+        powers = sweep.abscissa
         outcomes[temperature] = DeltaNFit(
-            params=params,
-            delta_n_points=SweepData(powers_arr, dn_arr),
+            params=PhotorefractionParams(a=a, b=_GAUGE_B_MW, c=c, temperature_c=temperature),
+            delta_n_points=SweepData(powers, a * powers / (_GAUGE_B_MW + c * powers)),
             result=result,
-            excluded_indices=excluded,
-            warnings=warnings,
         )
     return outcomes
+
+
+def _fit_sweep(sweep: SweepData, geometry: CouplerGeometry, to_beta: float) -> FitResult:
+    """LM fit of (a, c) to one sweep's R, from the cheapest point of the scan."""
+    powers, sigma = sweep.abscissa, sweep.sigma
+    k2 = 4.0 * geometry.coupling_constant_per_mm**2
+    length = geometry.interaction_length_mm
+
+    def residual(params):
+        a, c = params
+        delta_beta = to_beta * a * powers / (_GAUGE_B_MW + c * powers)
+        return coupler_reflectivity(geometry, delta_beta) - sweep.value
+
+    def jacobian(params):
+        # dR/d(delta_beta) = 4k^2*db*sin x*(2 sin x/q^2 - L cos x/q)/q^2,
+        # with q^2 = 4k^2 + db^2 and x = L*q/2.
+        a, c = params
+        shape = powers / (_GAUGE_B_MW + c * powers)
+        db = to_beta * a * shape
+        q2 = k2 + db * db
+        q = np.sqrt(q2)
+        x = 0.5 * length * q
+        sin, cos = np.sin(x), np.cos(x)
+        d_a = k2 * db * sin * (2.0 * sin / q2 - length * cos / q) / q2 * to_beta * shape
+        return np.column_stack((d_a, -a * shape * d_a))
+
+    # Bounds keep the fit off the degenerate ridge a, c -> inf at fixed
+    # a/c that opens up when the sweep carries no curvature information.
+    # The problem refuses a sigma <= 0 before the scan divides by it.
+    problem = FitProblem(
+        residual=residual,
+        jacobian=jacobian,
+        initial_guess=np.zeros(2),
+        lower_bounds=np.zeros(2),
+        upper_bounds=np.array([1.0, 100.0]),
+        weights=sigma,
+    )
+    shape = powers / (_GAUGE_B_MW + _SWEEP_SCAN_C[:, None] * powers)  # (c, P)
+    misfit = coupler_reflectivity(geometry, to_beta * _SWEEP_SCAN_A[:, None, None] * shape)
+    misfit -= sweep.value
+    if sigma is not None:
+        misfit /= sigma
+    costs = np.einsum("ijk,ijk->ij", misfit, misfit)
+    i, j = np.unravel_index(_cheapest(costs, 1)[0], costs.shape)
+    problem.initial_guess = np.array([_SWEEP_SCAN_A[i], _SWEEP_SCAN_C[j]])
+    return least_squares(problem)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import yaml
 
 from photoref.cli import SUBCOMMANDS, main
 from photoref.config import _RANGES, _SCHEMA, DEFAULT_CONFIG
-from photoref.data import read_sweep_csv, read_trace_csv
+from photoref.coupler import CouplerGeometry, coupler_reflectivity
+from photoref.data import SweepData, read_sweep_csv, read_trace_csv, write_sweep_csv
 
 TRIMMED_RUN = {
     "seed": 77,
@@ -199,6 +200,23 @@ class TestSubcommands:
         dn = fpi["fitted"]["delta_n_total"]
         expected = -1.1e-4 * 5.0 / (10.0 + 0.02 * 5.0)
         assert dn == pytest.approx(expected, rel=1e-3)
+
+    def test_fit_dn_forwards_the_fit_warnings(self, config_path, tmp_path):
+        """A sweep that falls below R(0), where the 30 C coupler's R only
+        rises, ends with a on its bound of 0: the fit's warnings reach the
+        manifest."""
+        out = tmp_path / "out"
+        out.mkdir()
+        r0 = coupler_reflectivity(CouplerGeometry(0.46, 4.3), 0.0)
+        powers = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+        sweep = SweepData(powers, [r0] + [r0 - 0.01] * 5, [0.002] * 6)
+        write_sweep_csv(out / "coupler_sweep_T30.csv", sweep)
+        assert run("fit-dn", config_path, out) == 0
+        fitted = json.loads((out / "fit_dn_T30.json").read_text())
+        assert fitted["fitted"]["a"] == 0.0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["warnings"] == [f"T30: {w}" for w in fitted["warnings"]]
+        assert any("parameter 0 ends on its lower bound" in w for w in manifest["warnings"])
 
 
 class TestExitCodes:

@@ -124,10 +124,11 @@ class TestDerivedSchema:
     def test_resolved_example_with_optional_keys_accepted(self, tmp_path):
         payload = yaml.safe_load(yaml.safe_dump(parse_config(EXAMPLE).resolved))
         payload["devices"]["qpm"]["poling_period_um"] = 19.5
+        payload["devices"]["homodyne_coupler"]["balanced"] = False
         payload["devices"]["homodyne_coupler"]["interaction_length_mm"] = 5.0
         config = parse_config(write_config(tmp_path, payload), strict=True)
         assert config.qpm_section()["poling_period_um"] == 19.5
-        assert config.resolved["devices"]["homodyne_coupler"]["interaction_length_mm"] == 5.0
+        assert config.homodyne_geometry(30.0).interaction_length_mm == 5.0
 
     def test_new_keys_in_keyed_maps_accepted(self, tmp_path):
         payload = {
@@ -387,6 +388,17 @@ class TestBuilders:
         from photoref.coupler import coupler_reflectivity
 
         assert abs(coupler_reflectivity(geometry, 0.0) - 0.5) < 1e-9
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_homodyne_length_refused_while_balanced(self, tmp_path, strict):
+        """A balanced coupler's length is 1.5 coupling lengths: a configured
+        length would be read by nothing, so both parses refuse it."""
+        payload = {"devices": {"homodyne_coupler": {"interaction_length_mm": 9.0}}}
+        path = write_config(tmp_path, payload)
+        with pytest.raises(ConfigError) as refused:
+            parse_config(path, strict=strict)
+        assert "devices.homodyne_coupler.interaction_length_mm" in str(refused.value)
+        assert "devices.homodyne_coupler.balanced" in str(refused.value)
 
     def test_unknown_temperature_named(self):
         config = parse_config(EXAMPLE)

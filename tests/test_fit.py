@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 
 import photoref.fit as fit_module
 from photoref.cavity import FpiCavity, finesse, simulate_fpi_trace
-from photoref.coupler import CouplerGeometry, coupler_reflectivity, reflectivity_vs_pump
+from photoref.coupler import CouplerGeometry, reflectivity_vs_pump
 from photoref.data import SweepData, Trace
 from photoref.fit import (
     FitError,
     FitProblem,
     _count_prominent_extrema,
     estimate_delta_n_from_oscillations,
-    first_monotone_branch,
     fit_delta_n_from_reflectivity,
     fit_fpi_trace,
-    invert_reflectivity,
     least_squares,
 )
 from photoref.material import (
@@ -62,7 +60,7 @@ def exponential_jacobian(x):
     return jacobian
 
 
-# Forward differences, the oracle for the pipelines' analytic Jacobians.
+# Forward differences, the oracle for the trace fit's analytic Jacobian.
 FD_RELATIVE_STEP = 1e-6
 FD_ABSOLUTE_FLOOR = 1e-12
 
@@ -301,131 +299,6 @@ class TestLeastSquares:
         assert np.all(ratio < 2.0 * 1.3)
 
 
-class TestReflectivityInversion:
-    def test_branch_location(self, coupler30):
-        branch = first_monotone_branch(coupler30)
-        assert branch.increasing
-        assert branch.delta_beta_max == pytest.approx(1.135, abs=1e-2)
-
-    def test_round_trip_exact(self, coupler30):
-        branch = first_monotone_branch(coupler30)
-        for db_true in np.linspace(0.0, branch.delta_beta_max, 25):
-            r = float(coupler_reflectivity(coupler30, db_true))
-            db_back = invert_reflectivity(coupler30, r, branch)
-            assert float(coupler_reflectivity(coupler30, db_back)) == pytest.approx(
-                r, abs=1e-10
-            )
-
-    def test_unreachable_value_rejected(self, coupler30):
-        branch = first_monotone_branch(coupler30)
-        # This branch spans [R(0), 1.0], so only values below R(0) are out.
-        with pytest.raises(ValueError, match="unreachable"):
-            invert_reflectivity(coupler30, branch.r_start - 0.05, branch)
-
-    def test_rounding_behind_the_start_inverts_to_zero(self, coupler30):
-        # Inside the 1e-12 tolerance but below R(0): zero mismatch, not the
-        # far end of the branch.
-        branch = first_monotone_branch(coupler30)
-        assert invert_reflectivity(coupler30, branch.r_start - 1e-13, branch) == 0.0
-
-    def test_array_inverted_in_one_pass(self, coupler30):
-        branch = first_monotone_branch(coupler30)
-        db_true = np.linspace(0.0, branch.delta_beta_max, 25)
-        r = coupler_reflectivity(coupler30, db_true)
-        db_back = invert_reflectivity(coupler30, r, branch)
-        assert isinstance(db_back, np.ndarray)
-        # The branch ends invert exactly; the points agree with scalar calls.
-        assert db_back[0] == 0.0
-        assert db_back[-1] == branch.delta_beta_max
-        np.testing.assert_allclose(
-            db_back, [invert_reflectivity(coupler30, float(v), branch) for v in r],
-            rtol=1e-12,
-        )
-        assert isinstance(invert_reflectivity(coupler30, float(r[3]), branch), float)
-
-    def test_array_rejects_first_bad_value(self, coupler30):
-        branch = first_monotone_branch(coupler30)
-        with pytest.raises(ValueError, match=r"reflectivity 1\.5 outside \[0, 1\]"):
-            invert_reflectivity(coupler30, np.array([branch.r_start, 1.5, -1.0]), branch)
-
-    def test_decreasing_branch_supported(self):
-        # k*L in (pi, 3*pi/2) makes the reflectivity fall first.
-        geometry = CouplerGeometry(0.7, 5.0)
-        branch = first_monotone_branch(geometry)
-        assert not branch.increasing
-        for db_true in (0.1, 0.5, 1.0):
-            r = float(coupler_reflectivity(geometry, db_true))
-            db_back = invert_reflectivity(geometry, r, branch)
-            assert db_back == pytest.approx(db_true, rel=1e-8)
-
-
-TAN_ROOTS = (4.493409457909064, 7.725251836937707)  # tan x = x in (pi, 3pi/2), (2pi, 5pi/2)
-
-
-class TestClosedFormBranch:
-    """The branch end from the stationary points of R = 1 - (kL*sin(x)/x)^2."""
-
-    @staticmethod
-    def scanned(geometry, branch):
-        """R on a dense grid over the branch and a quarter of its length beyond."""
-        grid = np.linspace(0.0, 1.25 * branch.delta_beta_max, 20001)
-        return grid, coupler_reflectivity(geometry, grid)
-
-    def test_random_geometries_match_a_dense_scan(self):
-        rng = np.random.default_rng(2007)
-        falling = 0
-        for k, length in zip(rng.uniform(0.05, 2.0, 200), rng.uniform(0.5, 20.0, 200)):
-            geometry = CouplerGeometry(k, length)
-            branch = first_monotone_branch(geometry)
-            grid, r = self.scanned(geometry, branch)
-            sign = 1.0 if branch.increasing else -1.0
-            steps = np.diff(r)
-            # The scan's first move sets the direction ...
-            assert np.sign(steps[np.flatnonzero(steps)[0]]) == sign, (k, length)
-            # ... R is monotone up to the end (to rounding) ...
-            on_branch = grid <= branch.delta_beta_max
-            assert np.all(sign * np.diff(r[on_branch]) >= -1e-15), (k, length)
-            # ... and the end is the extremum of every scanned value.
-            assert np.all(sign * (branch.r_end - r) >= -1e-15), (k, length)
-            assert branch.r_start == coupler_reflectivity(geometry, 0.0)
-            falling += not branch.increasing
-        assert 0 < falling < 200  # both directions are exercised
-
-    # m = 11: 11*pi/pi rounds to 10.999..., below the integer it should be.
-    @pytest.mark.parametrize("m", [1, 2, 11])
-    def test_full_transfer_start_falls_to_the_tan_root(self, m):
-        # kL = m*pi: R(0) = 1 is itself a maximum, so the branch falls.
-        x0 = m * math.pi
-        branch = first_monotone_branch(CouplerGeometry(x0, 1.0))
-        x_end = math.hypot(x0, branch.delta_beta_max / 2.0)
-        assert not branch.increasing
-        assert branch.r_start == 1.0
-        assert m * math.pi < x_end < (m + 0.5) * math.pi
-        assert math.tan(x_end) == pytest.approx(x_end, rel=1e-9)
-        if m <= len(TAN_ROOTS):
-            assert x_end == pytest.approx(TAN_ROOTS[m - 1], rel=1e-12)
-        # At a root of tan x = x, sin(x)^2/x^2 = 1/(1 + x^2).
-        assert branch.r_end == pytest.approx(1.0 - x0**2 / (1.0 + x_end**2), rel=1e-12)
-
-    def test_before_the_first_tan_root_falls(self):
-        geometry = CouplerGeometry(0.7, 5.0)  # kL = 3.5 in (pi, 4.4934)
-        branch = first_monotone_branch(geometry)
-        assert not branch.increasing
-        assert branch.delta_beta_max == pytest.approx(
-            0.4 * math.sqrt(TAN_ROOTS[0] ** 2 - 3.5**2), rel=1e-12
-        )
-        assert branch.r_end == pytest.approx(1.0 - 3.5**2 / (1.0 + TAN_ROOTS[0] ** 2), rel=1e-12)
-
-    def test_after_the_first_tan_root_rises(self):
-        geometry = CouplerGeometry(1.0, 5.0)  # kL = 5 in (4.4934, 2*pi)
-        branch = first_monotone_branch(geometry)
-        assert branch.increasing
-        assert branch.delta_beta_max == pytest.approx(
-            0.4 * math.sqrt(4.0 * math.pi**2 - 25.0), rel=1e-12
-        )
-        assert branch.r_end == pytest.approx(1.0, abs=1e-15)
-
-
 def synthetic_sweep(params, geometry, powers, noise_fraction=0.0, rng=None):
     sweep = reflectivity_vs_pump(geometry, params, LAM, powers)
     values = sweep.value
@@ -447,9 +320,9 @@ class TestDeltaNPipeline:
         assert outcome.result.converged
         assert outcome.params.a == pytest.approx(self.truth.a, rel=1e-6)
         assert outcome.params.c == pytest.approx(self.truth.c, abs=1e-6)
-        # Per-point inversion reproduces the generating shifts.
+        # The fitted law at the sweep's powers reproduces the generating shifts.
         expected = np.abs(delta_n_steady(self.truth, self.powers))
-        np.testing.assert_allclose(outcome.delta_n_points.value, expected, rtol=1e-9)
+        np.testing.assert_allclose(outcome.delta_n_points.value, expected, rtol=1e-6)
 
     def test_noisy_anchor_at_ten_milliwatt(self, coupler30, rng):
         sweep = synthetic_sweep(self.truth, coupler30, self.powers, 0.01, rng)
@@ -465,28 +338,16 @@ class TestDeltaNPipeline:
         secant = p * abs(delta_n_steady(outcome.params, 10.0)) / 10.0
         assert np.max(np.abs(curve - secant) / curve) < 0.05
 
-    def test_out_of_branch_points_flagged(self):
-        # Geometry whose first branch falls from 0.877 to 0.422: a smaller
-        # reflectivity is only reachable past the extremum, i.e. ambiguous.
+    def test_noise_free_recovery_where_reflectivity_falls_first(self):
+        # k*L = 3.5 in (pi, 4.4934): R falls from zero mismatch, to a
+        # minimum of about 0.42, before it rises again.
         geometry = CouplerGeometry(0.7, 5.0)
-        truth = PhotorefractionParams(a=1.1e-4, b=10.0, c=0.02, temperature_c=30.0)
-        sweep = synthetic_sweep(truth, geometry, self.powers)
-        values = sweep.value.copy()
-        values[-1] = 0.30  # beyond the branch minimum of ~0.42
-        doctored = SweepData(sweep.abscissa, values)
-        outcome = fit_delta_n_from_reflectivity({30.0: doctored}, geometry)[30.0]
-        assert outcome.excluded_indices == [10]
-        assert any("beyond the first monotone branch" in w for w in outcome.warnings)
-
-    def test_noise_behind_branch_start_clamped(self, coupler30):
-        sweep = synthetic_sweep(self.truth, coupler30, self.powers)
-        values = sweep.value.copy()
-        values[0] -= 1e-3  # noise below the zero-pump reflectivity
-        doctored = SweepData(sweep.abscissa, values)
-        outcome = fit_delta_n_from_reflectivity({30.0: doctored}, coupler30)[30.0]
-        assert outcome.excluded_indices == []
-        assert outcome.delta_n_points.value[0] == 0.0
-        assert any("clamped" in w for w in outcome.warnings)
+        sweep = synthetic_sweep(self.truth, geometry, self.powers)
+        assert sweep.value[1] < sweep.value[0]
+        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, geometry)[30.0]
+        assert outcome.result.converged
+        assert outcome.params.a == pytest.approx(self.truth.a, rel=1e-6)
+        assert outcome.params.c == pytest.approx(self.truth.c, abs=1e-6)
 
     def test_reflectivity_above_one_rejected(self, coupler30):
         sweep = SweepData([0.0, 1.0, 2.0, 3.0], [0.2, 0.3, 1.3, 0.4])
@@ -515,6 +376,18 @@ class TestDeltaNPipeline:
                 covered += 1
         assert hits >= 95
         assert 54 <= covered <= 82
+
+    def test_weak_law_bounded_at_ninety_celsius(self, coupler90, params90):
+        """1 percent noise on the example's 90 C sweep: the fitted |dn(10 mW)|
+        stays within 1.3e-5, the |dn| whose change of R equals the noise
+        (1 % of R at zero mismatch)."""
+        bounded = 0
+        for seed in range(500, 600):
+            rng = np.random.default_rng(seed)
+            sweep = synthetic_sweep(params90, coupler90, self.powers, 0.01, rng)
+            outcome = fit_delta_n_from_reflectivity({90.0: sweep}, coupler90)[90.0]
+            bounded += abs(delta_n_steady(outcome.params, 10.0)) <= 1.3e-5
+        assert bounded >= 90
 
 
 def make_trace_cavity():
@@ -701,7 +574,7 @@ class TestProminentExtremaCounter:
 
 
 class TestAnalyticJacobians:
-    """Each pipeline's analytic Jacobian against forward differences."""
+    """Each pipeline's analytic Jacobian against a numerical one."""
 
     @staticmethod
     def assert_matches_differences(problem, points):
@@ -737,8 +610,31 @@ class TestAnalyticJacobians:
         (problem,) = problems
         assert problem.weights is not None
         rng = np.random.default_rng(12)
-        points = rng.uniform(0.0, 1.0, (20, 2)) * problem.upper_bounds
-        self.assert_matches_differences(problem, points)
+        for params in rng.uniform(0.0, 1.0, (20, 2)) * problem.upper_bounds:
+            analytic = fit_module._jacobian(problem, params)
+            numeric = complex_step_sweep_jacobian(coupler30, sweep, params)
+            error = np.max(np.abs(analytic - numeric), axis=0)
+            assert np.all(error <= 1e-5 * np.max(np.abs(numeric), axis=0)), params
+
+
+def oracle_sweep_reflectivity(params, geometry, powers):
+    """R of the sweep fit's model, written out so that it takes complex (a, c)."""
+    a, c = params
+    delta_beta = 2.0 * math.pi / (LAM * 1e-6) * a * powers / (fit_module._GAUGE_B_MW + c * powers)
+    k2 = 4.0 * geometry.coupling_constant_per_mm**2
+    q2 = k2 + delta_beta**2
+    return 1.0 - k2 / q2 * np.sin(geometry.interaction_length_mm * np.sqrt(q2) / 2.0) ** 2
+
+
+def complex_step_sweep_jacobian(geometry, sweep, params, step=1e-30):
+    """Weighted Jacobian of the sweep residual by complex steps: Im f(p + i*h)/h
+    has no cancellation, so it is exact to rounding."""
+    columns = []
+    for j in range(len(params)):
+        shifted = np.asarray(params, dtype=complex)
+        shifted[j] += 1j * step
+        columns.append(oracle_sweep_reflectivity(shifted, geometry, sweep.abscissa).imag / step)
+    return np.column_stack(columns) / sweep.sigma[:, None]
 
 
 def oracle_trace_model(params, elapsed, coefficient, phase_scale):
@@ -876,7 +772,7 @@ class TestResidualEvaluationCounts:
     """Deterministic guard on fit work: exact residual, Jacobian and descent counts."""
 
     TRACE_COUNTS = {"_weighted_residual": 12, "_jacobian": 12, "least_squares": 1}
-    SWEEP_COUNTS = {"_weighted_residual": 7, "_jacobian": 7, "least_squares": 1}
+    SWEEP_COUNTS = {"_weighted_residual": 15, "_jacobian": 15, "least_squares": 1}
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -933,9 +829,6 @@ class TestResidualEvaluationCounts:
 
     def test_coupler_model_calls(self, monkeypatch, coupler30):
         calls = count_calls(monkeypatch, "coupler_reflectivity")
-        first_monotone_branch(coupler30)
-        assert calls == {"coupler_reflectivity": 2}
-        calls.clear()
         fit_delta_n_from_reflectivity({30.0: seeded_sweep(coupler30)}, coupler30)
         assert calls["coupler_reflectivity"] <= 60
 

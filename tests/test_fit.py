@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import photoref.fit as fit_module
 from photoref.cavity import FpiCavity, finesse, simulate_fpi_trace
-from photoref.coupler import CouplerGeometry, reflectivity_vs_pump
+from photoref.coupler import CouplerGeometry, coupler_reflectivity, reflectivity_vs_pump
 from photoref.data import SweepData, Trace
 from photoref.fit import (
     FitError,
@@ -349,6 +349,88 @@ class TestDeltaNPipeline:
         assert outcome.params.a == pytest.approx(self.truth.a, rel=1e-6)
         assert outcome.params.c == pytest.approx(self.truth.c, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            CouplerGeometry(math.pi / 10.0, 5.0),  # kL = pi/2: full transfer at zero mismatch
+            CouplerGeometry(3.0 * math.pi / 10.0, 5.0),  # kL = 3*pi/2: full transfer again
+            CouplerGeometry(math.pi / 20.0, 5.0),  # kL = pi/4: half transfer
+            CouplerGeometry(1.0, 5.0),  # kL = 5 in (4.4934, 2*pi): R rises
+        ],
+        ids=["full-transfer", "second-full-transfer", "half-transfer", "rises"],
+    )
+    def test_noise_free_recovery_across_geometries(self, geometry):
+        sweep = synthetic_sweep(self.truth, geometry, self.powers)
+        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, geometry)[30.0]
+        assert outcome.result.converged
+        assert outcome.params.a == pytest.approx(self.truth.a, rel=1e-6)
+        assert outcome.params.c == pytest.approx(self.truth.c, abs=1e-6)
+
+    def test_probe_wavelength_sets_the_mismatch(self, coupler30):
+        sweep = reflectivity_vs_pump(coupler30, self.truth, 1064.0, self.powers)
+        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, coupler30, 1064.0)[30.0]
+        assert outcome.params.a == pytest.approx(self.truth.a, rel=1e-6)
+        assert outcome.params.c == pytest.approx(self.truth.c, abs=1e-6)
+
+    def test_each_temperature_fitted_with_its_own_geometry(self, coupler30, coupler90):
+        law60 = PhotorefractionParams(a=3e-5, b=10.0, c=0.02, temperature_c=60.0)
+        sweeps = {
+            30.0: synthetic_sweep(self.truth, coupler30, self.powers),
+            60.0: synthetic_sweep(law60, coupler90, self.powers),
+        }
+        outcomes = fit_delta_n_from_reflectivity(sweeps, {30.0: coupler30, 60.0: coupler90})
+        for temperature, truth in ((30.0, self.truth), (60.0, law60)):
+            params = outcomes[temperature].params
+            assert params.temperature_c == temperature
+            assert params.a == pytest.approx(truth.a, rel=1e-6)
+            assert params.c == pytest.approx(truth.c, abs=1e-6)
+
+    def test_flat_sweep_gives_no_shift(self, coupler30):
+        """A sweep whose R never leaves its zero-mismatch value carries no
+        shift: the fitted |dn| stays far below the 30 C law's 1e-4, and the
+        fit says that a parameter ended on a bound."""
+        level = coupler_reflectivity(coupler30, 0.0)
+        sweep = SweepData(self.powers, np.full(len(self.powers), level))
+        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)[30.0]
+        assert np.max(outcome.delta_n_points.value) <= 1e-9
+        assert any("bound" in warning for warning in outcome.result.warnings)
+
+    def test_delta_n_points_follow_the_fitted_law(self, coupler30):
+        sweep = seeded_sweep(coupler30)
+        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)[30.0]
+        np.testing.assert_array_equal(outcome.delta_n_points.abscissa, self.powers)
+        expected = np.abs(delta_n_steady(outcome.params, self.powers))
+        np.testing.assert_allclose(outcome.delta_n_points.value, expected, rtol=1e-12)
+
+    def test_common_sigma_scale_leaves_the_fit(self, coupler30):
+        """Scaling every sigma by 3 scales the cost and the curvature alike:
+        the estimates and the covariance stay."""
+        sweep = seeded_sweep(coupler30)
+        scaled = SweepData(sweep.abscissa, sweep.value, 3.0 * sweep.sigma)
+        base, other = (
+            fit_delta_n_from_reflectivity({30.0: s}, coupler30)[30.0].result
+            for s in (sweep, scaled)
+        )
+        np.testing.assert_allclose(other.parameters, base.parameters, rtol=1e-6)
+        np.testing.assert_allclose(other.covariance, base.covariance, rtol=1e-6)
+
+    def test_descent_starts_at_the_cheapest_scan_point(self, monkeypatch, coupler30):
+        sweep = seeded_sweep(coupler30)
+        problems = capture_problems(monkeypatch)
+        fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
+        (problem,) = problems
+        costs = np.array([
+            [
+                np.sum(((oracle_sweep_reflectivity((a, c), coupler30, self.powers)
+                         - sweep.value) / sweep.sigma) ** 2)
+                for c in fit_module._SWEEP_SCAN_C
+            ]
+            for a in fit_module._SWEEP_SCAN_A
+        ])
+        i, j = np.unravel_index(np.argmin(costs), costs.shape)
+        start = (fit_module._SWEEP_SCAN_A[i], fit_module._SWEEP_SCAN_C[j])
+        np.testing.assert_array_equal(problem.initial_guess, start)
+
     def test_reflectivity_above_one_rejected(self, coupler30):
         sweep = SweepData([0.0, 1.0, 2.0, 3.0], [0.2, 0.3, 1.3, 0.4])
         with pytest.raises(ValueError, match=r"point 2: reflectivity 1\.3 outside the reachable"):
@@ -617,6 +699,20 @@ class TestAnalyticJacobians:
             assert np.all(error <= 1e-5 * np.max(np.abs(numeric), axis=0)), params
 
 
+    def test_sweep_jacobian_without_weights(self, monkeypatch, coupler30):
+        sweep = synthetic_sweep(TestDeltaNPipeline.truth, coupler30, TestDeltaNPipeline.powers)
+        problems = capture_problems(monkeypatch)
+        fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
+        (problem,) = problems
+        assert problem.weights is None
+        rng = np.random.default_rng(14)
+        for params in rng.uniform(0.0, 1.0, (20, 2)) * problem.upper_bounds:
+            analytic = fit_module._jacobian(problem, params)
+            numeric = complex_step_sweep_jacobian(coupler30, sweep, params)
+            error = np.max(np.abs(analytic - numeric), axis=0)
+            assert np.all(error <= 1e-5 * np.max(np.abs(numeric), axis=0)), params
+
+
 def oracle_sweep_reflectivity(params, geometry, powers):
     """R of the sweep fit's model, written out so that it takes complex (a, c)."""
     a, c = params
@@ -627,14 +723,16 @@ def oracle_sweep_reflectivity(params, geometry, powers):
 
 
 def complex_step_sweep_jacobian(geometry, sweep, params, step=1e-30):
-    """Weighted Jacobian of the sweep residual by complex steps: Im f(p + i*h)/h
-    has no cancellation, so it is exact to rounding."""
+    """Jacobian of the sweep residual by complex steps, weighted by the sweep's
+    sigma when it has one: Im f(p + i*h)/h has no cancellation, so it is
+    exact to rounding."""
     columns = []
     for j in range(len(params)):
         shifted = np.asarray(params, dtype=complex)
         shifted[j] += 1j * step
         columns.append(oracle_sweep_reflectivity(shifted, geometry, sweep.abscissa).imag / step)
-    return np.column_stack(columns) / sweep.sigma[:, None]
+    jac = np.column_stack(columns)
+    return jac if sweep.sigma is None else jac / sweep.sigma[:, None]
 
 
 def oracle_trace_model(params, elapsed, coefficient, phase_scale):

@@ -28,19 +28,7 @@ from pathlib import Path
 
 import yaml
 
-from photoref.cli import main as cli_main
-
-ORDER = [
-    "fpi-trace",
-    "fpi-char",
-    "coupler-sweep",
-    "homodyne",
-    "opo-spectrum",
-    "spdc-spectrum",
-    "squeeze-budget",
-    "fit-dn",
-    "fit-fpi",
-]
+from photoref.cli import SUBCOMMANDS, main as cli_main
 
 
 def config_for(config_path: str, out_dir: str) -> str:
@@ -72,7 +60,7 @@ def main() -> int:
     args = parser.parse_args()
     config = config_for(args.config, args.out)
 
-    for sub in ORDER:
+    for sub in SUBCOMMANDS:
         argv = [sub, "--config", config, "--out", args.out]
         if args.seed is not None:
             argv += ["--seed", str(args.seed)]

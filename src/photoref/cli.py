@@ -53,18 +53,6 @@ from .spdc import SpdcOperatingPoint, effective_squeezing_vs_power, spdc_spectru
 
 log = logging.getLogger(__name__)
 
-SUBCOMMANDS = (
-    "fpi-trace",
-    "fpi-char",
-    "coupler-sweep",
-    "homodyne",
-    "opo-spectrum",
-    "spdc-spectrum",
-    "squeeze-budget",
-    "fit-dn",
-    "fit-fpi",
-)
-
 
 def _fmt(value: float) -> str:
     """Compact float for filenames (no trailing zeros, no scientific surprises)."""
@@ -351,6 +339,7 @@ _HANDLERS = {
     "fit-dn": _run_fit_dn,
     "fit-fpi": _run_fit_fpi,
 }
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def _write_manifest(

@@ -4,15 +4,18 @@ Two container kinds are used throughout: time traces (transmission versus
 time, optionally with masked intervals to exclude from fitting) and power
 sweeps (a quantity versus pump power, optionally with per-point standard
 deviations).  CSV files are UTF-8, comma-separated, one header row with
-``name_unit`` column names, ``#``-prefixed comment lines ignored, floats
-rendered with 17 significant digits so containers round-trip bit-exactly.
-The readers parse a valid body in one numpy call and leave everything else
-to a row parser built on the csv module, which words every refusal.
+``name_unit`` column names, blank and ``#``-prefixed comment lines
+ignored, floats rendered with 17 significant digits so containers
+round-trip bit-exactly.  The readers accept any line ending, ``"``-quoted
+cells and what ``numpy.loadtxt`` parses as a float; they refuse a missing,
+unknown or repeated column name.  Every refusal is a ValueError that starts
+with the file path; a body line at fault is named by its line number in the
+file (``row n: expected k columns, got m``, ``row n: cannot parse 'x' as a
+number``), a value the container refuses by its sample index.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,7 +74,7 @@ class Trace:
             raise ValueError("time and value columns must have equal length")
         if not (t[1:] > t[:-1]).all():
             bad = int(np.flatnonzero(np.diff(t) <= 0)[0]) + 1
-            raise ValueError(f"time must be strictly increasing (row {bad})")
+            raise ValueError(f"time must be strictly increasing (sample {bad})")
         m = self.mask
         if m is None:
             m = np.zeros(len(t), dtype=bool)
@@ -111,7 +114,7 @@ class SweepData:
             raise ValueError("abscissa and value columns must have equal length")
         if not (x[1:] >= x[:-1]).all():
             bad = int(np.flatnonzero(np.diff(x) < 0)[0]) + 1
-            raise ValueError(f"abscissa must be sorted ascending (row {bad})")
+            raise ValueError(f"abscissa must be sorted ascending (sample {bad})")
         s = self.sigma
         if s is not None:
             s = _as_float_array(s, "sigma")
@@ -125,119 +128,71 @@ class SweepData:
         return len(self.abscissa)
 
 
-def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Header and (line_number, cells) rows of a CSV file, comments stripped."""
-    header: list[str] | None = None
-    rows: list[tuple[int, list[str]]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or (row[0].lstrip().startswith("#")):
-                    continue
-                if header is None:
-                    header = [cell.strip() for cell in row]
-                    continue
-                rows.append((lineno, row))
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if header is None:
-        raise ValueError(f"{path}: no header row found")
-    return header, rows
+def _loadtxt(lines, **kwargs) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', **kwargs)
 
 
-def _parse_columns(
-    path, header: list[str], rows, required: list[str], optional: list[str]
-) -> dict[str, np.ndarray]:
-    known = required + optional
-    for name in required:
-        if name not in header:
-            raise ValueError(f"{path}: missing required column {name!r}")
-    for name in header:
-        if name not in known:
-            raise ValueError(f"{path}: unexpected column {name!r}")
-    columns: dict[str, list[float]] = {name: [] for name in header}
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: row {lineno}: expected {len(header)} columns, got {len(row)}"
-            )
-        for name, cell in zip(header, row):
-            try:
-                columns[name].append(float(cell))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {lineno}: cannot parse {cell!r} as a number"
-                ) from None
-    return {name: np.asarray(vals, dtype=float) for name, vals in columns.items()}
+def _line_refusal(lines: list[str], start: int, width: int) -> str | None:
+    """Why the first body line from ``lines[start]`` is not ``width`` numbers.
 
-
-# The characters the fast path reads: printable ASCII but the quote, tab and
-# newline.  Text with any other goes to the row parser: the csv module also
-# ends lines at "\r", and numpy strips \x1c-\x1f around a number where
-# float() refuses it.
-_FAST_PATH_CHARS = bytes([0x09, 0x0A, 0x20, 0x21, *range(0x23, 0x7F)])
-
-
-def _parse_fast(path, required: list[str], optional: list[str]) -> dict | None:
-    """Columns of a plain, valid CSV file in one numpy parse, or None.
-
-    Accepts only what the row parser accepts, with the same values: no
-    quotes or control characters, a known header without repeats, no line
-    over the csv module's field size limit, and a body whose every line
-    parses into finite numbers, one per header column.  Blank and ``#``
-    lines are dropped as the row parser drops them.  Anything else is None,
-    and the row parser decides it.
+    Lines are numbered from 1 in the file; blank and ``#`` lines are skipped.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError):
-        return None
-    if not text.isascii() or text.encode("ascii").translate(None, _FAST_PATH_CHARS):
-        return None
-    lines = text.split("\n")
-    limit = csv.field_size_limit()  # the csv module applies it to comments too
-    if len(text) > limit and max(map(len, lines)) > limit:
-        return None
-    if "#" in text:
-        lines = [line for line in lines if not line.lstrip().startswith("#")]
-    first = next((i for i, line in enumerate(lines) if line), None)
-    if first is None:
-        return None
-    header = [cell.strip() for cell in lines[first].split(",")]
-    names = set(header)
-    if len(names) != len(header) or not set(required) <= names <= set(required + optional):
-        return None
-    body = lines[first + 1:]
-    rows = len(body) - body.count("")  # loadtxt skips the blank lines too
-    if not rows:
-        return {name: np.empty(0) for name in header}
-    try:
-        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if table.shape != (rows, len(header)) or not np.all(np.isfinite(table)):
-        return None
-    return dict(zip(header, np.ascontiguousarray(table.T)))
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        if not line or line.lstrip().startswith("#"):
+            continue
+        cells = _loadtxt([line], dtype=object, ndmin=1)
+        if len(cells) != width:
+            return f"row {lineno}: expected {width} columns, got {len(cells)}"
+        for j, cell in enumerate(cells.tolist()):
+            try:
+                _loadtxt([line], usecols=j)
+            except ValueError:
+                return f"row {lineno}: cannot parse {cell!r} as a number"
+    return None
 
 
 def _read_columns(path, required: list[str], optional: list[str], build):
     """``build(path, columns)`` on a CSV file's columns.
 
-    A valid body is parsed in one numpy call.  Whatever that path does not
-    accept, or ``build`` refuses, is re-read row by row: the row parser
-    defines every refusal and its row-numbered message.
+    The text is read once and its body parsed in one numpy call; the lines
+    are numbered only when numpy refuses the body, to name the one at fault.
+    Every refusal is a ValueError that starts with the path.
     """
-    columns = _parse_fast(path, required, optional)
-    if columns is not None:
-        try:
-            return build(path, columns)
-        except ValueError:
-            pass
-    header, rows = _read_rows(path)
-    columns = _parse_columns(path, header, rows, required, optional)
     try:
-        return build(path, columns)
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    lines = text.split("\n")
+    first = next(
+        (i for i, line in enumerate(lines) if line and not line.lstrip().startswith("#")),
+        None,
+    )
+    if first is None:
+        raise ValueError(f"{path}: no header row found")
+    header = [name.strip().strip('"') for name in lines[first].split(",")]
+    for name in required:
+        if name not in header:
+            raise ValueError(f"{path}: missing required column {name!r}")
+    for i, name in enumerate(header):
+        if name not in required + optional:
+            raise ValueError(f"{path}: unexpected column {name!r}")
+        if name in header[:i]:
+            raise ValueError(f"{path}: repeated column {name!r}")
+    body = lines[first + 1:]
+    if "#" in text:
+        body = [line for line in body if not line.lstrip().startswith("#")]
+    table = np.empty((0, len(header)))
+    if any(body):  # loadtxt warns on a body without data
+        try:
+            table = _loadtxt(body, ndmin=2)
+            if table.shape[1] != len(header):
+                raise ValueError(f"expected {len(header)} columns")
+        except ValueError as exc:
+            refusal = _line_refusal(lines, first + 1, len(header)) or exc
+            raise ValueError(f"{path}: {refusal}") from None
+    try:
+        return build(path, dict(zip(header, np.ascontiguousarray(table.T))))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -264,11 +219,7 @@ def _sweep_from_columns(path, cols: dict[str, np.ndarray]) -> SweepData:
 
 
 def read_trace_csv(path) -> Trace:
-    """Load a trace; refuses non-monotonic time or non-finite values.
-
-    Valid files are parsed in one numpy call; every refusal comes from the
-    row parser and names the file (and the row where one is at fault).
-    """
+    """Load a trace; refuses non-monotonic time or non-finite values."""
     return _read_columns(
         path, [TRACE_TIME_COLUMN, TRACE_VALUE_COLUMN], [TRACE_MASK_COLUMN],
         _trace_from_columns,
@@ -276,11 +227,7 @@ def read_trace_csv(path) -> Trace:
 
 
 def read_sweep_csv(path) -> SweepData:
-    """Load a sweep; out-of-order rows are sorted with a warning.
-
-    Parsed like ``read_trace_csv``: valid files in one numpy call, and
-    every refusal from the row parser.
-    """
+    """Load a sweep; out-of-order rows are sorted with a warning."""
     return _read_columns(
         path, [SWEEP_POWER_COLUMN, SWEEP_VALUE_COLUMN], [SWEEP_SIGMA_COLUMN],
         _sweep_from_columns,

@@ -1,12 +1,11 @@
 import dataclasses
-from unittest import mock
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import photoref.data as data_module
 from photoref.data import (
     SweepData,
     Trace,
@@ -20,7 +19,7 @@ from photoref.data import (
 
 class TestContainers:
     def test_trace_requires_increasing_time(self):
-        with pytest.raises(ValueError, match="strictly increasing .*row 2"):
+        with pytest.raises(ValueError, match=r"strictly increasing \(sample 2\)"):
             Trace([0.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
     def test_trace_rejects_nonfinite(self):
@@ -35,7 +34,7 @@ class TestContainers:
         np.testing.assert_array_equal(t, [0.0, 3.0])
 
     def test_sweep_requires_sorted_abscissa(self):
-        with pytest.raises(ValueError, match=r"sorted ascending \(row 2\)"):
+        with pytest.raises(ValueError, match=r"sorted ascending \(sample 2\)"):
             SweepData([0.0, 2.0, 1.0], [1.0, 2.0, 3.0])
         assert len(SweepData([0.0, 1.0, 1.0], [1.0, 2.0, 3.0])) == 3  # ties are sorted
 
@@ -112,7 +111,7 @@ class TestCsvParsing:
     def test_nonmonotone_time_names_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("time_s,value\n0.0,1.0\n2.0,1.0\n1.0,1.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="row 2"):
+        with pytest.raises(ValueError, match=r"strictly increasing \(sample 2\)"):
             read_trace_csv(path)
 
     def test_nan_rejected(self, tmp_path):
@@ -204,26 +203,9 @@ def read_outcome(reader, path):
         return str(exc)
 
 
-def assert_same_as_row_parser(reader, path):
-    """The public reader and the row parser alone agree bit for bit.
-
-    Returns the public reader's outcome.
-    """
-    public = read_outcome(reader, path)
-    with mock.patch.object(data_module, "_parse_fast", return_value=None):
-        rows = read_outcome(reader, path)
-    assert type(public) is type(rows)
-    if isinstance(public, str):
-        assert public == rows
-        return public
-    for field in dataclasses.fields(public):
-        mine, theirs = getattr(public, field.name), getattr(rows, field.name)
-        if mine is None or theirs is None:
-            assert mine is None and theirs is None, field.name
-            continue
-        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, field.name
-        assert mine.tobytes() == theirs.tobytes(), field.name
-    return public
+def assert_bit_exact(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
 
 
 def comment_lines(rng, lines):
@@ -235,16 +217,8 @@ def comment_lines(rng, lines):
     return out
 
 
-class TestFastPathMatchesRowParser:
-    """Valid bodies are parsed in numpy; every outcome equals the row parser's."""
-
-    @pytest.mark.parametrize("reader", READERS)
-    @settings(max_examples=150, deadline=None)
-    @given(content=CSV_BYTES)
-    def test_fuzzed_files(self, tmp_path_factory, reader, content):
-        path = tmp_path_factory.mktemp("diff") / "fuzz.csv"
-        path.write_bytes(content)
-        assert_same_as_row_parser(reader, path)
+class TestOneReader:
+    """What the readers accept, with which values, and how they word a refusal."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 40))
@@ -259,31 +233,50 @@ class TestFastPathMatchesRowParser:
         write_trace_csv(path, trace, comments=["seeded", "trace"])
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join(comment_lines(rng, lines)) + "\n", encoding="utf-8")
-        back = assert_same_as_row_parser(read_trace_csv, path)
-        np.testing.assert_array_equal(back.value, trace.value)
-        np.testing.assert_array_equal(back.mask, trace.mask)
-        assert data_module._parse_fast(
-            path, ["time_s", "value"], ["masked"]
-        ) is not None
+        back = read_trace_csv(path)
+        assert_bit_exact(back.time_s, trace.time_s)
+        assert_bit_exact(back.value, trace.value)
+        assert_bit_exact(back.mask, trace.mask)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 20))
     def test_seeded_sweeps(self, tmp_path_factory, seed, rows):
         rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 10.0, rows)  # unsorted: re-ordered on read
+        v = rng.uniform(0.0, 1.0, rows)
+        s = rng.uniform(1e-3, 1e-1, rows)
         path = tmp_path_factory.mktemp("sweep") / "sweep.csv"
         lines = ["pump_power_mW,value,sigma"] + [
-            f"{x!r},{v!r},{s!r}"
-            for x, v, s in zip(
-                rng.uniform(0.0, 10.0, rows).tolist(),  # unsorted: re-ordered on read
-                rng.uniform(0.0, 1.0, rows).tolist(),
-                rng.uniform(1e-3, 1e-1, rows).tolist(),
-            )
+            f"{a!r},{b!r},{c!r}" for a, b, c in zip(x.tolist(), v.tolist(), s.tolist())
         ]
         path.write_text("\n".join(comment_lines(rng, lines)), encoding="utf-8")
-        assert not isinstance(assert_same_as_row_parser(read_sweep_csv, path), str)
-        assert data_module._parse_fast(
-            path, ["pump_power_mW", "value"], ["sigma"]
-        ) is not None
+        back = read_sweep_csv(path)
+        order = np.argsort(x, kind="stable")
+        assert_bit_exact(back.abscissa, x[order])
+        assert_bit_exact(back.value, v[order])
+        assert_bit_exact(back.sigma, s[order])
+
+    @pytest.mark.parametrize(
+        "reader, content",
+        [
+            (read_trace_csv, "# note\n\ntime_s,value,masked\n\n# end\n"),
+            (read_sweep_csv, "pump_power_mW,value,sigma\n"),
+        ],
+        ids=["trace", "sweep"],
+    )
+    def test_header_only_file_is_empty_without_warning(
+        self, tmp_path, caplog, reader, content
+    ):
+        path = tmp_path / "empty.csv"
+        path.write_text(content, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with caplog.at_level("DEBUG"):
+                container = reader(path)
+        assert caught == [] and caplog.records == []
+        assert len(container) == 0
+        for field in dataclasses.fields(container):
+            assert getattr(container, field.name).shape == (0,), field.name
 
     @pytest.mark.parametrize("value", ["0.1", "inf"])
     def test_unsorted_sweep_warns_once(self, tmp_path, caplog, value):
@@ -297,33 +290,45 @@ class TestFastPathMatchesRowParser:
         assert isinstance(outcome, str) == (value == "inf")
 
     @pytest.mark.parametrize(
-        "content, message",
+        "content, expected",
         [
-            (b"time_s,value\n0.0,1.0#x\n", "row 2: cannot parse '1.0#x'"),
-            (b'time_s,value\n0.0,"1.0"\n1.0,2.0\n', None),
-            (b"time_s,value\r\n0.0,1.0\r\n1.0,2.0\r\n", None),
-            (b"time_s,value\n0," + b"1" * 200_000 + b"\n", "field larger than field limit"),
-            (b"time_s,value\n0,0." + b"0" * 200_000 + b"1\n", "field larger than field limit"),
-            (b"# " + b"x" * 200_000 + b"\ntime_s,value\n0,1\n", "field larger than field limit"),
-            (b"time_s,value\n0.0,1.0\x1c\n", "cannot parse"),
+            (b"time_s,value\n0.0,1.0#x\n", "row 2: cannot parse '1.0#x' as a number"),
+            (b'time_s,value\n0.0,"1.0"\n1.0,2.0\n', ([0.0, 1.0], [1.0, 2.0])),
+            (b'"time_s", "value"\n"0.0","1.0"\n', ([0.0], [1.0])),
+            (b"time_s,value\r\n0.0,1.0\r\n1.0,2.0\r\n", ([0.0, 1.0], [1.0, 2.0])),
+            (b"time_s,value\r0.0,1.0\r1.0,2.0\r", ([0.0, 1.0], [1.0, 2.0])),
+            (b"time_s,value\n0," + b"1" * 200_000 + b"\n",
+             "non-finite value in value at index 0"),
+            (b"time_s,value\n0,0." + b"0" * 200_000 + b"1\n", ([0.0], [0.0])),
+            (b"# " + b"x" * 200_000 + b"\ntime_s,value\n0,1\n", ([0.0], [1.0])),
+            (b"time_s,value\n0.0,1.0\x1c\n", ([0.0], [1.0])),
+            (b"time_s,value\n0.0,1_0\n", "row 2: cannot parse '1_0' as a number"),
             (b"time_s,value\n0.0,1.0\n   \n", "row 3: expected 2 columns, got 1"),
-            (b"time_s,value,value\n0.0,1.0,2.0\n", "equal length"),
-            (b"time_s,value\n0.0,1.0\n0.0,2.0\n", "strictly increasing"),
+            (b"time_s,value,value\n0.0,1.0,2.0\n", "repeated column 'value'"),
+            (b"time_s,value\n0.0,1.0\n0.0,2.0\n",
+             "time must be strictly increasing (sample 1)"),
+            (b"# c\ntime_s,value\n0.0,1.0\n2.0,abc\n",
+             "row 4: cannot parse 'abc' as a number"),
+            (b"# c\ntime_s,value\n0.0,1.0\n2.0,1.0\n1.0,1.0\n",
+             "time must be strictly increasing (sample 2)"),
         ],
         ids=[
-            "inline-hash", "quoted-cell", "crlf", "oversized-field",
+            "inline-hash", "quoted-cell", "quoted-header", "crlf", "cr-only", "oversized-field",
             "oversized-finite-field", "oversized-comment", "separator-control",
-            "blank-cell-row", "repeated-column", "repeated-time",
+            "underscore-digits", "blank-cell-row", "repeated-column", "repeated-time",
+            "row-is-file-line", "sample-is-index",
         ],
     )
-    def test_named_cases(self, tmp_path, content, message):
+    def test_named_cases(self, tmp_path, content, expected):
         path = tmp_path / "case.csv"
         path.write_bytes(content)
-        outcome = assert_same_as_row_parser(read_trace_csv, path)
-        if message is None:
-            assert isinstance(outcome, Trace)
+        outcome = read_outcome(read_trace_csv, path)
+        if isinstance(expected, str):
+            assert outcome == f"{path}: {expected}"
         else:
-            assert isinstance(outcome, str) and message in outcome
+            assert isinstance(outcome, Trace)
+            assert_bit_exact(outcome.time_s, np.array(expected[0]))
+            assert_bit_exact(outcome.value, np.array(expected[1]))
 
 
 class TestWriteRefusesNonFinite:

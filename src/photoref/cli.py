@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import platform
 import sys
 import time
@@ -33,7 +32,6 @@ from .cavity import (
 )
 from .config import Config, ConfigError, parse_config
 from .coupler import (
-    HomodyneConfig,
     homodyne_noise,
     measured_squeezing_vs_residual_pump,
     reflectivity_vs_pump,
@@ -153,7 +151,6 @@ def _run_coupler_sweep(runner: _Runner, section: dict) -> None:
     probe = section["probe_wavelength_nm"]
     powers = section["pump_powers_mw"]
     noise = section["noise_fraction"]
-    separation = config.resolved["devices"]["coupler"]["waveguide_separation_um"]
     rng = np.random.default_rng(runner.seed)
     # Every temperature's tables are looked up before the first file is written.
     models = [(t, config.coupler_geometry(t), config.photorefraction(t))
@@ -175,7 +172,6 @@ def _run_coupler_sweep(runner: _Runner, section: dict) -> None:
                 "probe_wavelength_nm": probe,
                 "coupling_constant_per_mm": geometry.coupling_constant_per_mm,
                 "interaction_length_mm": geometry.interaction_length_mm,
-                "waveguide_separation_um": separation,
                 "noise_fraction": noise,
                 "pump_power_mW": [float(x) for x in sweep.abscissa],
                 "value": [float(x) for x in sweep.value],
@@ -185,22 +181,11 @@ def _run_coupler_sweep(runner: _Runner, section: dict) -> None:
 
 
 def _run_homodyne(runner: _Runner, section: dict) -> None:
-    reflectivity = section["reflectivity"]
     s = squeezing_parameter_from_db(section["squeezing_db"])
-    lo = section["lo_amplitude_sq"]
     phases = section["phases_rad"]
-    levels = []
-    for phi in phases:
-        noise = homodyne_noise(
-            HomodyneConfig(
-                reflectivity=reflectivity,
-                lo_amplitude_sq=lo,
-                squeezing_parameter=s,
-                phase_rad=phi,
-            )
-        )
-        levels.append(10.0 * math.log10(noise / lo))
-    runner.write("homodyne.csv", write_columns_csv, ["phase_rad", "value"], [phases, levels])
+    noise = homodyne_noise(section["reflectivity"], s, np.asarray(phases))
+    runner.write("homodyne.csv", write_columns_csv, ["phase_rad", "value"],
+                 [phases, 10.0 * np.log10(noise)])
 
 
 def _run_opo_spectrum(runner: _Runner, section: dict) -> None:
@@ -277,6 +262,10 @@ def _run_squeeze_budget(runner: _Runner, section: dict) -> None:
 def _run_fit_dn(runner: _Runner, section: dict) -> None:
     if not section["inputs"]:
         raise ConfigError("run.fit_dn.inputs: no input sweeps configured")
+    temperatures = [entry["temperature_c"] for entry in section["inputs"]]
+    for i, temperature in enumerate(temperatures):
+        if temperature in temperatures[:i]:
+            raise ConfigError(f"run.fit_dn.inputs[{i}].temperature_c: {temperature} C is repeated")
     sweeps, geometries = {}, {}
     for entry in section["inputs"]:
         temperature = entry["temperature_c"]
@@ -305,6 +294,9 @@ def _run_fit_dn(runner: _Runner, section: dict) -> None:
 def _run_fit_fpi(runner: _Runner, section: dict) -> None:
     if not section["input"]:
         raise ConfigError("run.fit_fpi.input: no input trace configured")
+    for i, (start, end) in enumerate(section["mask_intervals_s"]):
+        if start > end:
+            raise ConfigError(f"run.fit_fpi.mask_intervals_s[{i}]: start {start} after end {end}")
     trace = read_trace_csv(section["input"])
     for start, end in section["mask_intervals_s"]:
         trace = trace.with_masked_interval(start, end)

@@ -79,7 +79,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
         },
         "coupler": {
             "interaction_length_mm": 4.3,
-            "waveguide_separation_um": 14.0,  # echoed by coupler-sweep; no model reads it
             "coupling_constant_per_mm": {
                 "30.0": 0.46,
                 "60.0": 0.48039,
@@ -124,7 +123,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "homodyne": {
             "reflectivity": 0.5,
             "squeezing_db": 0.0,
-            "lo_amplitude_sq": 1.0,
             "phases_rad": [0.0],
         },
         "opo_spectrum": {
@@ -231,8 +229,8 @@ _RANGES: dict[str, tuple[float, float, str]] = {
     **dict.fromkeys(("probe_wavelength_nm", "wavelengths_nm"), (*WAVELENGTH_RANGE_NM, "[]")),
     **dict.fromkeys(("pump_wavelength_nm", "spdc_pump_wavelength_nm"),
                     (*PUMP_WAVELENGTH_RANGE_NM, "[]")),
-    **dict.fromkeys(("sample_period_s", "lo_amplitude_sq", "omega_step", "wavelength_span_nm",
-                     "mu0_per_sqrt_mw"), (0.0, math.inf, "()")),
+    **dict.fromkeys(("sample_period_s", "omega_step", "wavelength_span_nm", "mu0_per_sqrt_mw"),
+                    (0.0, math.inf, "()")),
     **dict.fromkeys(("duration_s", "start_s", "end_s", "noise_fraction", "omega_max",
                      "background", "pump_power_mw", "pump_powers_mw", "spdc_pump_powers_mw"),
                     (0.0, math.inf, "[)")),

@@ -3,8 +3,9 @@
 Coupled-mode theory gives the reflected fraction of probe power for a
 propagation-constant mismatch between the two arms; the photorefractive
 index shift in the pumped arm supplies that mismatch.  The homodyne side
-evaluates the measured quantum noise of a squeezed beam mixed with a
-coherent local oscillator on a coupler of arbitrary splitting ratio.
+is one function: the noise of a squeezed beam mixed with a coherent local
+oscillator on a coupler of any splitting ratio, in shot-noise units, for
+arrays of reflectivities or phases.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .material import PhotorefractionParams, delta_n_steady
 
 __all__ = [
     "CouplerGeometry",
-    "HomodyneConfig",
     "coupling_length",
     "coupler_reflectivity",
     "delta_beta_from_index_shift",
@@ -94,47 +94,25 @@ def reflectivity_vs_pump(
     return SweepData(powers, coupler_reflectivity(geometry, db))
 
 
-@dataclass(frozen=True)
-class HomodyneConfig:
-    """Homodyne measurement of a squeezed beam against a coherent LO.
+def homodyne_noise(reflectivity, squeezing_parameter: float, phase_rad):
+    """Variance of the difference photocurrent, in shot-noise units.
 
-    ``squeezing_parameter`` is the exponent s of the quadrature variances
-    e^(-2s) (squeezed) and e^(+2s) (antisqueezed); ``phase`` is the relative
-    phase between LO and squeezed beam; transmissivity is 1 - reflectivity
-    by construction.
+    A squeezed beam (quadrature variances e^(-2s) and e^(+2s)) meets a
+    coherent LO at relative phase phi on a coupler of reflectivity R and
+    transmissivity T = 1 - R; keeping only the term quadratic in the LO
+    amplitude, (T - R)^2 + 4RT*(e^{2s} sin^2(phi) + e^{-2s} cos^2(phi)).
+    At s = 0 this is 1 for every splitting ratio (vacuum in, shot noise
+    out).  The reflectivity and the phase may be arrays.
     """
-
-    reflectivity: float
-    lo_amplitude_sq: float = 1.0
-    squeezing_parameter: float = 0.0
-    phase_rad: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.reflectivity <= 1.0:
-            raise ValueError("reflectivity must lie in [0, 1]")
-        if self.lo_amplitude_sq <= 0:
-            raise ValueError("LO photon flux must be > 0")
-        if self.squeezing_parameter < 0:
-            raise ValueError("squeezing parameter must be >= 0")
-
-
-def homodyne_noise(config: HomodyneConfig):
-    """Variance of the difference photocurrent, in LO photon-flux units.
-
-    di^2 = |a|^2 * [(T - R)^2 + 4RT*(e^{2s} sin^2(phi) + e^{-2s} cos^2(phi))]
-    keeping only the term quadratic in the LO amplitude.  At s = 0 this is
-    exactly |a|^2 for every splitting ratio (vacuum in, shot noise out).
-    """
-    return config.lo_amplitude_sq * _noise_per_lo(
-        config.reflectivity, config.squeezing_parameter, config.phase_rad
-    )
-
-
-def _noise_per_lo(r, s: float, phi: float):
-    """The bracket of :func:`homodyne_noise`; the reflectivity ``r`` may be an array."""
-    t = 1.0 - r
-    quad = math.exp(2 * s) * math.sin(phi) ** 2 + math.exp(-2 * s) * math.cos(phi) ** 2
-    return (t - r) ** 2 + 4.0 * r * t * quad
+    r, t = reflectivity, 1.0 - reflectivity
+    rt = r * t  # >= 0 exactly when R lies in [0, 1]; the minimum of a NaN is NaN
+    if not np.minimum.reduce(rt, axis=None, initial=0.0) >= 0.0:
+        raise ValueError("reflectivity must lie in [0, 1]")
+    if squeezing_parameter < 0:
+        raise ValueError("squeezing parameter must be >= 0")
+    s = squeezing_parameter
+    quad = math.exp(2 * s) * np.sin(phase_rad) ** 2 + math.exp(-2 * s) * np.cos(phase_rad) ** 2
+    return (t - r) ** 2 + 4.0 * quad * rt
 
 
 def squeezing_parameter_from_db(squeezing_db: float) -> float:
@@ -169,6 +147,6 @@ def measured_squeezing_vs_residual_pump(
     powers = np.asarray(pump_powers_mw, dtype=float)
     dn = delta_n_steady(params, powers)
     db = delta_beta_from_index_shift(dn, probe_wavelength_nm)
-    shot = _noise_per_lo(r0, 0.0, 0.0)
-    levels = 10.0 * np.log10(_noise_per_lo(coupler_reflectivity(geometry, db), s, 0.0) / shot)
+    shot = homodyne_noise(r0, 0.0, 0.0)
+    levels = 10.0 * np.log10(homodyne_noise(coupler_reflectivity(geometry, db), s, 0.0) / shot)
     return SweepData(powers, levels)

@@ -8,10 +8,11 @@ deviations).  CSV files are UTF-8, comma-separated, one header row with
 ignored, floats rendered with 17 significant digits so containers
 round-trip bit-exactly.  The readers accept any line ending, ``"``-quoted
 cells and what ``numpy.loadtxt`` parses as a float; they refuse a missing,
-unknown or repeated column name.  Every refusal is a ValueError that starts
-with the file path; a body line at fault is named by its line number in the
-file (``row n: expected k columns, got m``, ``row n: cannot parse 'x' as a
-number``), a value the container refuses by its sample index.
+unknown or repeated column name and a quote still open at the end of its
+line.  Every refusal is a ValueError that starts with the file path; a
+line at fault is named by its line number in the file (``row n: expected
+k columns, got m``, ``row n: cannot parse 'x' as a number``, ``row n:
+unclosed quote``), a value the container refuses by its sample index.
 """
 
 from __future__ import annotations
@@ -170,6 +171,10 @@ def _read_columns(path, required: list[str], optional: list[str], build):
     )
     if first is None:
         raise ValueError(f"{path}: no header row found")
+    if '"' in text:  # numpy would run an unclosed quote on into the next line
+        for lineno, line in enumerate(lines[first:], start=first + 1):
+            if line.count('"') % 2 and not line.lstrip().startswith("#"):
+                raise ValueError(f"{path}: row {lineno}: unclosed quote")
     header = [name.strip().strip('"') for name in lines[first].split(",")]
     for name in required:
         if name not in header:

@@ -21,7 +21,6 @@ from photoref.cavity import (
 from photoref.cli import SUBCOMMANDS, main
 from photoref.coupler import (
     CouplerGeometry,
-    HomodyneConfig,
     coupling_length,
     homodyne_noise,
     reflectivity_vs_pump,
@@ -117,13 +116,13 @@ def test_criterion_3_homodyne_identities():
     reflectivities = np.linspace(0.0, 1.0, 50)
     phases = np.linspace(0.0, 2.0 * math.pi, 50)
     worst_vacuum = max(
-        abs(homodyne_noise(HomodyneConfig(float(r), 1.0, 0.0, float(phi))) - 1.0)
+        abs(homodyne_noise(float(r), 0.0, float(phi)) - 1.0)
         for r in reflectivities
         for phi in phases
     )
     crit.check(f"vacuum identity, worst |err| = {worst_vacuum:.1e}", worst_vacuum <= 1e-12)
     worst_balanced = max(
-        abs(homodyne_noise(HomodyneConfig(0.5, 1.0, float(s), 0.0)) - math.exp(-2 * s))
+        abs(homodyne_noise(0.5, float(s), 0.0) - math.exp(-2 * s))
         for s in np.linspace(0.0, 2.0, 81)
     )
     crit.check(
@@ -149,7 +148,7 @@ def test_criterion_4_monte_carlo_oracle():
             math.cos(phi) * squeezed + math.sin(phi) * antisqueezed
         )
         sample = float(np.var(current))
-        formula = homodyne_noise(HomodyneConfig(r, 1.0, s, phi))
+        formula = homodyne_noise(r, s, phi)
         std_err = formula * math.sqrt(2.0 / n)
         crit.check(
             f"R={r:.3f} s={s:.3f} phi={phi:.3f}: |{sample:.5f}-{formula:.5f}|"

@@ -418,6 +418,44 @@ class TestExitCodes:
             ["fit-dn", "--config", str(path), "--out", str(out), "--quiet"]
         ) == 1
 
+    def test_fit_dn_repeated_temperature_is_refused_before_reading(self, tmp_path):
+        """Two inputs at one temperature would fit one file with the other's coupler."""
+        inputs = [{"path": str(tmp_path / f"missing_T{t}.csv"), "temperature_c": 30.0}
+                  for t in (30, 90)]
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"run": {"fit_dn": {"inputs": inputs}}}))
+        out = tmp_path / "out"
+        assert main(["fit-dn", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "run.fit_dn.inputs[1].temperature_c: 30.0 C is repeated"
+        assert manifest["outputs"] == []
+
+    @pytest.mark.parametrize("intervals, code", [
+        ([[20.0, 20.0], [40.0, 20.0]], 1),
+        ([[20.0, 20.0], [20.0, 40.0]], 0),
+    ], ids=["reversed", "one-point-and-forward"])
+    def test_fit_fpi_reversed_mask_interval(self, tmp_path, intervals, code):
+        """An interval that starts after it ends is refused by index, before
+        the trace is read; a one-point interval is allowed."""
+        out = tmp_path / "out"
+        payload = {"run": {
+            "fpi_trace": {"duration_s": 30.0, "sample_period_s": 0.1,
+                          "schedule": [{"start_s": 5.0, "end_s": 30.0, "pump_power_mw": 5.0}]},
+            "fit_fpi": {"input": str(out / "fpi_trace.csv"), "pump_on_time_s": 5.0,
+                        "mask_intervals_s": intervals},
+        }}
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(payload))
+        if code == 0:
+            assert main(["fpi-trace", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        assert main(["fit-fpi", "--config", str(path), "--out", str(out), "--quiet"]) == code
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        if code:
+            assert manifest["error"] == "run.fit_fpi.mask_intervals_s[1]: start 40.0 after end 20.0"
+        else:
+            assert manifest["outputs"] == ["fit_fpi.json"]
+
     @pytest.mark.parametrize(
         "subcommand, payload, where",
         [
@@ -512,7 +550,7 @@ class TestExitCodes:
 
     def test_overflow_is_numerical_failure(self, tmp_path, monkeypatch):
         """An OverflowError from a model exits 2 with a failed manifest."""
-        def overflow(config):
+        def overflow(*args):
             raise OverflowError("math range error")
 
         monkeypatch.setattr("photoref.cli.homodyne_noise", overflow)

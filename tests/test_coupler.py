@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from photoref.coupler import (
     CouplerGeometry,
-    HomodyneConfig,
     coupler_reflectivity,
     coupling_length,
     delta_beta_from_index_shift,
@@ -109,18 +108,17 @@ class TestHomodyneNoise:
     @given(r=st.floats(0.0, 1.0), phi=st.floats(0.0, 2 * math.pi))
     @settings(max_examples=300, deadline=None)
     def test_vacuum_is_shot_noise_for_any_splitting(self, r, phi):
-        noise = homodyne_noise(HomodyneConfig(r, 2.5, 0.0, phi))
-        assert noise == pytest.approx(2.5, abs=1e-12 * 2.5)
+        assert homodyne_noise(r, 0.0, phi) == pytest.approx(1.0, abs=1e-12)
 
     def test_balanced_squeezed_floor(self):
         for s in np.linspace(0.0, 2.0, 21):
-            noise = homodyne_noise(HomodyneConfig(0.5, 1.0, s, 0.0))
+            noise = homodyne_noise(0.5, s, 0.0)
             assert noise == pytest.approx(math.exp(-2 * s), abs=1e-12)
 
     def test_balanced_bounded_by_quadrature_extremes(self):
         s = 0.7
         for phi in np.linspace(0.0, 2 * math.pi, 73):
-            noise = homodyne_noise(HomodyneConfig(0.5, 1.0, s, phi))
+            noise = homodyne_noise(0.5, s, phi)
             assert math.exp(-2 * s) - 1e-12 <= noise <= math.exp(2 * s) + 1e-12
 
     def test_monte_carlo_oracle_single_point(self, rng):
@@ -135,17 +133,35 @@ class TestHomodyneNoise:
             math.cos(phi) * squeezed + math.sin(phi) * antisqueezed
         )
         sample_var = float(np.var(measured))
-        formula = homodyne_noise(HomodyneConfig(r, 1.0, s, phi))
+        formula = homodyne_noise(r, s, phi)
         std_err = formula * math.sqrt(2.0 / n)
         assert abs(sample_var - formula) < 3 * std_err
 
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ValueError):
-            HomodyneConfig(1.2)
-        with pytest.raises(ValueError):
-            HomodyneConfig(0.5, lo_amplitude_sq=0.0)
-        with pytest.raises(ValueError):
-            HomodyneConfig(0.5, squeezing_parameter=-0.1)
+    def test_arrays_match_scalar_calls(self):
+        """Reflectivities and phases broadcast; each entry is its scalar call."""
+        r = np.linspace(0.0, 1.0, 11)[:, None]
+        phi = np.linspace(0.0, 2 * math.pi, 13)
+        noise = homodyne_noise(r, 0.4, phi)
+        assert noise.shape == (11, 13)
+        for i, j in np.ndindex(noise.shape):
+            assert noise[i, j] == pytest.approx(
+                homodyne_noise(float(r[i, 0]), 0.4, float(phi[j])), rel=1e-15
+            )
+
+    @pytest.mark.parametrize(
+        "reflectivity",
+        [1.2, -1e-300, 1.0 + 1e-15, math.nan, np.array([0.5, 1.5]), np.array([0.2, math.nan])],
+    )
+    def test_reflectivity_outside_unit_interval_rejected(self, reflectivity):
+        with pytest.raises(ValueError, match=r"reflectivity must lie in \[0, 1\]"):
+            homodyne_noise(reflectivity, 0.0, 0.0)
+
+    def test_negative_squeezing_parameter_rejected(self):
+        with pytest.raises(ValueError, match="squeezing parameter must be >= 0"):
+            homodyne_noise(0.5, -0.1, 0.0)
+
+    def test_unit_interval_ends_accepted(self):
+        np.testing.assert_array_equal(homodyne_noise(np.array([0.0, 1.0]), 0.3, 0.7), [1.0, 1.0])
 
 
 def balanced_geometry(k: float = 0.46) -> CouplerGeometry:
@@ -197,8 +213,7 @@ class TestMeasuredSqueezing:
         s = squeezing_parameter_from_db(-5.0)
         with_pump = [
             10.0 * math.log10(
-                homodyne_noise(HomodyneConfig(r, squeezing_parameter=s))
-                / homodyne_noise(HomodyneConfig(r))
+                homodyne_noise(r, s, 0.0) / homodyne_noise(r, 0.0, 0.0)
             )
             for r in reflectivity_vs_pump(geometry, params30, 1550.0, powers).value
         ]
@@ -207,7 +222,7 @@ class TestMeasuredSqueezing:
     @pytest.mark.parametrize("level", [-3.0, -5.0, -10.0])
     @pytest.mark.parametrize("params", ["params30", "params90"])
     def test_matches_per_point_oracle(self, request, level, params):
-        """One HomodyneConfig and one shot-noise calibration per residual power."""
+        """One scalar noise and one shot-noise calibration per residual power."""
         geometry = balanced_geometry()
         params = request.getfixturevalue(params)
         powers = np.linspace(0.0, 20.0, 41)
@@ -216,8 +231,7 @@ class TestMeasuredSqueezing:
         r0 = coupler_reflectivity(geometry, 0.0)
         oracle = [
             10.0 * math.log10(
-                homodyne_noise(HomodyneConfig(reflectivity=float(r), squeezing_parameter=s))
-                / homodyne_noise(HomodyneConfig(reflectivity=float(r0)))
+                homodyne_noise(float(r), s, 0.0) / homodyne_noise(r0, 0.0, 0.0)
             )
             for r in reflectivity_vs_pump(geometry, params, 1550.0, powers).value
         ]

@@ -311,12 +311,18 @@ class TestOneReader:
              "row 4: cannot parse 'abc' as a number"),
             (b"# c\ntime_s,value\n0.0,1.0\n2.0,1.0\n1.0,1.0\n",
              "time must be strictly increasing (sample 2)"),
+            (b'time_s,value\n0,"1.0\n', "row 2: unclosed quote"),
+            (b'time_s,value\n0,1.0\n1,"2.0\n', "row 3: unclosed quote"),
+            (b'time_s,value\n0,"1.0\n1,2.0\n2,3.0\n', "row 2: unclosed quote"),
+            (b'# c\n"time_s,value\n0,1.0\n', "row 2: unclosed quote"),
+            (b'# say "hi\ntime_s,value\n0,1.0\n', ([0.0], [1.0])),
         ],
         ids=[
             "inline-hash", "quoted-cell", "quoted-header", "crlf", "cr-only", "oversized-field",
             "oversized-finite-field", "oversized-comment", "separator-control",
             "underscore-digits", "blank-cell-row", "repeated-column", "repeated-time",
-            "row-is-file-line", "sample-is-index",
+            "row-is-file-line", "sample-is-index", "unclosed-only-row", "unclosed-last-row",
+            "unclosed-runs-on", "unclosed-header", "quote-in-comment",
         ],
     )
     def test_named_cases(self, tmp_path, content, expected):

@@ -402,23 +402,20 @@ def main(argv=None) -> int:
     runner = _Runner(config, out_dir, config.seed, args.quiet)
 
     start = time.perf_counter()
+    code, error = 0, None
     try:
         section = config.run_section(args.subcommand.replace("-", "_"))
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             _HANDLERS[args.subcommand](runner, section)
     except (ConfigError, ValueError, OSError, KeyError) as exc:
-        _write_manifest(
-            runner, args.subcommand, "failed", time.perf_counter() - start, str(exc)
-        )
-        log.error("validation error: %s", exc)
-        return 1
+        code, kind, error = 1, "validation error", str(exc)
     except (FitError, FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
-        _write_manifest(
-            runner, args.subcommand, "failed", time.perf_counter() - start, str(exc)
-        )
-        log.error("numerical failure: %s", exc)
-        return 2
-    _write_manifest(runner, args.subcommand, "ok", time.perf_counter() - start, None)
+        code, kind, error = 2, "numerical failure", str(exc)
+    _write_manifest(runner, args.subcommand, "failed" if code else "ok",
+                    time.perf_counter() - start, error)
+    if code:
+        log.error("%s: %s", kind, error)
+        return code
     if not args.quiet:
         log.info("wrote %d file(s) to %s", len(runner.outputs), out_dir)
     return 0

@@ -86,7 +86,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
             },
         },
         "homodyne_coupler": {
-            "balanced": True,
             "coupling_constant_per_mm": {"30.0": 0.46},
         },
         "qpm": {
@@ -177,7 +176,6 @@ _KEYED_MAPS = {
 # list entry every key is required unless its type admits None.
 _DECLARED: dict[str, Any] = {
     "devices.qpm.poling_period_um": float,
-    "devices.homodyne_coupler.interaction_length_mm": float,
     "run.fpi_trace.schedule[].erasing_light": bool | None,
     "run.fit_fpi.pump_on_time_s": float | None,
     "run.fit_fpi.mask_intervals_s": [(float, float)],
@@ -394,44 +392,40 @@ class Config:
         with _invariants("devices.squeezer"):
             return SqueezerCavity(material=material, **self.resolved["devices"]["squeezer"])
 
-    def _coupler(self, name: str, temperature_c: float) -> CouplerGeometry:
-        section = self.resolved["devices"][name]
-        k = self.temperature_entry(f"devices.{name}.coupling_constant_per_mm", temperature_c)
-        with _invariants(f"devices.{name}"):
-            balanced = section.get("balanced", False)  # only the homodyne coupler
-            if balanced and "interaction_length_mm" in section:
-                raise ValueError(
-                    f"devices.{name}.interaction_length_mm is not read while "
-                    f"devices.{name}.balanced is true (1.5 coupling lengths)"
-                )
-            length = 1.5 * coupling_length(k) if balanced else section["interaction_length_mm"]
-            return CouplerGeometry(coupling_constant_per_mm=k, interaction_length_mm=length)
-
     def coupler_geometry(self, temperature_c: float) -> CouplerGeometry:
-        return self._coupler("coupler", temperature_c)
+        k = self.temperature_entry("devices.coupler.coupling_constant_per_mm", temperature_c)
+        with _invariants("devices.coupler"):
+            return CouplerGeometry(k, self.resolved["devices"]["coupler"]["interaction_length_mm"])
 
     def homodyne_geometry(self, temperature_c: float) -> CouplerGeometry:
-        return self._coupler("homodyne_coupler", temperature_c)
+        """The homodyne coupler, balanced at zero pump: 1.5 coupling lengths."""
+        k = self.temperature_entry("devices.homodyne_coupler.coupling_constant_per_mm",
+                                   temperature_c)
+        with _invariants("devices.homodyne_coupler"):
+            return CouplerGeometry(k, 1.5 * coupling_length(k))
 
     def qpm_section(self) -> dict[str, Any]:
         return self.resolved["devices"]["qpm"]
 
     def qpm_device(self) -> QpmDevice:
         """The poled waveguide; without a poling period, the period that nulls
-        the mismatch at the calibration point and reference pump power."""
+        the mismatch at the calibration point and reference pump power.  By
+        energy conservation a telecom share f of the shift dn moves dk as a
+        pump shift of -f dn does, so the calibration absorbs (1 - f) dn."""
         section = self.qpm_section()
         material = self.material()
         period = section.get("poling_period_um")
         if period is None:
             cal = section["calibration"]
             with _invariants("devices.qpm.calibration"):
-                params = self.photorefraction(cal["temperature_c"])
+                dn = delta_n_steady(self.photorefraction(cal["temperature_c"]),
+                                    cal["reference_pump_power_mw"])
                 period = calibrate_poling_period(
                     material,
                     cal["temperature_c"],
                     cal["pump_wavelength_nm"],
                     cal["degeneracy_wavelength_nm"],
-                    pump_index_shift=delta_n_steady(params, cal["reference_pump_power_mw"]),
+                    pump_index_shift=(1.0 - section["telecom_shift_fraction"]) * dn,
                 )
         with _invariants("devices.qpm"):
             return QpmDevice(

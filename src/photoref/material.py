@@ -316,8 +316,8 @@ class PumpSegment:
 class PumpSchedule:
     """Ordered, non-overlapping pump segments.
 
-    Gaps between segments are dark (pump off).  Beyond the last segment end
-    the last segment's conditions are extended indefinitely.
+    Gaps between segments are dark (pump off), and so is all time after the
+    last segment ends.
     """
 
     segments: tuple[PumpSegment, ...]
@@ -351,9 +351,9 @@ def delta_n_temporal(params: PhotorefractionParams, schedule: PumpSchedule, t):
     """Piecewise first-order relaxation of the index shift along a schedule.
 
     Within each phase dn relaxes exponentially toward that phase's steady
-    state (see :func:`delta_n_steady` for pumped phases, zero otherwise);
-    the solution is continuous across phase boundaries and starts from
-    dn = 0 at t = 0.
+    state (see :func:`delta_n_steady` for pumped phases, zero otherwise and
+    after the last segment); the solution is continuous across phase
+    boundaries and starts from dn = 0 at t = 0.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
@@ -368,10 +368,7 @@ def delta_n_temporal(params: PhotorefractionParams, schedule: PumpSchedule, t):
             intervals.append((cursor, *dark))
         intervals.append((seg.start_s, *_segment_conditions(params, seg)))
         cursor = seg.end_s
-    if not schedule.segments:
-        intervals.append((0.0, *dark))
-    # Beyond the horizon the last segment's conditions persist, so no closing
-    # dark interval is appended.
+    intervals.append((cursor, *dark))
 
     # Propagate the state to each interval start.
     states = [0.0]

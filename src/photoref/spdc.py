@@ -138,19 +138,17 @@ def calibrate_poling_period(
     degeneracy_wavelength_nm: float,
     pump_index_shift: float = 0.0,
 ) -> float:
-    """Poling period (um) nulling the mismatch at a chosen degeneracy point.
+    """Poling period (um) nulling the mismatch of :func:`qpm_mismatch` at a signal.
 
-    Inverts the phase-matching condition at lam_s = lam_i = the degeneracy
-    wavelength.  ``pump_index_shift`` lets the calibration absorb a
-    photorefractive offset so that dk = 0 is hit at a reference pump power
-    rather than at zero power.
+    ``degeneracy_wavelength_nm`` is the signal wavelength and the idler
+    follows from energy conservation.  ``pump_index_shift`` lets the
+    calibration absorb a photorefractive offset so that dk = 0 is hit at a
+    reference pump power rather than at zero power.
     """
-    n_p = refractive_index(material, pump_wavelength_nm, temperature_c, _PUMP_MODE)
-    n_p += pump_index_shift
-    n_s = refractive_index(material, degeneracy_wavelength_nm, temperature_c, _TELECOM_MODE)
-    lam_p_mm = pump_wavelength_nm * 1e-6
-    lam_deg_mm = degeneracy_wavelength_nm * 1e-6
-    inverse_period = n_p / lam_p_mm - 2.0 * n_s / lam_deg_mm  # 1/mm (n_i = n_s)
+    _check_signal_range(pump_wavelength_nm, degeneracy_wavelength_nm)
+    no_grating = QpmDevice(math.inf, 1.0, material)  # 1/period = 0: dk is the beams' sum
+    inverse_period = float(_mismatch(no_grating, pump_wavelength_nm, temperature_c,
+                                     degeneracy_wavelength_nm, pump_index_shift)) / (2 * math.pi)
     if inverse_period <= 0:
         raise ValueError(
             "dispersion insufficient for quasi-phase matching at these inputs "

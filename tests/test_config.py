@@ -90,9 +90,10 @@ class TestParsing:
         assert any("lenght_mm" in rec.message for rec in caplog.records)
         assert config.fpi_cavity().length_mm == 15.0  # default kept
 
-    @pytest.mark.parametrize(
-        "where", ["devices.coupler.waveguide_separation_um", "run.homodyne.lo_amplitude_sq"]
-    )
+    @pytest.mark.parametrize("where", [
+        "devices.coupler.waveguide_separation_um", "run.homodyne.lo_amplitude_sq",
+        "devices.homodyne_coupler.balanced", "devices.homodyne_coupler.interaction_length_mm",
+    ])
     def test_keys_that_moved_no_output_are_unknown(self, tmp_path, caplog, where):
         """Refused by name under --strict (exit 1); otherwise logged and left out."""
         *sections, key = where.split(".")
@@ -147,11 +148,8 @@ class TestDerivedSchema:
     def test_resolved_example_with_optional_keys_accepted(self, tmp_path):
         payload = yaml.safe_load(yaml.safe_dump(parse_config(EXAMPLE).resolved))
         payload["devices"]["qpm"]["poling_period_um"] = 19.5
-        payload["devices"]["homodyne_coupler"]["balanced"] = False
-        payload["devices"]["homodyne_coupler"]["interaction_length_mm"] = 5.0
         config = parse_config(write_config(tmp_path, payload), strict=True)
         assert config.qpm_section()["poling_period_um"] == 19.5
-        assert config.homodyne_geometry(30.0).interaction_length_mm == 5.0
 
     def test_new_keys_in_keyed_maps_accepted(self, tmp_path):
         payload = {
@@ -228,10 +226,6 @@ class TestMalformedValues:
              "devices.squeezer.mirror_r1"),
             ({"devices": {"coupler": {"coupling_constant_per_mm": {"60": None}}}},
              r"devices\.coupler\.coupling_constant_per_mm\.60"),
-            ({"devices": {"homodyne_coupler": {"interaction_length_mm": None}}},
-             "devices.homodyne_coupler.interaction_length_mm"),
-            ({"devices": {"homodyne_coupler": {"balanced": False}}},
-             "devices.homodyne_coupler"),
             ({"devices": {"qpm": {"length_mm": None}}}, "devices.qpm.length_mm"),
             ({"devices": {"qpm": {"poling_period_um": "wide"}}},
              "devices.qpm.poling_period_um"),
@@ -412,16 +406,18 @@ class TestBuilders:
 
         assert abs(coupler_reflectivity(geometry, 0.0) - 0.5) < 1e-9
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_homodyne_length_refused_while_balanced(self, tmp_path, strict):
-        """A balanced coupler's length is 1.5 coupling lengths: a configured
-        length would be read by nothing, so both parses refuse it."""
-        payload = {"devices": {"homodyne_coupler": {"interaction_length_mm": 9.0}}}
-        path = write_config(tmp_path, payload)
-        with pytest.raises(ConfigError) as refused:
-            parse_config(path, strict=strict)
-        assert "devices.homodyne_coupler.interaction_length_mm" in str(refused.value)
-        assert "devices.homodyne_coupler.balanced" in str(refused.value)
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    def test_calibrated_period_nulls_mismatch_at_calibration(self, tmp_path, fraction):
+        """The calibrated device phase-matches its own calibration point at the
+        reference power, whatever share of the index shift the telecom beams take."""
+        payload = {"devices": {"qpm": {"telecom_shift_fraction": fraction}}}
+        config = parse_config(write_config(tmp_path, payload))
+        cal = config.qpm_section()["calibration"]
+        point = SpdcOperatingPoint(cal["pump_wavelength_nm"], cal["temperature_c"],
+                                   cal["reference_pump_power_mw"])
+        dk = qpm_mismatch(config.qpm_device(), point, cal["degeneracy_wavelength_nm"],
+                          config.photorefraction(cal["temperature_c"]))
+        assert abs(dk) <= 1e-9  # 1/mm
 
     def test_unknown_temperature_named(self):
         config = parse_config(EXAMPLE)
@@ -443,8 +439,8 @@ class TestBuilders:
 
 def _device_leaves(node, default, path=("devices",)):
     """(path, default) of every device leaf that has a default; a keyed map
-    gives each of its default entries.  Leaves with no default (the poling
-    period, the length of an unbalanced homodyne coupler) are left out."""
+    gives each of its default entries.  The poling period has no default and
+    is left out."""
     if not isinstance(node, dict):
         yield path, default
         return
@@ -477,6 +473,8 @@ def _device_readout(config: Config) -> np.ndarray:
     point = SpdcOperatingPoint(770.73, 30.0, pump_power_mw=5.0)
     grid = np.linspace(1500.0, 1580.0, 5)
     values.append(qpm_mismatch(device, point, grid, params))
+    # Off the calibration power: there the telecom share of the shift moves dk.
+    values.append(qpm_mismatch(device, SpdcOperatingPoint(770.73, 30.0), grid, params))
     values.append(spdc_spectrum(device, point, params, grid))  # reads the QPM length
     return np.concatenate([np.atleast_1d(v) for v in values])
 
@@ -571,18 +569,9 @@ def run_workdir(tmp_path_factory):
     return work, {}
 
 
-# The end of the last pump segment only orders the schedule: the model keeps
-# that segment's conditions past its end (material.PumpSchedule), so no trace
-# sees it move.
-UNREAD_RUN_LEAVES = {"run.fpi_trace.schedule[0].end_s"}
-
-
 class TestRunSettingsRead:
     @pytest.mark.parametrize("path, name", [
-        pytest.param(path, name, id=_where(path), marks=[pytest.mark.xfail(
-            strict=True, reason="read only to order the schedule")
-        ] if _where(path) in UNREAD_RUN_LEAVES else [])
-        for path, name in RUN_LEAVES
+        pytest.param(path, name, id=_where(path)) for path, name in RUN_LEAVES
     ])
     def test_every_run_setting_moves_a_data_output(
         self, run_workdir, tmp_path, monkeypatch, path, name

@@ -251,7 +251,8 @@ def fig2_like_schedule() -> PumpSchedule:
 
 
 def masked_loop_reference(params, schedule, t: np.ndarray) -> np.ndarray:
-    """dn(t) with one masked evaluation per interval, dark gaps included."""
+    """dn(t) with one masked evaluation per interval, dark gaps and the dark
+    time after the last segment included."""
     intervals, cursor = [], 0.0
     for seg in schedule.segments:
         if seg.start_s > cursor:
@@ -264,6 +265,7 @@ def masked_loop_reference(params, schedule, t: np.ndarray) -> np.ndarray:
         else:
             intervals.append((seg.start_s, 0.0, params.tau_dark_s))
         cursor = seg.end_s
+    intervals.append((cursor, 0.0, params.tau_dark_s))
     ends = [iv[0] for iv in intervals[1:]] + [math.inf]
     out, state = np.empty_like(t), 0.0
     for (t0, target, tau), t1 in zip(intervals, ends):
@@ -326,10 +328,15 @@ class TestTemporal:
             right = delta_n_temporal(params30, schedule, boundary + eps)
             assert left == pytest.approx(right, abs=1e-12)
 
-    def test_extends_last_segment_beyond_horizon(self, params30):
-        schedule = fig2_like_schedule()  # ends at 300 s in the erasing phase
-        far = delta_n_temporal(params30, schedule, 5e3)
-        assert abs(far) < 1e-30
+    def test_dark_after_last_segment(self, params30):
+        """Past the last end_s the pump is off: dn decays from its value there
+        with the dark time constant."""
+        schedule = PumpSchedule([PumpSegment(10.0, 60.0, 5.0)])
+        end = delta_n_temporal(params30, schedule, 60.0)
+        for t in (61.0, 600.0, 6e3, 6e4):
+            expected = end * math.exp(-(t - 60.0) / params30.tau_dark_s)
+            got = delta_n_temporal(params30, schedule, t)
+            assert abs(got - expected) <= 1e-15 * abs(expected)
 
     def test_vectorized_matches_scalar(self, params30):
         schedule = fig2_like_schedule()

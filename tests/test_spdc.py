@@ -134,10 +134,22 @@ class TestCalibration:
         asymmetry = abs((hi - degeneracy) - (degeneracy - lo)) / (hi - lo)
         assert asymmetry < 0.10
 
+    def test_off_degeneracy_round_trip(self, material, params30):
+        """A signal away from degeneracy is phase-matched with its
+        energy-conserving idler, not with a second photon at the signal."""
+        period = calibrate_poling_period(material, 30.0, PUMP_30, 1550.0)
+        device = QpmDevice(poling_period_um=period, length_mm=15.0, material=material)
+        point = SpdcOperatingPoint(PUMP_30, 30.0, 0.0)
+        assert abs(qpm_mismatch(device, point, 1550.0, params30)) <= 1e-9  # 1/mm
+
+    def test_unphysical_signal_rejected(self, material):
+        with pytest.raises(ValueError, match="physical window"):
+            calibrate_poling_period(material, 30.0, PUMP_30, 1000.0)
+
     def test_insufficient_dispersion_rejected(self, material):
         with pytest.raises(ValueError, match="insufficient"):
-            # Degenerate pair at the pump wavelength itself: negative period.
-            calibrate_poling_period(material, 30.0, 775.0, 1200.0)
+            # A pump index lowered by 0.2 falls below the telecom index: negative period.
+            calibrate_poling_period(material, 30.0, 775.0, 1550.0, pump_index_shift=-0.2)
 
 
 class TestSpectrum:

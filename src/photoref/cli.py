@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import platform
 import sys
 import time
 from pathlib import Path
@@ -30,7 +29,7 @@ from .cavity import (
     pump_parameter_for_squeezing_db,
     simulate_fpi_trace,
 )
-from .config import Config, ConfigError, parse_config
+from .config import Config, ConfigError, _invariants, parse_config
 from .coupler import (
     homodyne_noise,
     measured_squeezing_vs_residual_pump,
@@ -55,6 +54,16 @@ log = logging.getLogger(__name__)
 def _fmt(value: float) -> str:
     """Compact float for filenames (no trailing zeros, no scientific surprises)."""
     return f"{value:g}"
+
+
+def _refuse_repeats(where: str, values: list, names: list[str]) -> None:
+    """Refuse, by index, a grid entry whose output name an earlier entry has:
+    its output would overwrite that entry's.  ``where`` holds ``{}`` for the index."""
+    for i, name in enumerate(names):
+        first = names.index(name)
+        if first < i:
+            raise ConfigError(f"{where.format(i)}: {values[i]} names the same output"
+                              f" as {where.format(first)}")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -110,8 +119,11 @@ class _Runner:
 def _run_fpi_trace(runner: _Runner, section: dict) -> None:
     config = runner.config
     temperature = section["temperature_c"]
-    # The schema walk left only known keys in each segment.
-    schedule = PumpSchedule([PumpSegment(**seg) for seg in section["schedule"]])
+    segments = []  # built one entry at a time, so an overlap is refused at its entry
+    for i, seg in enumerate(section["schedule"]):
+        with _invariants(f"run.fpi_trace.schedule[{i}]"):
+            segments.append(PumpSegment(**seg))
+            schedule = PumpSchedule(segments)
     trace = simulate_fpi_trace(
         config.fpi_cavity(),
         schedule,
@@ -127,12 +139,15 @@ def _run_fpi_trace(runner: _Runner, section: dict) -> None:
 def _run_fpi_char(runner: _Runner, section: dict) -> None:
     cavity = runner.config.fpi_cavity()
     temperature = section["temperature_c"]
+    wavelengths = section["wavelengths_nm"]
+    keys = [_fmt(lam) for lam in wavelengths]
+    _refuse_repeats("run.fpi_char.wavelengths_nm[{}]", wavelengths, keys)
     report = {}
-    for lam in section["wavelengths_nm"]:
+    for key, lam in zip(keys, wavelengths):
         fsr_pm, fwhm_pm = fpi_characteristics(cavity, lam, temperature)
         r = cavity.reflectivity_at(lam)
         coefficient, conventional = finesse(r, r)
-        report[_fmt(lam)] = {
+        report[key] = {
             "wavelength_nm": lam,
             "n_eff": refractive_index(
                 cavity.material, lam, temperature, cavity.mode_for(lam)
@@ -152,10 +167,12 @@ def _run_coupler_sweep(runner: _Runner, section: dict) -> None:
     powers = section["pump_powers_mw"]
     noise = section["noise_fraction"]
     rng = np.random.default_rng(runner.seed)
+    temperatures = section["temperatures_c"]
+    names = [f"coupler_sweep_T{_fmt(t)}" for t in temperatures]
+    _refuse_repeats("run.coupler_sweep.temperatures_c[{}]", temperatures, names)
     # Every temperature's tables are looked up before the first file is written.
-    models = [(t, config.coupler_geometry(t), config.photorefraction(t))
-              for t in section["temperatures_c"]]
-    for temperature, geometry, params in models:
+    models = [(t, config.coupler_geometry(t), config.photorefraction(t)) for t in temperatures]
+    for name, (temperature, geometry, params) in zip(names, models):
         sweep = reflectivity_vs_pump(geometry, params, probe, powers)
         sigma = None
         values = sweep.value
@@ -163,7 +180,6 @@ def _run_coupler_sweep(runner: _Runner, section: dict) -> None:
             sigma = noise * np.abs(values)
             values = values * (1.0 + noise * rng.standard_normal(len(values)))
             sweep = SweepData(sweep.abscissa, values, sigma)
-        name = f"coupler_sweep_T{_fmt(temperature)}"
         runner.write(f"{name}.csv", write_sweep_csv, sweep)
         runner.write_json(
             f"{name}.json",
@@ -194,10 +210,12 @@ def _run_opo_spectrum(runner: _Runner, section: dict) -> None:
     step, omega_max = section["omega_step"], section["omega_max"]
     omega = np.arange(0.0, omega_max + step / 2, step)
     detunings = section["detunings"]
-    for delta in detunings:
+    names = [f"opo_spectrum_delta{_fmt(delta)}.csv" for delta in detunings]
+    _refuse_repeats("run.opo_spectrum.detunings[{}]", detunings, names)
+    for name, delta in zip(names, detunings):
         levels = eta * np.array(opo_extremal_spectra(sigma, delta, omega)) + (1.0 - eta)
         runner.write(
-            f"opo_spectrum_delta{_fmt(delta)}.csv",
+            name,
             write_columns_csv,
             ["omega", "squeezed_db", "antisqueezed_db"],
             [omega, *10 * np.log10(levels)],
@@ -218,16 +236,21 @@ def _run_spdc_spectrum(runner: _Runner, section: dict) -> None:
     config = runner.config
     device = config.qpm_device()
     span, points = section["wavelength_span_nm"], section["points"]
+    temperatures, powers = section["temperatures_c"], section["pump_powers_mw"]
+    tags = [f"T{_fmt(t)}" for t in temperatures]
+    _refuse_repeats("run.spdc_spectrum.temperatures_c[{}]", temperatures, tags)
+    power_tags = [f"P{_fmt(power)}" for power in powers]
+    _refuse_repeats("run.spdc_spectrum.pump_powers_mw[{}]", powers, power_tags)
     pumps = "run.spdc_spectrum.pump_wavelength_nm"
     models = [(t, config.temperature_entry(pumps, t), config.photorefraction(t))
-              for t in section["temperatures_c"]]
-    for temperature, lam_p, params in models:
+              for t in temperatures]
+    for tag, (temperature, lam_p, params) in zip(tags, models):
         grid = np.linspace(2 * lam_p - span / 2, 2 * lam_p + span / 2, points)
-        for power in section["pump_powers_mw"]:
+        for power_tag, power in zip(power_tags, powers):
             point = SpdcOperatingPoint(lam_p, temperature, power)
             density = spdc_spectrum(device, point, params, grid, section["background"])
             runner.write(
-                f"spdc_spectrum_T{_fmt(temperature)}_P{_fmt(power)}.csv",
+                f"spdc_spectrum_{tag}_{power_tag}.csv",
                 write_columns_csv,
                 ["wavelength_nm", "normalized_density"],
                 [grid, density],
@@ -241,6 +264,8 @@ def _run_squeeze_budget(runner: _Runner, section: dict) -> None:
     params = config.photorefraction(temperature)
     geometry = config.homodyne_geometry(temperature)
     levels, powers = section["initial_levels_db"], section["pump_powers_mw"]
+    names = [f"homodyne_budget_{_fmt(abs(level))}dB.csv" for level in levels]
+    _refuse_repeats("run.squeeze_budget.initial_levels_db[{}]", levels, names)
     budgets = [
         measured_squeezing_vs_residual_pump(geometry, params, probe, level, powers)
         for level in levels
@@ -253,8 +278,8 @@ def _run_squeeze_budget(runner: _Runner, section: dict) -> None:
         section["mu0_per_sqrt_mw"],
         section["spdc_pump_powers_mw"],
     )
-    for level, sweep in zip(levels, budgets):
-        runner.write(f"homodyne_budget_{_fmt(abs(level))}dB.csv", write_sweep_csv, sweep)
+    for name, sweep in zip(names, budgets):
+        runner.write(name, write_sweep_csv, sweep)
     runner.write("squeeze_ideal.csv", write_sweep_csv, ideal)
     runner.write("squeeze_photorefractive.csv", write_sweep_csv, degraded)
 
@@ -263,9 +288,8 @@ def _run_fit_dn(runner: _Runner, section: dict) -> None:
     if not section["inputs"]:
         raise ConfigError("run.fit_dn.inputs: no input sweeps configured")
     temperatures = [entry["temperature_c"] for entry in section["inputs"]]
-    for i, temperature in enumerate(temperatures):
-        if temperature in temperatures[:i]:
-            raise ConfigError(f"run.fit_dn.inputs[{i}].temperature_c: {temperature} C is repeated")
+    _refuse_repeats("run.fit_dn.inputs[{}].temperature_c", temperatures,
+                    [_fmt(t) for t in temperatures])
     sweeps, geometries = {}, {}
     for entry in section["inputs"]:
         temperature = entry["temperature_c"]
@@ -347,7 +371,7 @@ def _write_manifest(
         "seed": runner.seed,
         "versions": {
             "photoref": __version__,
-            "python": platform.python_version(),
+            "python": sys.version.split()[0],
             "numpy": np.__version__,
             "pyyaml": yaml.__version__,
         },
@@ -372,9 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (u64)")
     parser.add_argument(
-        "--strict", action="store_true", help="reject unknown configuration keys"
-    )
-    parser.add_argument(
         "--quiet", action="store_true", help="suppress informational logging"
     )
     return parser
@@ -387,7 +408,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = parse_config(args.config, strict=args.strict)
+        config = parse_config(args.config)
     except ConfigError as exc:
         log.error("%s", exc)
         return 1

@@ -6,7 +6,7 @@ The configuration is a YAML document with four top-level sections:
 constants), ``devices`` (fpi, squeezer, coupler, homodyne_coupler, qpm),
 and ``run`` (per-subcommand grids, schedules, output settings, seed).
 Defaults cover the reference chip geometry; user values are merged on top.
-Unknown keys are rejected in strict mode and logged otherwise.
+A key that the schema does not know is refused, never ignored.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import copy
 import functools
 import hashlib
 import json
-import logging
 import math
 import operator
 import types
@@ -42,8 +41,6 @@ from .material import (
 from .spdc import PUMP_WAVELENGTH_RANGE_NM, QpmDevice, calibrate_poling_period
 
 __all__ = ["ConfigError", "Config", "parse_config", "DEFAULT_CONFIG"]
-
-log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -445,12 +442,12 @@ def _invariants(where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def parse_config(path, strict: bool = False) -> Config:
+def parse_config(path) -> Config:
     """Load, merge with defaults, and validate a configuration file.
 
     Raises :class:`ConfigError` for syntax errors (with line number),
     invariant violations and values of the wrong type (with the field
-    path), and unknown keys in strict mode.
+    path), and unknown keys (every one by path, sorted, in one message).
     """
     path = Path(path)
     if not path.exists():
@@ -469,19 +466,16 @@ def parse_config(path, strict: bool = False) -> Config:
     if not isinstance(user, Mapping):
         raise ConfigError(f"{path}: top level must be a mapping")
 
-    # In strict mode an unknown key is reported first: a misspelled key in a
-    # list entry also leaves that entry's key missing.
+    # An unknown key is reported first: a misspelled key in a list entry also
+    # leaves that entry's key missing.
     unknown: list[str] = []
     try:
         user = _walk_schema(user, _SCHEMA, "", unknown)
     except ConfigError:
-        if not (strict and unknown):
+        if not unknown:
             raise
     if unknown:
-        message = f"{path}: unknown configuration keys: " + ", ".join(sorted(unknown))
-        if strict:
-            raise ConfigError(message)
-        log.warning("%s", message)
+        raise ConfigError(f"{path}: unknown configuration keys: " + ", ".join(sorted(unknown)))
 
     config = Config(resolved=_deep_merge(DEFAULT_CONFIG, user), source_path=str(path))
     _validate(config)

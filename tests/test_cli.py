@@ -230,8 +230,106 @@ class TestExitCodes:
         path.write_text(yaml.safe_dump({"devices": {"fpi": {"bogus": 1}}}))
         assert main(
             ["fpi-char", "--config", str(path), "--out", str(tmp_path / "o"),
-             "--quiet", "--strict"]
+             "--quiet"]
         ) == 1
+
+    def test_misspelled_device_key_is_refused_under_quiet(self, tmp_path):
+        """A typo in a device key is not a run of the reference chip: exit 1,
+        the key named on stderr, and no output directory or manifest."""
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"devices": {"fpi": {"lenght_mm": 20.0}}}))
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "photoref.cli", "fpi-char", "--config", str(path),
+             "--out", str(out), "--quiet"],
+            env=src_env(), capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert "unknown configuration keys: devices.fpi.lenght_mm" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("quiet", [[], ["--quiet"]], ids=["logged", "quiet"])
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_misspelled_key_fails_every_subcommand(self, tmp_path, caplog, subcommand, quiet):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"devices": {"fpi": {"lenght_mm": 20.0}}}))
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR"):
+            assert main([subcommand, "--config", str(path), "--out", str(out), *quiet]) == 1
+        assert any("devices.fpi.lenght_mm" in rec.getMessage() for rec in caplog.records)
+        assert not out.exists()
+
+    def test_strict_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["fpi-char", "--config", "configs/example.yaml", "--out", str(tmp_path), "--strict"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "subcommand, section, payload, message",
+        [
+            ("coupler-sweep", "coupler_sweep", {"temperatures_c": [30, 30]},
+             "run.coupler_sweep.temperatures_c[1]: 30.0 names the same output"
+             " as run.coupler_sweep.temperatures_c[0]"),
+            ("spdc-spectrum", "spdc_spectrum", {"pump_powers_mw": [1, 1]},
+             "run.spdc_spectrum.pump_powers_mw[1]: 1.0 names the same output"
+             " as run.spdc_spectrum.pump_powers_mw[0]"),
+            ("spdc-spectrum", "spdc_spectrum",
+             {"temperatures_c": [30, 30.0000001],
+              "pump_wavelength_nm": {"30": 770.73, "30.0000001": 770.73}},
+             "run.spdc_spectrum.temperatures_c[1]: 30.0000001 names the same output"
+             " as run.spdc_spectrum.temperatures_c[0]"),
+            ("opo-spectrum", "opo_spectrum", {"detunings": [0.5, 1.0, 0.5]},
+             "run.opo_spectrum.detunings[2]: 0.5 names the same output"
+             " as run.opo_spectrum.detunings[0]"),
+            ("squeeze-budget", "squeeze_budget", {"initial_levels_db": [-3.0, -3.0000001]},
+             "run.squeeze_budget.initial_levels_db[1]: -3.0000001 names the same output"
+             " as run.squeeze_budget.initial_levels_db[0]"),
+            ("fpi-char", "fpi_char", {"wavelengths_nm": [1550, 1550.0000001]},
+             "run.fpi_char.wavelengths_nm[1]: 1550.0000001 names the same output"
+             " as run.fpi_char.wavelengths_nm[0]"),
+            ("fit-dn", "fit_dn",
+             {"inputs": [{"path": "missing_a.csv", "temperature_c": 30},
+                         {"path": "missing_b.csv", "temperature_c": 30.0000001}]},
+             "run.fit_dn.inputs[1].temperature_c: 30.0000001 names the same output"
+             " as run.fit_dn.inputs[0].temperature_c"),
+        ],
+        ids=["coupler-temperature", "spdc-power", "spdc-temperature", "opo-detuning",
+             "budget-level", "fpi-char-wavelength", "fit-dn-temperature"],
+    )
+    def test_grid_entry_naming_an_output_twice_is_refused(
+        self, tmp_path, subcommand, section, payload, message
+    ):
+        """Two grid values that render to one file name would write that file
+        twice: refused by index before any data file is written."""
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"run": {section: payload}}))
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["error"] == message
+        assert manifest["outputs"] == []
+        assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
+
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ([{"start_s": 10.0, "end_s": 40.0, "pump_power_mw": 5.0},
+              {"start_s": 30.0, "end_s": 50.0, "pump_power_mw": 5.0}],
+             "run.fpi_trace.schedule[1]: segments overlap or are unordered at t = 30.0 s"),
+            ([{"start_s": 40.0, "end_s": 10.0, "pump_power_mw": 5.0}],
+             "run.fpi_trace.schedule[0]: segment must satisfy start < end"),
+        ],
+        ids=["overlap", "reversed"],
+    )
+    def test_schedule_refusal_names_its_entry(self, tmp_path, schedule, message):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"run": {"fpi_trace": {"schedule": schedule}}}))
+        out = tmp_path / "out"
+        assert main(["fpi-trace", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["error"] == message
+        assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
 
     def test_empty_schedule_fails_with_manifest(self, tmp_path):
         path = tmp_path / "config.yaml"
@@ -428,7 +526,8 @@ class TestExitCodes:
         assert main(["fit-dn", "--config", str(path), "--out", str(out), "--quiet"]) == 1
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["status"] == "failed"
-        assert manifest["error"] == "run.fit_dn.inputs[1].temperature_c: 30.0 C is repeated"
+        assert manifest["error"] == ("run.fit_dn.inputs[1].temperature_c: 30.0 names the same"
+                                     " output as run.fit_dn.inputs[0].temperature_c")
         assert manifest["outputs"] == []
 
     @pytest.mark.parametrize("intervals, code", [
@@ -512,7 +611,7 @@ class TestExitCodes:
         with caplog.at_level("ERROR"):
             code = main(
                 [subcommand, "--config", str(path), "--out", str(tmp_path / "o"),
-                 "--quiet", "--strict"]
+                 "--quiet"]
             )
         assert code == 1
         assert any(where in rec.getMessage() for rec in caplog.records)

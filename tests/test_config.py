@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import operator
+import re
 import types
 
 import numpy as np
@@ -36,7 +37,7 @@ def write_config(tmp_path, payload) -> str:
 
 class TestParsing:
     def test_example_config_parses(self):
-        config = parse_config(EXAMPLE, strict=True)
+        config = parse_config(EXAMPLE)
         cavity = config.fpi_cavity()
         assert cavity.length_mm == 15.0
         assert cavity.facet_reflectivity_probe == 0.14
@@ -81,33 +82,21 @@ class TestParsing:
     def test_unknown_key_strict_rejected(self, tmp_path):
         path = write_config(tmp_path, {"devices": {"fpi": {"lenght_mm": 15.0}}})
         with pytest.raises(ConfigError, match="unknown configuration keys.*lenght_mm"):
-            parse_config(path, strict=True)
-
-    def test_unknown_key_lenient_warns(self, tmp_path, caplog):
-        path = write_config(tmp_path, {"devices": {"fpi": {"lenght_mm": 15.0}}})
-        with caplog.at_level("WARNING"):
-            config = parse_config(path, strict=False)
-        assert any("lenght_mm" in rec.message for rec in caplog.records)
-        assert config.fpi_cavity().length_mm == 15.0  # default kept
+            parse_config(path)
 
     @pytest.mark.parametrize("where", [
         "devices.coupler.waveguide_separation_um", "run.homodyne.lo_amplitude_sq",
         "devices.homodyne_coupler.balanced", "devices.homodyne_coupler.interaction_length_mm",
     ])
     def test_keys_that_moved_no_output_are_unknown(self, tmp_path, caplog, where):
-        """Refused by name under --strict (exit 1); otherwise logged and left out."""
+        """Refused by name (exit 1)."""
         *sections, key = where.split(".")
         path = write_config(tmp_path, {sections[0]: {sections[1]: {key: 1.0}}})
         with caplog.at_level("ERROR"):
             assert main(["homodyne", "--config", path, "--out", str(tmp_path / "o"),
-                         "--quiet", "--strict"]) == 1
+                         "--quiet"]) == 1
         assert any(f"unknown configuration keys: {where}" in rec.message
                    for rec in caplog.records)
-        caplog.clear()
-        with caplog.at_level("WARNING"):
-            config = parse_config(path)
-        assert any(where in rec.message for rec in caplog.records)
-        assert key not in config.resolved[sections[0]][sections[1]]
 
     @pytest.mark.parametrize(
         "payload, where",
@@ -120,13 +109,9 @@ class TestParsing:
              "run.fpi_trace.schedule[0].erasing_lite"),
         ],
     )
-    def test_unknown_key_in_entry_lenient_ignored(self, tmp_path, caplog, payload, where):
-        with caplog.at_level("WARNING"):
-            config = parse_config(write_config(tmp_path, payload))
-        assert any(where in rec.message for rec in caplog.records)
-        assert config.photorefraction(30.0).a > 0
-        assert "bogus" not in config.resolved["photorefraction"]["30.0"]
-        assert "erasing_lite" not in config.run_section("fpi_trace")["schedule"][0]
+    def test_unknown_key_in_entry_refused(self, tmp_path, payload, where):
+        with pytest.raises(ConfigError, match=f"unknown configuration keys: {re.escape(where)}$"):
+            parse_config(write_config(tmp_path, payload))
 
     def test_temperature_keys_normalized_before_merge(self, tmp_path):
         # An integer key and a partial entry must merge with the defaults.
@@ -135,7 +120,7 @@ class TestParsing:
             {"photorefraction": {30: {"a": 2.2e-4},
                                  "45.0": {"a": 1e-5, "b": 10.0, "c": 0.0}}},
         )
-        config = parse_config(path, strict=True)
+        config = parse_config(path)
         merged = config.photorefraction(30.0)
         assert merged.a == 2.2e-4
         assert merged.b == 10.0  # default survives the partial override
@@ -148,7 +133,7 @@ class TestDerivedSchema:
     def test_resolved_example_with_optional_keys_accepted(self, tmp_path):
         payload = yaml.safe_load(yaml.safe_dump(parse_config(EXAMPLE).resolved))
         payload["devices"]["qpm"]["poling_period_um"] = 19.5
-        config = parse_config(write_config(tmp_path, payload), strict=True)
+        config = parse_config(write_config(tmp_path, payload))
         assert config.qpm_section()["poling_period_um"] == 19.5
 
     def test_new_keys_in_keyed_maps_accepted(self, tmp_path):
@@ -167,7 +152,7 @@ class TestDerivedSchema:
             },
             "run": {"spdc_spectrum": {"pump_wavelength_nm": {"45": 772.0}}},
         }
-        config = parse_config(write_config(tmp_path, payload), strict=True)
+        config = parse_config(write_config(tmp_path, payload))
         assert config.photorefraction(45.0).a == 1e-5
         assert config.coupler_geometry(45.0).coupling_constant_per_mm == 0.47
         assert config.homodyne_geometry(45.0).coupling_constant_per_mm == 0.47
@@ -189,7 +174,7 @@ class TestDerivedSchema:
     def test_misspelled_key_rejected(self, tmp_path, payload, where):
         path = write_config(tmp_path, payload)
         with pytest.raises(ConfigError, match=f"unknown configuration keys: {where}$"):
-            parse_config(path, strict=True)
+            parse_config(path)
 
     @pytest.mark.parametrize(
         "payload, where",
@@ -262,7 +247,7 @@ class TestLeafTypes:
         for key in leaf[:-1]:
             value = value.setdefault(key, {})
         value[leaf[-1]] = written
-        config = parse_config(write_config(tmp_path, payload), strict=True)
+        config = parse_config(write_config(tmp_path, payload))
         node = config.resolved
         for key in leaf:
             node = node[key]

@@ -182,9 +182,10 @@ def simulate_fpi_trace(
 ) -> Trace:
     """Probe transmission versus time while the pump schedule drives dn(t).
 
-    Samples the Airy transmission at the instantaneous index shift and
-    normalizes to the pre-pump (dn = 0) transmission.  Mode hopping and
-    input-coupling drift are outside the model.
+    Samples the Airy transmission at the instantaneous index shift as
+    T/T_max, the fraction of the fringe maximum, so the pre-pump level
+    T(phi0) stays in the trace.  Mode hopping and input-coupling drift are
+    outside the model.
     """
     if sample_period_s <= 0:
         raise ValueError("sample period must be > 0")
@@ -202,9 +203,7 @@ def simulate_fpi_trace(
         )
     t = np.arange(int(math.floor(ratio)) + 1) * sample_period_s
     dn = delta_n_temporal(params, schedule, t)
-    values = fpi_transmission(cavity, probe_wavelength_nm, temperature_c, dn)
-    reference = fpi_transmission(cavity, probe_wavelength_nm, temperature_c, 0.0)
-    return Trace(time_s=t, value=values / reference)
+    return Trace(time_s=t, value=fpi_transmission(cavity, probe_wavelength_nm, temperature_c, dn))
 
 
 def delta_n_to_detuning(

@@ -332,7 +332,7 @@ def _run_fit_fpi(runner: _Runner, section: dict) -> None:
     )
     payload = fit.result.to_json_dict()
     payload["model"] = (
-        "Airy transmission driven by dn(t) = dn_total*(1 - exp(-(t - t0)/tau))"
+        "Airy transmission T/T_max driven by dn(t) = dn_total*(1 - exp(-(t - t0)/tau))"
     )
     payload["fitted"] = {
         "delta_n_total": fit.delta_n_total,

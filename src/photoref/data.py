@@ -39,7 +39,7 @@ log = logging.getLogger(__name__)
 _FLOAT_FMT = "%.17g"
 
 TRACE_TIME_COLUMN = "time_s"
-TRACE_VALUE_COLUMN = "value"
+TRACE_VALUE_COLUMN = "transmission"  # T/T_max, the fraction of the fringe maximum
 TRACE_MASK_COLUMN = "masked"
 SWEEP_POWER_COLUMN = "pump_power_mW"
 SWEEP_VALUE_COLUMN = "value"

@@ -484,12 +484,12 @@ def _cheapest(costs: np.ndarray, count: int) -> np.ndarray:
 
 
 def _trace_model(params, elapsed, coefficient, phase_scale, work):
-    """(decay, rise, tan psi, transmission, reference) of the pump-on trace model.
+    """(decay, rise, tan psi, transmission) of the pump-on trace model.
 
     decay = exp(-elapsed/tau), rise = 1 - decay, psi = phi0 + phase_scale*dn_total*rise
-    and the Airy T(x) = 1/(1 + F*sin^2 x) at psi (transmission) and at phi0
-    (reference); the arrays are the rows of ``work``, overwritten in place.  T at
-    psi is (1 + q)/(1 + (1 + F) q) = 1/(1 + F) + F/(1 + F)^2/(q + 1/(1 + F)), q = tan^2 psi.
+    and the transmission T/T_max = 1/(1 + F*sin^2 psi); the arrays are the rows of
+    ``work``, overwritten in place.  T at psi is
+    (1 + q)/(1 + (1 + F) q) = 1/(1 + F) + F/(1 + F)^2/(q + 1/(1 + F)), q = tan^2 psi.
     """
     dn_total, tau, phi0 = params
     decay, rise, tangent, transmission = work
@@ -502,8 +502,7 @@ def _trace_model(params, elapsed, coefficient, phase_scale, work):
     np.add(np.square(np.tan(tangent, out=tangent), out=transmission), lowest, out=transmission)
     np.divide(coefficient * lowest * lowest, transmission, out=transmission)
     transmission += lowest
-    reference = 1.0 / (1.0 + coefficient * math.sin(phi0) ** 2)
-    return decay, rise, tangent, transmission, reference
+    return decay, rise, tangent, transmission
 
 
 @dataclass
@@ -523,13 +522,14 @@ def fit_fpi_trace(
     temperature_c: float | None = None,
     pump_on_time_s: float | None = None,
 ) -> FpiTraceFit:
-    """Fit the pump-on transient of a normalized cavity transmission trace.
+    """Fit the pump-on transient of a cavity transmission trace, taken as T/T_max.
 
     The model is a first-order index relaxation driving the Airy
     transmission: dn(t) = dn_total*(1 - exp(-(t - t0)/tau)) inside
-    T(phi0 + 2*pi*L*dn/lambda), normalized to the pre-pump value.  Masked
-    trace samples are ignored.  The model has period pi in phi0, which is
-    reported in [0, pi).
+    T(phi0 + 2*pi*L*dn/lambda)/T_max, so the pre-pump level fixes phi0 up to
+    phi0 -> pi - phi0, which the sign of dn_total (<= 0) and the trace's
+    first slope resolve.  Masked trace samples are ignored.  The model has
+    period pi in phi0, which is reported in [0, pi).
 
     The cavity phase at pump-on is not known a priori, so the starts come
     from a scan: the cost over a (dn_total, tau, phi0) grid around the
@@ -564,7 +564,7 @@ def fit_fpi_trace(
     phase_scale = 2.0 * math.pi * cavity.length_mm * 1e6 / probe_wavelength_nm
     elapsed = np.clip(t - t0, 0.0, None)
 
-    work, rows, columns = np.empty((4, len(t))), np.empty((2, len(t))), np.empty((3, len(t)))
+    work, spare, columns = np.empty((4, len(t))), np.empty(len(t)), np.empty((3, len(t)))
     last: dict[bytes, tuple] = {}  # the point whose model ``work`` holds
 
     def model(params):
@@ -575,27 +575,22 @@ def fit_fpi_trace(
         return last[key]
 
     def residual(params):
-        _, _, _, transmission, reference = model(params)
-        return transmission / reference - y
+        return model(params)[3] - y
 
     def jacobian(params):
         # dT/dpsi = -F*sin(2*psi)*T^2, with sin(2*psi) = 2t/(1 + t^2) at t = tan psi;
-        # the reference T(phi0) adds T*F*sin(2*phi0) to the phi0 column.
-        dn_total, tau, phi0 = params
-        decay, rise, tangent, transmission, reference = model(params)
-        slope, scratch = rows
+        # it is also the phi0 column.
+        dn_total, tau, _ = params
+        decay, rise, tangent, transmission = model(params)
+        slope, scratch = columns[2], spare
         np.divide(tangent, np.add(np.square(tangent, out=scratch), 1.0, out=scratch), out=slope)
         slope *= -2.0 * coefficient
         slope *= np.square(transmission, out=scratch)
-        slope /= reference
         np.multiply(np.multiply(slope, phase_scale, out=scratch), rise, out=columns[0])
         np.multiply(decay, -phase_scale * dn_total, out=scratch)
         scratch *= elapsed
         scratch /= tau**2
         np.multiply(slope, scratch, out=columns[1])
-        np.multiply(transmission, coefficient, out=scratch)
-        scratch *= math.sin(2.0 * phi0)
-        np.add(slope, scratch, out=columns[2])
         return columns.T
 
     quantum = probe_wavelength_nm / (4.0 * cavity.length_mm * 1e6)
@@ -620,7 +615,6 @@ def fit_fpi_trace(
         -half * np.cos(2.0 * phi_grid),
         half * np.sin(2.0 * phi_grid),
     ))
-    norm = (1.0 + coefficient * np.sin(phi_grid) ** 2)[:, None]  # 1 / T(phi0)
     costs = np.empty((len(dn_grid), len(tau_grid), len(phi_grid)))
     inverse = np.empty((len(phi_grid), rise.size))  # (phi0, (tau, t)), reused
     samples = inverse.reshape(-1, len(y_thin))  # one row per (phi0, tau)
@@ -637,9 +631,9 @@ def fit_fpi_trace(
         cosine /= scratch
         np.divide(np.multiply(sine, 2.0, out=sine), scratch, out=sine)
         np.reciprocal(np.matmul(mix, basis[:3], out=inverse), out=inverse)
-        # sum((norm*inverse - y)^2), expanded so that no model array is formed
-        squares = np.einsum("ij,ij->i", samples, samples).reshape(len(phi_grid), -1)
-        costs[i] = (norm * (norm * squares - 2.0 * (samples @ y_thin).reshape(squares.shape))).T
+        # sum((inverse - y)^2), expanded so that no model array is formed
+        squares = np.einsum("ij,ij->i", samples, samples)
+        costs[i] = (squares - 2.0 * (samples @ y_thin)).reshape(len(phi_grid), -1).T
     costs += y_thin @ y_thin
 
     # Noise variance from second differences (white noise of variance s^2

@@ -14,7 +14,7 @@ from photoref.cavity import (
     fpi_transmission,
     simulate_fpi_trace,
 )
-from photoref.material import PumpSchedule, PumpSegment, refractive_index
+from photoref.material import PumpSchedule, PumpSegment, delta_n_temporal, refractive_index
 
 LAM = 1550.0
 T_C = 30.0
@@ -125,9 +125,13 @@ class TestCharacteristics:
 
 class TestTraceSimulation:
     def test_zero_power_constant(self, fpi, params30):
+        """With no pump the trace holds the Airy level at phi0, worked by hand."""
         schedule = PumpSchedule([PumpSegment(0.0, 10.0, 0.0)])
         trace = simulate_fpi_trace(fpi, schedule, params30, LAM, T_C, 0.1)
-        np.testing.assert_allclose(trace.value, 1.0, atol=1e-14)
+        phase0 = 2 * math.pi * 15e6 * 2.13 / LAM
+        level = 1.0 / (1.0 + 0.56 / 0.7396 * math.sin(phase0) ** 2)
+        assert np.ptp(trace.value) == 0.0
+        np.testing.assert_allclose(trace.value, level, rtol=1e-9)
 
     def test_angled_cavity_constant(self, material, params30):
         cavity = FpiCavity(15.0, 0.14, 0.13, material, angled_facets=True)
@@ -162,10 +166,12 @@ class TestTraceSimulation:
         with pytest.raises(ValueError, match="duration_s / sample_period_s"):
             simulate_fpi_trace(fpi, schedule, params30, LAM, T_C, period, duration_s=20.0)
 
-    def test_normalized_to_prepump(self, fpi, params30):
+    def test_is_the_airy_transmission_of_the_shift(self, fpi, params30):
+        """T/T_max at dn(t), bit for bit: not divided by the pre-pump level."""
         schedule = PumpSchedule([PumpSegment(10.0, 40.0, 5.0)])
         trace = simulate_fpi_trace(fpi, schedule, params30, LAM, T_C, 0.5)
-        np.testing.assert_allclose(trace.value[trace.time_s < 10.0], 1.0, atol=1e-14)
+        dn = delta_n_temporal(params30, schedule, trace.time_s)
+        np.testing.assert_array_equal(trace.value, fpi_transmission(fpi, LAM, T_C, dn))
 
     def test_single_segment_matches_hand_chain(self, fpi, params30):
         """Independent composition: Airy(phase0 + scale*ss*(1 - e^-t/tau))."""
@@ -178,11 +184,10 @@ class TestTraceSimulation:
         phase0 = 2 * math.pi * 15e6 * n_eff / LAM
         scale = 2 * math.pi * 15e6 / LAM
         ss = delta_n_steady(params30, 5.0)
-        reference = 1.0 / (1.0 + coefficient * math.sin(phase0) ** 2)
         for i, t in enumerate(trace.time_s):
             dn = ss * (1.0 - math.exp(-t / params30.tau_build_s))
             expected = 1.0 / (1.0 + coefficient * math.sin(phase0 + scale * dn) ** 2)
-            assert trace.value[i] == pytest.approx(expected / reference, rel=1e-9)
+            assert trace.value[i] == pytest.approx(expected, rel=1e-9)
 
 
 class TestDetuning:

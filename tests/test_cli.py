@@ -620,7 +620,7 @@ class TestExitCodes:
     def test_unreadable_csv_fails_with_manifest(self, tmp_path):
         """A CSV field over the csv module's limit is a validation error."""
         trace = tmp_path / "trace.csv"
-        trace.write_text("time_s,value\n0," + "1" * 200_000 + "\n", encoding="utf-8")
+        trace.write_text("time_s,transmission\n0," + "1" * 200_000 + "\n", encoding="utf-8")
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump({"run": {"fit_fpi": {"input": str(trace)}}}))
         out = tmp_path / "out"
@@ -630,6 +630,21 @@ class TestExitCodes:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["error"].startswith(f"{trace}: ")
+
+    def test_prepump_normalized_trace_refused(self, tmp_path):
+        """``time_s,value`` is the header of a trace divided by its pre-pump
+        level; the T/T_max trace's column is ``transmission``, so fit-fpi
+        refuses such a file and names it."""
+        trace = tmp_path / "trace.csv"
+        trace.write_text("time_s,value\n0,1\n1,0.9\n", encoding="utf-8")
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"run": {"fit_fpi": {"input": str(trace)}}}))
+        out = tmp_path / "out"
+        assert main(
+            ["fit-fpi", "--config", str(path), "--out", str(out), "--quiet"]
+        ) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["error"] == f"{trace}: missing required column 'transmission'"
 
 
     def test_non_finite_json_is_numerical_failure(self, tmp_path, monkeypatch):

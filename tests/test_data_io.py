@@ -91,7 +91,7 @@ class TestCsvParsing:
     def test_comments_ignored(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(
-            "# a comment\ntime_s,value\n# another\n0.0,1.0\n1.0,2.0\n",
+            "# a comment\ntime_s,transmission\n# another\n0.0,1.0\n1.0,2.0\n",
             encoding="utf-8",
         )
         trace = read_trace_csv(path)
@@ -110,25 +110,25 @@ class TestCsvParsing:
 
     def test_nonmonotone_time_names_row(self, tmp_path):
         path = tmp_path / "t.csv"
-        path.write_text("time_s,value\n0.0,1.0\n2.0,1.0\n1.0,1.0\n", encoding="utf-8")
+        path.write_text("time_s,transmission\n0.0,1.0\n2.0,1.0\n1.0,1.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"strictly increasing \(sample 2\)"):
             read_trace_csv(path)
 
     def test_nan_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
-        path.write_text("time_s,value\n0.0,nan\n", encoding="utf-8")
+        path.write_text("time_s,transmission\n0.0,nan\n", encoding="utf-8")
         with pytest.raises(ValueError, match="non-finite"):
             read_trace_csv(path)
 
     def test_column_count_mismatch_names_row(self, tmp_path):
         path = tmp_path / "t.csv"
-        path.write_text("time_s,value\n0.0,1.0\n1.0\n", encoding="utf-8")
+        path.write_text("time_s,transmission\n0.0,1.0\n1.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="row 3"):
             read_trace_csv(path)
 
     def test_unknown_column_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
-        path.write_text("time_s,value,foo\n0.0,1.0,2.0\n", encoding="utf-8")
+        path.write_text("time_s,transmission,foo\n0.0,1.0,2.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unexpected column"):
             read_trace_csv(path)
 
@@ -140,13 +140,13 @@ class TestCsvParsing:
 
     def test_unparsable_cell_names_row(self, tmp_path):
         path = tmp_path / "t.csv"
-        path.write_text("time_s,value\n0.0,abc\n", encoding="utf-8")
+        path.write_text("time_s,transmission\n0.0,abc\n", encoding="utf-8")
         with pytest.raises(ValueError, match="row 2.*abc"):
             read_trace_csv(path)
 
     def test_masked_interval_column(self, tmp_path):
         path = tmp_path / "t.csv"
-        rows = ["time_s,value,masked"]
+        rows = ["time_s,transmission,masked"]
         for t in range(120):
             masked = 1.0 if 25.0 <= t <= 85.0 else 0.0
             rows.append(f"{float(t)},1.0,{masked}")
@@ -163,7 +163,7 @@ READERS = [read_trace_csv, read_sweep_csv]
 CSV_BYTES = st.one_of(
     st.binary(max_size=200),
     st.tuples(
-        st.sampled_from(["", "time_s,value\n", "pump_power_mW,value,sigma\n"]),
+        st.sampled_from(["", "time_s,transmission\n", "pump_power_mW,value,sigma\n"]),
         st.text(alphabet=st.sampled_from("0123456789.,-+eE#\"\r\n nainf\x00\xe9"),
                 max_size=200),
     ).map(lambda parts: "".join(parts).encode("utf-8")),
@@ -174,7 +174,7 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("reader", READERS)
     @pytest.mark.parametrize(
         "content",
-        [b"time_s,value\n0,\xff\n", b"time_s,value\n0," + b"1" * 200_000 + b"\n"],
+        [b"time_s,transmission\n0,\xff\n", b"time_s,transmission\n0," + b"1" * 200_000 + b"\n"],
         ids=["invalid-utf8", "oversized-field"],
     )
     def test_unreadable_file_names_path(self, tmp_path, reader, content):
@@ -259,7 +259,7 @@ class TestOneReader:
     @pytest.mark.parametrize(
         "reader, content",
         [
-            (read_trace_csv, "# note\n\ntime_s,value,masked\n\n# end\n"),
+            (read_trace_csv, "# note\n\ntime_s,transmission,masked\n\n# end\n"),
             (read_sweep_csv, "pump_power_mW,value,sigma\n"),
         ],
         ids=["trace", "sweep"],
@@ -292,30 +292,30 @@ class TestOneReader:
     @pytest.mark.parametrize(
         "content, expected",
         [
-            (b"time_s,value\n0.0,1.0#x\n", "row 2: cannot parse '1.0#x' as a number"),
-            (b'time_s,value\n0.0,"1.0"\n1.0,2.0\n', ([0.0, 1.0], [1.0, 2.0])),
-            (b'"time_s", "value"\n"0.0","1.0"\n', ([0.0], [1.0])),
-            (b"time_s,value\r\n0.0,1.0\r\n1.0,2.0\r\n", ([0.0, 1.0], [1.0, 2.0])),
-            (b"time_s,value\r0.0,1.0\r1.0,2.0\r", ([0.0, 1.0], [1.0, 2.0])),
-            (b"time_s,value\n0," + b"1" * 200_000 + b"\n",
+            (b"time_s,transmission\n0.0,1.0#x\n", "row 2: cannot parse '1.0#x' as a number"),
+            (b'time_s,transmission\n0.0,"1.0"\n1.0,2.0\n', ([0.0, 1.0], [1.0, 2.0])),
+            (b'"time_s", "transmission"\n"0.0","1.0"\n', ([0.0], [1.0])),
+            (b"time_s,transmission\r\n0.0,1.0\r\n1.0,2.0\r\n", ([0.0, 1.0], [1.0, 2.0])),
+            (b"time_s,transmission\r0.0,1.0\r1.0,2.0\r", ([0.0, 1.0], [1.0, 2.0])),
+            (b"time_s,transmission\n0," + b"1" * 200_000 + b"\n",
              "non-finite value in value at index 0"),
-            (b"time_s,value\n0,0." + b"0" * 200_000 + b"1\n", ([0.0], [0.0])),
-            (b"# " + b"x" * 200_000 + b"\ntime_s,value\n0,1\n", ([0.0], [1.0])),
-            (b"time_s,value\n0.0,1.0\x1c\n", ([0.0], [1.0])),
-            (b"time_s,value\n0.0,1_0\n", "row 2: cannot parse '1_0' as a number"),
-            (b"time_s,value\n0.0,1.0\n   \n", "row 3: expected 2 columns, got 1"),
-            (b"time_s,value,value\n0.0,1.0,2.0\n", "repeated column 'value'"),
-            (b"time_s,value\n0.0,1.0\n0.0,2.0\n",
+            (b"time_s,transmission\n0,0." + b"0" * 200_000 + b"1\n", ([0.0], [0.0])),
+            (b"# " + b"x" * 200_000 + b"\ntime_s,transmission\n0,1\n", ([0.0], [1.0])),
+            (b"time_s,transmission\n0.0,1.0\x1c\n", ([0.0], [1.0])),
+            (b"time_s,transmission\n0.0,1_0\n", "row 2: cannot parse '1_0' as a number"),
+            (b"time_s,transmission\n0.0,1.0\n   \n", "row 3: expected 2 columns, got 1"),
+            (b"time_s,transmission,transmission\n0.0,1.0,2.0\n", "repeated column 'transmission'"),
+            (b"time_s,transmission\n0.0,1.0\n0.0,2.0\n",
              "time must be strictly increasing (sample 1)"),
-            (b"# c\ntime_s,value\n0.0,1.0\n2.0,abc\n",
+            (b"# c\ntime_s,transmission\n0.0,1.0\n2.0,abc\n",
              "row 4: cannot parse 'abc' as a number"),
-            (b"# c\ntime_s,value\n0.0,1.0\n2.0,1.0\n1.0,1.0\n",
+            (b"# c\ntime_s,transmission\n0.0,1.0\n2.0,1.0\n1.0,1.0\n",
              "time must be strictly increasing (sample 2)"),
-            (b'time_s,value\n0,"1.0\n', "row 2: unclosed quote"),
-            (b'time_s,value\n0,1.0\n1,"2.0\n', "row 3: unclosed quote"),
-            (b'time_s,value\n0,"1.0\n1,2.0\n2,3.0\n', "row 2: unclosed quote"),
-            (b'# c\n"time_s,value\n0,1.0\n', "row 2: unclosed quote"),
-            (b'# say "hi\ntime_s,value\n0,1.0\n', ([0.0], [1.0])),
+            (b'time_s,transmission\n0,"1.0\n', "row 2: unclosed quote"),
+            (b'time_s,transmission\n0,1.0\n1,"2.0\n', "row 3: unclosed quote"),
+            (b'time_s,transmission\n0,"1.0\n1,2.0\n2,3.0\n', "row 2: unclosed quote"),
+            (b'# c\n"time_s,transmission\n0,1.0\n', "row 2: unclosed quote"),
+            (b'# say "hi\ntime_s,transmission\n0,1.0\n', ([0.0], [1.0])),
         ],
         ids=[
             "inline-hash", "quoted-cell", "quoted-header", "crlf", "cr-only", "oversized-field",
@@ -382,7 +382,7 @@ class TestWriteMatchesPerCellFormat:
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
         expected = per_cell_csv(
-            ["time_s", "value", "masked"], [time, trace.value, trace.mask.astype(float)]
+            ["time_s", "transmission", "masked"], [time, trace.value, trace.mask.astype(float)]
         )
         assert path.read_text(encoding="utf-8") == expected
 

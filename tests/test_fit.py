@@ -527,6 +527,18 @@ class TestFpiTracePipeline:
         assert 54 <= covered <= 82
         assert most_descents <= fit_module._MAX_DESCENTS
 
+    @pytest.mark.parametrize("dn_total", [-3.5e-7, -1.5e-7])
+    def test_noise_free_sub_fringe_recovery(self, dn_total):
+        """The trace as T/T_max keeps the pre-pump level T(phi0), which places a
+        shift far below lambda/(4L); the fit still reports it as a bound."""
+        trace, cavity = synthetic_trace(dn_total=dn_total)
+        fit = fit_fpi_trace(trace, cavity, LAM, 30.0)
+        assert fit.delta_n_total == pytest.approx(dn_total, rel=1e-6)
+        assert fit.tau_build_s == pytest.approx(5.0, rel=1e-6)
+        assert not fit.result.converged
+        (warning,) = fit.result.warnings
+        assert "below lambda/(8L)" in warning
+
     def test_no_oscillation_flagged(self):
         trace, cavity = synthetic_trace(dn_total=-5e-6)
         fit = fit_fpi_trace(trace, cavity, LAM, 30.0)
@@ -736,26 +748,23 @@ def complex_step_sweep_jacobian(geometry, sweep, params, step=1e-30):
 
 
 def oracle_trace_model(params, elapsed, coefficient, phase_scale):
-    """The trace model as first written, on fresh arrays: the kernel's oracle."""
+    """The trace model T/T_max written out with sin, on fresh arrays: the kernel's oracle."""
     dn_total, tau, phi0 = params
     decay = np.exp(-elapsed / tau)
     psi = phi0 + phase_scale * (dn_total * (1.0 - decay))
     transmission = 1.0 / (1.0 + coefficient * np.sin(psi) ** 2)
-    reference = 1.0 / (1.0 + coefficient * math.sin(phi0) ** 2)
-    return decay, psi, transmission, reference
+    return decay, psi, transmission
 
 
 def oracle_trace_jacobian(params, elapsed, coefficient, phase_scale):
-    """The trace Jacobian as first written, one column_stack of fresh arrays."""
-    dn_total, tau, phi0 = params
-    decay, psi, transmission, reference = oracle_trace_model(
-        params, elapsed, coefficient, phase_scale
-    )
-    slope = -coefficient * np.sin(2.0 * psi) * transmission**2 / reference
+    """The trace Jacobian by the chain rule, one column_stack of fresh arrays."""
+    dn_total, tau, _ = params
+    decay, psi, transmission = oracle_trace_model(params, elapsed, coefficient, phase_scale)
+    slope = -coefficient * np.sin(2.0 * psi) * transmission**2  # dT/dpsi = dT/dphi0
     return np.column_stack((
         slope * phase_scale * (1.0 - decay),
         slope * (-phase_scale * dn_total * decay * elapsed / tau**2),
-        slope + transmission * coefficient * math.sin(2.0 * phi0),
+        slope,
     ))
 
 
@@ -796,28 +805,20 @@ class TestInPlaceTraceKernel:
         ]
         work = np.empty((4, len(t)))
         for params in map(np.array, points):
-            decay, psi, transmission, reference = oracle_trace_model(
+            decay, psi, transmission = oracle_trace_model(
                 params, elapsed, coefficient, phase_scale
             )
             kernel = fit_module._trace_model(params, elapsed, coefficient, phase_scale, work)
             expected_rows = (decay, 1.0 - decay, np.tan(psi), transmission)
+            assert len(kernel) == len(expected_rows)
             for actual, expected in zip(kernel, expected_rows):
                 assert actual.base is work
                 self.assert_close(actual, expected)
-            assert kernel[4] == reference
             # The Jacobian first, so that it evaluates its own model.
             jacobian = problem.jacobian(params).copy()
             oracle = oracle_trace_jacobian(params, elapsed, coefficient, phase_scale)
-            scale = np.abs(oracle).max(axis=0)
-            if params[0] == -1e-12:
-                # With no excursion, the phi0 column is what is left after its
-                # two terms, each of size F*sin(2*psi)*T^2/T(phi0), cancel: bound
-                # it by their size, since only the oracle's own operation order
-                # could meet 1e-12 of the remainder.
-                terms = coefficient * np.sin(2.0 * psi) * transmission**2 / reference
-                scale[2] = np.abs(terms).max()
-            self.assert_close(jacobian, oracle, scale)
-            self.assert_close(problem.residual(params), transmission / reference - y)
+            self.assert_close(jacobian, oracle)
+            self.assert_close(problem.residual(params), transmission - y)
 
     def test_jacobian_reuses_its_buffer(self, monkeypatch):
         trace, cavity = synthetic_trace()
@@ -869,7 +870,7 @@ def seeded_sweep(geometry):
 class TestResidualEvaluationCounts:
     """Deterministic guard on fit work: exact residual, Jacobian and descent counts."""
 
-    TRACE_COUNTS = {"_weighted_residual": 12, "_jacobian": 12, "least_squares": 1}
+    TRACE_COUNTS = {"_weighted_residual": 13, "_jacobian": 13, "least_squares": 1}
     SWEEP_COUNTS = {"_weighted_residual": 15, "_jacobian": 15, "least_squares": 1}
 
     @pytest.fixture()
@@ -914,7 +915,7 @@ class TestResidualEvaluationCounts:
         calls = count_calls(monkeypatch, "_trace_model")
         trace, cavity = synthetic_trace(noise=0.02, rng=np.random.default_rng(4000))
         fit = fit_fpi_trace(trace, cavity, LAM, 30.0)
-        assert calls == {"_trace_model": 12}
+        assert calls == {"_trace_model": 13}
         assert fit.result.residual_evaluations == self.TRACE_COUNTS["_weighted_residual"]
         assert fit.result.jacobian_evaluations == self.TRACE_COUNTS["_jacobian"]
 
@@ -979,7 +980,7 @@ class TestTangentForms:
     @example(psi=math.pi / 2, coefficient=0.76)
     def test_match_the_sin_cos_forms(self, psi, coefficient):
         angle = np.array([psi])
-        _, _, tangent, transmission, _ = fit_module._trace_model(
+        _, _, tangent, transmission = fit_module._trace_model(
             np.array([0.0, 1.0, psi]), np.zeros(1), coefficient, 1.0, np.empty((4, 1))
         )
         assert tangent[0] == np.tan(angle)[0]
@@ -1023,7 +1024,8 @@ class TestFloatSolve:
 
 
 def oracle_scan_costs(trace, cavity):
-    """The start scan's cost grid as first written, with one cos and one sin per slice."""
+    """The start scan's cost grid with one cos and one sin per slice, each cost
+    summed from the model's misfit itself."""
     reflectivity = cavity.reflectivity_at(LAM)
     coefficient, _ = finesse(reflectivity, reflectivity)
     t, y = trace.unmasked()
@@ -1045,15 +1047,13 @@ def oracle_scan_costs(trace, cavity):
         -half * np.cos(2.0 * phi_grid),
         half * np.sin(2.0 * phi_grid),
     ))
-    norm = (1.0 + coefficient * np.sin(phi_grid) ** 2)[:, None]
     costs = np.empty((len(dn_grid), len(tau_grid), len(phi_grid)))
     for i, dn_total in enumerate(dn_grid):
         angle = rise * (2.0 * phase_scale * dn_total)
         inverse = 1.0 / (mix @ np.vstack((np.ones_like(angle), np.cos(angle), np.sin(angle))))
-        samples = inverse.reshape(-1, len(y_thin))
-        squares = np.einsum("ij,ij->i", samples, samples).reshape(len(phi_grid), -1)
-        costs[i] = (norm * (norm * squares - 2.0 * (samples @ y_thin).reshape(squares.shape))).T
-    return costs + y_thin @ y_thin
+        misfit = inverse.reshape(-1, len(y_thin)) - y_thin  # one row per (phi0, tau)
+        costs[i] = np.sum(misfit**2, axis=1).reshape(len(phi_grid), -1).T
+    return costs
 
 
 class TestScanStarts:

@@ -56,8 +56,7 @@ DEFAULT_CONFIG: dict[str, Any] = {
         },
     },
     "photorefraction": {
-        repr(t): {k: v for k, v in asdict(params).items() if k != "temperature_c"}
-        for t, params in DEFAULT_PHOTOREFRACTION.items()
+        repr(t): asdict(params) for t, params in DEFAULT_PHOTOREFRACTION.items()
     },
     "devices": {
         "fpi": {
@@ -377,7 +376,7 @@ class Config:
         # Time constants left out fall back to the PhotorefractionParams defaults.
         entry = self.temperature_entry("photorefraction", temperature_c)
         with _invariants(f"photorefraction[{repr(float(temperature_c))!r}]"):
-            return PhotorefractionParams(temperature_c=float(temperature_c), **entry)
+            return PhotorefractionParams(**entry)
 
     def fpi_cavity(self) -> FpiCavity:
         material = self.material()

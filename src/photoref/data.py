@@ -1,24 +1,25 @@
 """Measurement containers and their CSV representation.
 
 Two container kinds are used throughout: time traces (transmission versus
-time, optionally with masked intervals to exclude from fitting) and power
-sweeps (a quantity versus pump power, optionally with per-point standard
-deviations).  CSV files are UTF-8, comma-separated, one header row with
-``name_unit`` column names, blank and ``#``-prefixed comment lines
-ignored, floats rendered with 17 significant digits so containers
-round-trip bit-exactly.  The readers accept any line ending, ``"``-quoted
-cells and what ``numpy.loadtxt`` parses as a float; they refuse a missing,
-unknown or repeated column name and a quote still open at the end of its
-line.  Every refusal is a ValueError that starts with the file path; a
-line at fault is named by its line number in the file (``row n: expected
-k columns, got m``, ``row n: cannot parse 'x' as a number``, ``row n:
+time, holding only the samples a fit uses) and power sweeps (a quantity
+versus pump power in the order given, optionally with per-point standard
+deviations).  A trace file may carry a ``masked`` column: its rows marked
+non-zero, e.g. spoilt by mode hopping, are dropped when the file is read.
+CSV files are UTF-8, comma-separated, one header row with ``name_unit``
+column names, blank and ``#``-prefixed comment lines ignored, floats
+rendered with 17 significant digits so containers round-trip bit-exactly.
+The readers accept any line ending, ``"``-quoted cells and what
+``numpy.loadtxt`` parses as a float; they refuse a missing, unknown or
+repeated column name and a quote still open at the end of its line.
+Every refusal is a ValueError that starts with the file path; a line at
+fault is named by its line number in the file (``row n: expected k
+columns, got m``, ``row n: cannot parse 'x' as a number``, ``row n:
 unclosed quote``), a value the container refuses by its sample index.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -33,8 +34,6 @@ __all__ = [
     "write_sweep_csv",
     "write_columns_csv",
 ]
-
-log = logging.getLogger(__name__)
 
 _FLOAT_FMT = "%.17g"
 
@@ -58,15 +57,10 @@ def _as_float_array(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trace:
-    """Time series with strictly increasing time and an optional sample mask.
-
-    ``mask`` marks samples to exclude from fitting (True = excluded), e.g.
-    intervals contaminated by pump mode hopping.
-    """
+    """Time series with strictly increasing time; every sample is fitted."""
 
     time_s: np.ndarray
     value: np.ndarray
-    mask: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         t = _as_float_array(self.time_s, "time_s")
@@ -76,33 +70,21 @@ class Trace:
         if not (t[1:] > t[:-1]).all():
             bad = int(np.flatnonzero(np.diff(t) <= 0)[0]) + 1
             raise ValueError(f"time must be strictly increasing (sample {bad})")
-        m = self.mask
-        if m is None:
-            m = np.zeros(len(t), dtype=bool)
-        else:
-            m = np.asarray(m, dtype=bool)
-            if len(m) != len(t):
-                raise ValueError("mask length must match the time column")
         object.__setattr__(self, "time_s", t)
         object.__setattr__(self, "value", v)
-        object.__setattr__(self, "mask", m)
 
     def __len__(self) -> int:
         return len(self.time_s)
 
     def with_masked_interval(self, start_s: float, end_s: float) -> "Trace":
-        """Copy of the trace with samples in [start_s, end_s] masked."""
-        extra = (self.time_s >= start_s) & (self.time_s <= end_s)
-        return Trace(self.time_s, self.value, self.mask | extra)
-
-    def unmasked(self) -> tuple[np.ndarray, np.ndarray]:
-        keep = ~self.mask
-        return self.time_s[keep], self.value[keep]
+        """Copy of the trace without its samples in [start_s, end_s]."""
+        keep = ~((self.time_s >= start_s) & (self.time_s <= end_s))
+        return Trace(self.time_s[keep], self.value[keep])
 
 
 @dataclass(frozen=True)
 class SweepData:
-    """Quantity versus pump power, sorted ascending."""
+    """Quantity versus pump power, in the order given."""
 
     abscissa: np.ndarray
     value: np.ndarray
@@ -113,9 +95,6 @@ class SweepData:
         v = _as_float_array(self.value, "value")
         if len(x) != len(v):
             raise ValueError("abscissa and value columns must have equal length")
-        if not (x[1:] >= x[:-1]).all():
-            bad = int(np.flatnonzero(np.diff(x) < 0)[0]) + 1
-            raise ValueError(f"abscissa must be sorted ascending (sample {bad})")
         s = self.sigma
         if s is not None:
             s = _as_float_array(s, "sigma")
@@ -153,7 +132,7 @@ def _line_refusal(lines: list[str], start: int, width: int) -> str | None:
 
 
 def _read_columns(path, required: list[str], optional: list[str], build):
-    """``build(path, columns)`` on a CSV file's columns.
+    """``build(columns)`` on a CSV file's columns.
 
     The text is read once and its body parsed in one numpy call; the lines
     are numbered only when numpy refuses the body, to name the one at fault.
@@ -197,34 +176,29 @@ def _read_columns(path, required: list[str], optional: list[str], build):
             refusal = _line_refusal(lines, first + 1, len(header)) or exc
             raise ValueError(f"{path}: {refusal}") from None
     try:
-        return build(path, dict(zip(header, np.ascontiguousarray(table.T))))
+        return build(dict(zip(header, np.ascontiguousarray(table.T))))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _trace_from_columns(path, cols: dict[str, np.ndarray]) -> Trace:
-    mask = cols.get(TRACE_MASK_COLUMN)
-    if mask is not None:
-        mask = mask != 0.0
-    return Trace(cols[TRACE_TIME_COLUMN], cols[TRACE_VALUE_COLUMN], mask)
+def _trace_from_columns(cols: dict[str, np.ndarray]) -> Trace:
+    # Every row is checked, masked or not; a NaN in ``masked`` masks its row.
+    trace = Trace(cols[TRACE_TIME_COLUMN], cols[TRACE_VALUE_COLUMN])
+    masked = cols.get(TRACE_MASK_COLUMN)
+    if masked is None:
+        return trace
+    keep = masked == 0.0
+    return Trace(trace.time_s[keep], trace.value[keep])
 
 
-def _sweep_from_columns(path, cols: dict[str, np.ndarray]) -> SweepData:
-    x = cols[SWEEP_POWER_COLUMN]
-    order = np.arange(len(x))
-    if len(x) and np.any(np.diff(x) < 0):
-        log.warning("%s: abscissa not sorted; rows re-ordered ascending", path)
-        order = np.argsort(x, kind="stable")
-    sigma = cols.get(SWEEP_SIGMA_COLUMN)
+def _sweep_from_columns(cols: dict[str, np.ndarray]) -> SweepData:
     return SweepData(
-        x[order],
-        cols[SWEEP_VALUE_COLUMN][order],
-        sigma[order] if sigma is not None else None,
+        cols[SWEEP_POWER_COLUMN], cols[SWEEP_VALUE_COLUMN], cols.get(SWEEP_SIGMA_COLUMN)
     )
 
 
 def read_trace_csv(path) -> Trace:
-    """Load a trace; refuses non-monotonic time or non-finite values."""
+    """Load a trace without its masked rows, which pass the same checks first."""
     return _read_columns(
         path, [TRACE_TIME_COLUMN, TRACE_VALUE_COLUMN], [TRACE_MASK_COLUMN],
         _trace_from_columns,
@@ -232,7 +206,7 @@ def read_trace_csv(path) -> Trace:
 
 
 def read_sweep_csv(path) -> SweepData:
-    """Load a sweep; out-of-order rows are sorted with a warning."""
+    """Load a sweep; its rows keep the file's order."""
     return _read_columns(
         path, [SWEEP_POWER_COLUMN, SWEEP_VALUE_COLUMN], [SWEEP_SIGMA_COLUMN],
         _sweep_from_columns,
@@ -264,12 +238,9 @@ def write_columns_csv(path, header: list[str], columns: Iterable, comments=()) -
 
 
 def write_trace_csv(path, trace: Trace, comments=()) -> None:
-    header = [TRACE_TIME_COLUMN, TRACE_VALUE_COLUMN]
-    columns = [trace.time_s, trace.value]
-    if np.any(trace.mask):
-        header.append(TRACE_MASK_COLUMN)
-        columns.append(trace.mask.astype(float))
-    write_columns_csv(path, header, columns, comments)
+    write_columns_csv(
+        path, [TRACE_TIME_COLUMN, TRACE_VALUE_COLUMN], [trace.time_s, trace.value], comments
+    )
 
 
 def write_sweep_csv(path, sweep: SweepData, comments=()) -> None:

@@ -355,7 +355,7 @@ def fit_delta_n_from_reflectivity(
         a, c = (float(x) for x in result.parameters)
         powers = sweep.abscissa
         outcomes[temperature] = DeltaNFit(
-            params=PhotorefractionParams(a=a, b=_GAUGE_B_MW, c=c, temperature_c=temperature),
+            params=PhotorefractionParams(a=a, b=_GAUGE_B_MW, c=c),
             delta_n_points=SweepData(powers, a * powers / (_GAUGE_B_MW + c * powers)),
             result=result,
         )
@@ -460,7 +460,7 @@ def estimate_delta_n_from_oscillations(trace: Trace) -> int:
     extrema with a prominence of at least 15 % of the smoothed range count,
     so that detector noise does not masquerade as oscillations.
     """
-    _, values = trace.unmasked()
+    values = trace.value
     window = max(len(values) // 64, 1)
     if window > 1:
         kernel = np.full(window, 1.0 / window)
@@ -528,8 +528,8 @@ def fit_fpi_trace(
     transmission: dn(t) = dn_total*(1 - exp(-(t - t0)/tau)) inside
     T(phi0 + 2*pi*L*dn/lambda)/T_max, so the pre-pump level fixes phi0 up to
     phi0 -> pi - phi0, which the sign of dn_total (<= 0) and the trace's
-    first slope resolve.  Masked trace samples are ignored.  The model has
-    period pi in phi0, which is reported in [0, pi).
+    first slope resolve.  The model has period pi in phi0, which is
+    reported in [0, pi).
 
     The cavity phase at pump-on is not known a priori, so the starts come
     from a scan: the cost over a (dn_total, tau, phi0) grid around the
@@ -554,7 +554,7 @@ def fit_fpi_trace(
     coefficient, _ = finesse(reflectivity, reflectivity)
     if coefficient == 0 or cavity.angled_facets:
         raise ValueError("trace fitting needs a resonant cavity (finite finesse)")
-    t, y = trace.unmasked()
+    t, y = trace.time_s, trace.value
     if len(t) < 8:
         raise ValueError("trace too short to fit")
     t0 = float(t[0]) if pump_on_time_s is None else float(pump_on_time_s)
@@ -638,7 +638,7 @@ def fit_fpi_trace(
 
     # Noise variance from second differences (white noise of variance s^2
     # gives them variance 6 s^2), over evenly spaced samples only, so that a
-    # masked gap does not count as curvature.
+    # gap left by samples absent from the trace does not count as curvature.
     even = abs(np.diff(t, 2)) <= 1e-6 * abs(np.diff(t)[:-1])
     second = np.diff(y, 2)[even]
     noise_variance = float(np.mean(second**2)) / 6.0 if len(second) else 0.0

@@ -253,7 +253,6 @@ class PhotorefractionParams:
     tau_build_s: float = 5.0
     tau_dark_s: float = 1.0e4
     tau_erase_s: float = 10.0
-    temperature_c: float = 30.0
 
     def __post_init__(self):
         if self.a < 0 or self.b < 0 or self.c < 0:
@@ -287,9 +286,9 @@ def delta_n_steady(params: PhotorefractionParams, pump_power_mw):
 # 90 C.  Time constants reproduce the observed build/dark/erase asymmetry.
 DEFAULT_PHOTOREFRACTION: Mapping[float, PhotorefractionParams] = MappingProxyType(
     {
-        30.0: PhotorefractionParams(a=1.1e-4, b=10.0, c=0.02, temperature_c=30.0),
-        60.0: PhotorefractionParams(a=3.0e-5, b=10.0, c=0.02, temperature_c=60.0),
-        90.0: PhotorefractionParams(a=1.5e-7, b=10.0, c=0.02, temperature_c=90.0),
+        30.0: PhotorefractionParams(a=1.1e-4, b=10.0, c=0.02),
+        60.0: PhotorefractionParams(a=3.0e-5, b=10.0, c=0.02),
+        90.0: PhotorefractionParams(a=1.5e-7, b=10.0, c=0.02),
     }
 )
 

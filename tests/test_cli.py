@@ -219,6 +219,54 @@ class TestSubcommands:
         assert any("parameter 0 ends on its lower bound" in w for w in manifest["warnings"])
 
 
+class TestUnsortedGrids:
+    """A pump-power grid in any order runs, and its CSV rows keep that order."""
+
+    @staticmethod
+    def configure(config_path, section, **grids) -> None:
+        payload = yaml.safe_load(Path(config_path).read_text(encoding="utf-8"))
+        payload["run"][section].update(grids)
+        Path(config_path).write_text(yaml.safe_dump(payload), encoding="utf-8")
+
+    def test_coupler_sweep(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        self.configure(config_path, "coupler_sweep", pump_powers_mw=[5.0, 0.0, 1.0])
+        assert run("coupler-sweep", config_path, out) == 0
+        for name in ("coupler_sweep_T30", "coupler_sweep_T90"):
+            assert read_sweep_csv(out / f"{name}.csv").abscissa.tolist() == [5.0, 0.0, 1.0]
+            payload = json.loads((out / f"{name}.json").read_text())
+            assert payload["pump_power_mW"] == [5.0, 0.0, 1.0]
+
+    def test_fit_dn_on_the_unsorted_sweep(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        powers = [5.0, 0.0, 1.0, 10.0, 2.0, 8.0]
+        self.configure(config_path, "coupler_sweep", pump_powers_mw=powers)
+        assert run("coupler-sweep", config_path, out) == 0
+        assert run("fit-dn", config_path, out) == 0
+        assert read_sweep_csv(out / "delta_n_points_T30.csv").abscissa.tolist() == powers
+        fitted = json.loads((out / "fit_dn_T30.json").read_text())
+        assert fitted["fitted"]["initial_slope_per_mw"] == pytest.approx(1.1e-5, rel=0.05)
+
+    def test_squeeze_budget(self, config_path, tmp_path):
+        """The unsorted run's rows are the sorted run's rows, permuted."""
+        sorted_out, out = tmp_path / "sorted", tmp_path / "out"
+        assert run("squeeze-budget", config_path, sorted_out) == 0
+        order, spdc_order = [2, 0, 3, 1], [3, 0, 2, 1]
+        section = TRIMMED_RUN["squeeze_budget"]
+        powers = [section["pump_powers_mw"][i] for i in order]
+        spdc_powers = [section["spdc_pump_powers_mw"][i] for i in spdc_order]
+        self.configure(config_path, "squeeze_budget", pump_powers_mw=powers,
+                       spdc_pump_powers_mw=spdc_powers)
+        assert run("squeeze-budget", config_path, out) == 0
+        files = [(f"homodyne_budget_{level:g}dB.csv", powers, order) for level in (3, 5, 10)]
+        files += [(name, spdc_powers, spdc_order)
+                  for name in ("squeeze_ideal.csv", "squeeze_photorefractive.csv")]
+        for name, grid, permutation in files:
+            sweep, reference = read_sweep_csv(out / name), read_sweep_csv(sorted_out / name)
+            assert sweep.abscissa.tolist() == grid, name
+            np.testing.assert_array_equal(sweep.value, reference.value[permutation])
+
+
 class TestExitCodes:
     def test_missing_config_is_validation_error(self, tmp_path):
         assert main(

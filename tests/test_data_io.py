@@ -28,15 +28,16 @@ class TestContainers:
 
     def test_trace_mask_interval(self):
         trace = Trace([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
-        masked = trace.with_masked_interval(0.5, 2.5)
-        np.testing.assert_array_equal(masked.mask, [False, True, True, False])
-        t, v = masked.unmasked()
-        np.testing.assert_array_equal(t, [0.0, 3.0])
+        masked = trace.with_masked_interval(1.0, 2.0)  # both ends inclusive
+        np.testing.assert_array_equal(masked.time_s, [0.0, 3.0])
+        np.testing.assert_array_equal(masked.value, [1.0, 4.0])
+        assert len(trace) == 4  # the original is untouched
 
-    def test_sweep_requires_sorted_abscissa(self):
-        with pytest.raises(ValueError, match=r"sorted ascending \(sample 2\)"):
-            SweepData([0.0, 2.0, 1.0], [1.0, 2.0, 3.0])
-        assert len(SweepData([0.0, 1.0, 1.0], [1.0, 2.0, 3.0])) == 3  # ties are sorted
+    def test_sweep_keeps_given_order(self):
+        sweep = SweepData([0.0, 2.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4])
+        np.testing.assert_array_equal(sweep.abscissa, [0.0, 2.0, 1.0, 1.0])
+        np.testing.assert_array_equal(sweep.value, [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(sweep.sigma, [0.1, 0.2, 0.3, 0.4])
 
     def test_empty_and_single_sample_containers(self):
         for n in (0, 1):
@@ -56,14 +57,13 @@ class TestCsvRoundTrip:
     def test_trace_bit_exact(self, tmp_path, rng):
         time = np.cumsum(rng.uniform(0.01, 1.0, 57))
         value = rng.standard_normal(57) * (1.0 / 3.0)
-        mask = rng.uniform(size=57) < 0.2
-        trace = Trace(time, value, mask)
+        trace = Trace(time, value)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace, comments=["unit test"])
+        assert path.read_text(encoding="utf-8").splitlines()[1] == "time_s,transmission"
         back = read_trace_csv(path)
         np.testing.assert_array_equal(back.time_s, trace.time_s)
         np.testing.assert_array_equal(back.value, trace.value)
-        np.testing.assert_array_equal(back.mask, trace.mask)
 
     def test_sweep_bit_exact(self, tmp_path, rng):
         x = np.sort(rng.uniform(0.0, 10.0, 33))
@@ -97,16 +97,16 @@ class TestCsvParsing:
         trace = read_trace_csv(path)
         assert len(trace) == 2
 
-    def test_shuffled_sweep_sorted_with_warning(self, tmp_path, caplog):
+    def test_shuffled_sweep_keeps_file_order(self, tmp_path, caplog):
         path = tmp_path / "s.csv"
         path.write_text(
             "pump_power_mW,value\n2.0,0.3\n0.0,0.1\n1.0,0.2\n", encoding="utf-8"
         )
-        with caplog.at_level("WARNING"):
+        with caplog.at_level("DEBUG"):
             sweep = read_sweep_csv(path)
-        np.testing.assert_array_equal(sweep.abscissa, [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(sweep.value, [0.1, 0.2, 0.3])
-        assert any("re-ordered" in rec.message for rec in caplog.records)
+        np.testing.assert_array_equal(sweep.abscissa, [2.0, 0.0, 1.0])
+        np.testing.assert_array_equal(sweep.value, [0.3, 0.1, 0.2])
+        assert caplog.records == []
 
     def test_nonmonotone_time_names_row(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -152,9 +152,10 @@ class TestCsvParsing:
             rows.append(f"{float(t)},1.0,{masked}")
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         trace = read_trace_csv(path)
-        kept, _ = trace.unmasked()
-        assert kept.max() == 119.0
-        assert not np.any((kept >= 25.0) & (kept <= 85.0))
+        np.testing.assert_array_equal(
+            trace.time_s, [t for t in range(120) if not 25.0 <= t <= 85.0]
+        )
+        np.testing.assert_array_equal(trace.value, np.ones(len(trace)))
 
 
 READERS = [read_trace_csv, read_sweep_csv]
@@ -224,25 +225,23 @@ class TestOneReader:
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 40))
     def test_seeded_traces(self, tmp_path_factory, seed, rows):
         rng = np.random.default_rng(seed)
-        trace = Trace(
-            np.cumsum(rng.uniform(0.01, 1.0, rows)),
-            rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20),
-            rng.uniform(size=rows) < 0.3,
-        )
+        time = np.cumsum(rng.uniform(0.01, 1.0, rows))
+        value = rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20)
+        masked = rng.uniform(size=rows) < 0.3
         path = tmp_path_factory.mktemp("trace") / "trace.csv"
-        write_trace_csv(path, trace, comments=["seeded", "trace"])
+        write_columns_csv(path, ["time_s", "transmission", "masked"], [time, value, masked],
+                          comments=["seeded", "trace"])
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join(comment_lines(rng, lines)) + "\n", encoding="utf-8")
         back = read_trace_csv(path)
-        assert_bit_exact(back.time_s, trace.time_s)
-        assert_bit_exact(back.value, trace.value)
-        assert_bit_exact(back.mask, trace.mask)
+        assert_bit_exact(back.time_s, time[~masked])
+        assert_bit_exact(back.value, value[~masked])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 20))
     def test_seeded_sweeps(self, tmp_path_factory, seed, rows):
         rng = np.random.default_rng(seed)
-        x = rng.uniform(0.0, 10.0, rows)  # unsorted: re-ordered on read
+        x = rng.uniform(0.0, 10.0, rows)  # unsorted: read in the file's order
         v = rng.uniform(0.0, 1.0, rows)
         s = rng.uniform(1e-3, 1e-1, rows)
         path = tmp_path_factory.mktemp("sweep") / "sweep.csv"
@@ -251,10 +250,9 @@ class TestOneReader:
         ]
         path.write_text("\n".join(comment_lines(rng, lines)), encoding="utf-8")
         back = read_sweep_csv(path)
-        order = np.argsort(x, kind="stable")
-        assert_bit_exact(back.abscissa, x[order])
-        assert_bit_exact(back.value, v[order])
-        assert_bit_exact(back.sigma, s[order])
+        assert_bit_exact(back.abscissa, x)
+        assert_bit_exact(back.value, v)
+        assert_bit_exact(back.sigma, s)
 
     @pytest.mark.parametrize(
         "reader, content",
@@ -279,15 +277,17 @@ class TestOneReader:
             assert getattr(container, field.name).shape == (0,), field.name
 
     @pytest.mark.parametrize("value", ["0.1", "inf"])
-    def test_unsorted_sweep_warns_once(self, tmp_path, caplog, value):
+    def test_unsorted_sweep_read_without_warning(self, tmp_path, caplog, value):
         path = tmp_path / "s.csv"
         path.write_text(f"pump_power_mW,value\n2.0,0.3\n0.0,{value}\n", encoding="utf-8")
-        with caplog.at_level("WARNING"):
+        with caplog.at_level("DEBUG"):
             outcome = read_outcome(read_sweep_csv, path)
-        assert [rec.message for rec in caplog.records] == [
-            f"{path}: abscissa not sorted; rows re-ordered ascending"
-        ]
-        assert isinstance(outcome, str) == (value == "inf")
+        assert caplog.records == []
+        if value == "inf":
+            assert outcome == f"{path}: non-finite value in value at index 1"
+        else:
+            assert_bit_exact(outcome.abscissa, np.array([2.0, 0.0]))
+            assert_bit_exact(outcome.value, np.array([0.3, 0.1]))
 
     @pytest.mark.parametrize(
         "content, expected",
@@ -316,6 +316,13 @@ class TestOneReader:
             (b'time_s,transmission\n0,"1.0\n1,2.0\n2,3.0\n', "row 2: unclosed quote"),
             (b'# c\n"time_s,transmission\n0,1.0\n', "row 2: unclosed quote"),
             (b'# say "hi\ntime_s,transmission\n0,1.0\n', ([0.0], [1.0])),
+            (b"time_s,transmission,masked\n0,1,0\n1,2,1\n2,3,0.5\n3,4,-1\n4,5,0\n",
+             ([0.0, 4.0], [1.0, 5.0])),
+            (b"time_s,transmission,masked\n0,1,0\n1,2,nan\n2,3,0\n", ([0.0, 2.0], [1.0, 3.0])),
+            (b"time_s,transmission,masked\n0,1,0\n1,nan,1\n2,3,0\n",
+             "non-finite value in value at index 1"),
+            (b"time_s,transmission,masked\n0,1,0\n2,2,1\n1,3,1\n3,4,0\n",
+             "time must be strictly increasing (sample 2)"),
         ],
         ids=[
             "inline-hash", "quoted-cell", "quoted-header", "crlf", "cr-only", "oversized-field",
@@ -323,6 +330,7 @@ class TestOneReader:
             "underscore-digits", "blank-cell-row", "repeated-column", "repeated-time",
             "row-is-file-line", "sample-is-index", "unclosed-only-row", "unclosed-last-row",
             "unclosed-runs-on", "unclosed-header", "quote-in-comment",
+            "masked-rows-dropped", "nan-mask-drops", "masked-nan-value", "masked-time-reversal",
         ],
     )
     def test_named_cases(self, tmp_path, content, expected):
@@ -378,12 +386,12 @@ class TestWriteMatchesPerCellFormat:
 
     def test_masked_trace(self, tmp_path, rng):
         time = np.linspace(0.0, 60.0, 2401)
-        trace = Trace(time, rng.uniform(0.0, 1.0, 2401)).with_masked_interval(20.0, 23.0)
+        value = rng.uniform(0.0, 1.0, 2401)
+        trace = Trace(time, value).with_masked_interval(20.0, 23.0)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
-        expected = per_cell_csv(
-            ["time_s", "transmission", "masked"], [time, trace.value, trace.mask.astype(float)]
-        )
+        keep = (time < 20.0) | (time > 23.0)
+        expected = per_cell_csv(["time_s", "transmission"], [time[keep], value[keep]])
         assert path.read_text(encoding="utf-8") == expected
 
     @settings(max_examples=50, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import photoref.fit as fit_module
 from photoref.cavity import FpiCavity, finesse, simulate_fpi_trace
 from photoref.coupler import CouplerGeometry, coupler_reflectivity, reflectivity_vs_pump
-from photoref.data import SweepData, Trace
+from photoref.data import SweepData, Trace, read_sweep_csv, write_sweep_csv
 from photoref.fit import (
     FitError,
     FitProblem,
@@ -311,7 +311,7 @@ def synthetic_sweep(params, geometry, powers, noise_fraction=0.0, rng=None):
 
 
 class TestDeltaNPipeline:
-    truth = PhotorefractionParams(a=1.1e-4, b=10.0, c=0.02, temperature_c=30.0)
+    truth = PhotorefractionParams(a=1.1e-4, b=10.0, c=0.02)
     powers = np.linspace(0.0, 10.0, 11)
 
     def test_noise_free_recovery(self, coupler30):
@@ -373,7 +373,7 @@ class TestDeltaNPipeline:
         assert outcome.params.c == pytest.approx(self.truth.c, abs=1e-6)
 
     def test_each_temperature_fitted_with_its_own_geometry(self, coupler30, coupler90):
-        law60 = PhotorefractionParams(a=3e-5, b=10.0, c=0.02, temperature_c=60.0)
+        law60 = PhotorefractionParams(a=3e-5, b=10.0, c=0.02)
         sweeps = {
             30.0: synthetic_sweep(self.truth, coupler30, self.powers),
             60.0: synthetic_sweep(law60, coupler90, self.powers),
@@ -381,9 +381,32 @@ class TestDeltaNPipeline:
         outcomes = fit_delta_n_from_reflectivity(sweeps, {30.0: coupler30, 60.0: coupler90})
         for temperature, truth in ((30.0, self.truth), (60.0, law60)):
             params = outcomes[temperature].params
-            assert params.temperature_c == temperature
             assert params.a == pytest.approx(truth.a, rel=1e-6)
             assert params.c == pytest.approx(truth.c, abs=1e-6)
+
+    def test_shuffled_sweep_file_keeps_its_order_and_fit(self, coupler30, tmp_path):
+        """A 30 C sweep file with shuffled rows is read in the file's order and
+        fits the (a, c) of the sorted file."""
+        rng = np.random.default_rng(30)
+        sweep = synthetic_sweep(self.truth, coupler30, self.powers, 0.01, rng)
+        order = rng.permutation(len(sweep))
+        write_sweep_csv(tmp_path / "sorted.csv", sweep)
+        write_sweep_csv(tmp_path / "shuffled.csv", SweepData(
+            sweep.abscissa[order], sweep.value[order], sweep.sigma[order]
+        ))
+        shuffled = read_sweep_csv(tmp_path / "shuffled.csv")
+        assert np.any(np.diff(shuffled.abscissa) < 0)
+        np.testing.assert_array_equal(shuffled.abscissa, sweep.abscissa[order])
+        sorted_fit, shuffled_fit = (
+            fit_delta_n_from_reflectivity({30.0: s}, coupler30)[30.0]
+            for s in (read_sweep_csv(tmp_path / "sorted.csv"), shuffled)
+        )
+        assert shuffled_fit.result.converged
+        assert shuffled_fit.params.a == pytest.approx(sorted_fit.params.a, rel=1e-9)
+        assert shuffled_fit.params.c == pytest.approx(sorted_fit.params.c, rel=1e-9)
+        np.testing.assert_array_equal(
+            shuffled_fit.delta_n_points.abscissa, sweep.abscissa[order]
+        )
 
     def test_flat_sweep_gives_no_shift(self, coupler30):
         """A sweep whose R never leaves its zero-mismatch value carries no
@@ -478,9 +501,7 @@ def make_trace_cavity():
 
 def synthetic_trace(dn_total=-8e-5, tau=5.0, n=481, horizon=24.0, noise=0.0, rng=None):
     cavity = make_trace_cavity()
-    params = PhotorefractionParams(
-        a=-dn_total, b=1.0, c=0.0, tau_build_s=tau, temperature_c=30.0
-    )
+    params = PhotorefractionParams(a=-dn_total, b=1.0, c=0.0, tau_build_s=tau)
     schedule = PumpSchedule([PumpSegment(0.0, horizon, 1.0)])
     trace = simulate_fpi_trace(cavity, schedule, params, LAM, 30.0, horizon / (n - 1))
     values = trace.value
@@ -790,7 +811,7 @@ class TestInPlaceTraceKernel:
         problem = problems[0]
         reflectivity = cavity.reflectivity_at(LAM)
         coefficient, _ = finesse(reflectivity, reflectivity)
-        t, y = trace.unmasked()
+        t, y = trace.time_s, trace.value
         elapsed = t - t[0]
         phase_scale = 2.0 * math.pi * cavity.length_mm * 1e6 / LAM
         lower, upper = problem.lower_bounds, problem.upper_bounds
@@ -1028,7 +1049,7 @@ def oracle_scan_costs(trace, cavity):
     summed from the model's misfit itself."""
     reflectivity = cavity.reflectivity_at(LAM)
     coefficient, _ = finesse(reflectivity, reflectivity)
-    t, y = trace.unmasked()
+    t, y = trace.time_s, trace.value
     span = float(t[-1] - t[0])
     phase_scale = 2.0 * math.pi * cavity.length_mm * 1e6 / LAM
     elapsed = t - t[0]

@@ -290,14 +290,15 @@ def _run_fit_dn(runner: _Runner, section: dict) -> None:
     temperatures = [entry["temperature_c"] for entry in section["inputs"]]
     _refuse_repeats("run.fit_dn.inputs[{}].temperature_c", temperatures,
                     [_fmt(t) for t in temperatures])
-    sweeps, geometries = {}, {}
-    for entry in section["inputs"]:
-        temperature = entry["temperature_c"]
-        sweeps[temperature] = read_sweep_csv(entry["path"])
-        geometries[temperature] = runner.config.coupler_geometry(temperature)
-    outcomes = fit_delta_n_from_reflectivity(
-        sweeps, geometries, section["probe_wavelength_nm"]
-    )
+    paths = [entry["path"] for entry in section["inputs"]]
+    sweeps = [read_sweep_csv(path) for path in paths]
+    outcomes = {}
+    for i, (temperature, path, sweep) in enumerate(zip(temperatures, paths, sweeps)):
+        geometry = runner.config.coupler_geometry(temperature)
+        with _invariants(f"run.fit_dn.inputs[{i}].path ({path})"):
+            outcomes |= fit_delta_n_from_reflectivity(
+                {temperature: sweep}, geometry, section["probe_wavelength_nm"]
+            )
     for temperature, outcome in sorted(outcomes.items()):
         tag = f"T{_fmt(temperature)}"
         runner.write(f"delta_n_points_{tag}.csv", write_sweep_csv, outcome.delta_n_points)

@@ -1,17 +1,19 @@
 """Damped nonlinear least squares and the prebuilt fitting pipelines.
 
-The engine is a deterministic Levenberg-Marquardt loop (multiply/divide the
-damping by 10 on reject/accept) with box constraints and the problem's
-analytic Jacobian.  It stops once the undamped Gauss-Newton step promises a
-decrease of at most 1e-14 of the cost, which rounding hides.  On top of it
+The engine is a deterministic Levenberg-Marquardt loop with box constraints
+and the problem's analytic Jacobian.  Its damping is Marquardt's scaled
+diagonal shift, dimensionless, from 1e-4 (multiplied/divided by 10 on
+reject/accept).  It stops once the undamped Gauss-Newton step promises a
+decrease of at most 1e-13 of the cost, which rounding hides.  On top of it
 sit two pipelines: recovering the saturable index-shift law from coupler
 reflectivity sweeps, and recovering the total index excursion and build-up
 time from a cavity transmission trace.  The sweep fit is one forward fit of
 R itself: the law gives delta_beta, and R = 1 - (kL*sin(x)/x)^2 with
 x = L*sqrt(4k^2 + delta_beta^2)/2 gives R; LM starts from the cheapest point
 of a coarse (a, c) scan.  The trace fit scans a start grid in one broadcast
-cost evaluation, then descends from the cheapest grid points until a fit
-reaches the trace's noise floor, and flags the fit when none does.
+cost evaluation per excursion (the pre-pump samples' share once), then
+descends from the grid's basins, cheapest first, until a fit reaches the
+trace's noise floor, and flags the fit when none does.
 The Airy model, its Jacobian and the start scan take sines and cosines from one tan,
 which numpy 2.4 vectorizes under AVX-512 while its float64 sin and cos run through
 scalar libm (neutral under AVX2 dispatch); the <= 3x3 LM algebra runs in Python floats.
@@ -42,11 +44,14 @@ __all__ = [
     "fit_fpi_trace",
 ]
 
+_INITIAL_DAMPING = 1e-4  # lambda of the first shift lambda*H_ii, dimensionless
 _MAX_DAMPING = 1e14
 _MIN_DAMPING = 1e-16
 _STEP_TOL = 1e-10  # accepted step, relative to 1 + max |parameter|
 _GRAD_TOL = 1e-10  # largest free gradient component
-_GAIN_FLOOR = 1e-14  # Gauss-Newton gain, relative to the cost, that rounding hides
+_GAIN_FLOOR = 1e-13  # Gauss-Newton gain, relative to the cost, that rounding hides:
+# a sweep's weighted residual cancels values ~100x its size, and a step promising
+# 1e-14 of the cost moves it by up to 7e-14 with the input's last bits
 _MAX_DESCENTS = 16  # LM descents per trace fit
 _GAUGE_B_MW = 10.0  # b of the saturable law, pinned (only a/b and a/c are identifiable)
 # The sweep fit's start scan: a over seven decades, c from none to strong saturation.
@@ -184,8 +189,11 @@ def _solve(matrix: list, rhs: list, shift=()) -> list | None:
 def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
     """Damped Gauss-Newton minimization of the weighted residual sum of squares.
 
-    The damping is multiplied by 10 on a rejected step and divided by 10 on
-    an accepted one; accepted steps never increase the residual norm.  The
+    The step solves (H + lambda*diag(H)) dx = -g, Marquardt's scaled shift,
+    so the damping lambda is dimensionless: it starts at ``_INITIAL_DAMPING``
+    and a rescaled parameter takes the same steps.  It is multiplied by 10 on
+    a rejected step and divided by 10 on an accepted one; accepted steps
+    never increase the residual norm.  The
     fit converges, and ``termination`` names the test, when the free gradient
     g = J^T r is below ``_GRAD_TOL`` (``grad_tol``), the cost r^T r reaches
     its rounding floor (``gain_floor``: the undamped Gauss-Newton step, with
@@ -209,7 +217,7 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
     cost = float(r @ r)
     history = [math.sqrt(cost)]
     warnings: list[str] = []
-    damping: float | None = None
+    damping = _INITIAL_DAMPING
     jac = _jacobian(problem, problem.initial_guess)
     evaluations, jacobians, iterations = 1, 1, 0
     termination = "max_iter"
@@ -233,7 +241,6 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
             termination = "gain_floor"
             break
         scale = [h[i] if h[i] > 0 else 1.0 for i, h in enumerate(hessian)]
-        damping = 1e-6 * max(scale) if damping is None else damping
         while True:
             step = _solve(reduced, [-x for x in g], [damping * scale[i] for i in free])
             if step is None or not all(map(math.isfinite, step)):
@@ -403,7 +410,7 @@ def _fit_sweep(sweep: SweepData, geometry: CouplerGeometry, to_beta: float) -> F
     if sigma is not None:
         misfit /= sigma
     costs = np.einsum("ijk,ijk->ij", misfit, misfit)
-    i, j = np.unravel_index(_cheapest(costs, 1)[0], costs.shape)
+    i, j = np.unravel_index(costs.argmin(), costs.shape)
     problem.initial_guess = np.array([_SWEEP_SCAN_A[i], _SWEEP_SCAN_C[j]])
     return least_squares(problem)
 
@@ -469,18 +476,24 @@ def estimate_delta_n_from_oscillations(trace: Trace) -> int:
     return 0 if prominence == 0 else _count_prominent_extrema(values, prominence)
 
 
-def _cheapest(costs: np.ndarray, count: int) -> np.ndarray:
-    """Flat indices of the ``count`` smallest costs, by cost and then index.
+def _basin_starts(costs: np.ndarray, count: int) -> np.ndarray:
+    """Flat indices of at most ``count`` local minima of a (dn_total, tau, phi0) grid.
 
-    The head of ``np.argsort(costs, axis=None, kind="stable")``, from a
-    partition and a sort of the few costs at or below the count-th smallest.
-    NaN costs sort last, as there.
+    A point is a minimum when no (tau, phi0) neighbour in its dn_total slice
+    costs less: eight neighbours, phi0 wrapping around (the model has period pi)
+    and tau not.  NaN costs count as +inf.  The minima come by cost, then index.
     """
-    flat = costs.ravel()
-    count = min(count, flat.size)
-    threshold = flat[np.argpartition(flat, count - 1)[count - 1]]
-    candidates = np.flatnonzero(~(flat > threshold))
-    return candidates[np.argsort(flat[candidates], kind="stable")[:count]]
+    finite = np.where(np.isnan(costs), np.inf, costs)
+    padded = np.pad(finite, ((0, 0), (1, 1), (0, 0)), constant_values=np.inf)
+    padded = np.pad(padded, ((0, 0), (0, 0), (1, 1)), mode="wrap")
+    n_tau, n_phi = costs.shape[1:]
+    minimum = np.ones(costs.shape, dtype=bool)
+    for j in range(3):
+        for k in range(3):
+            if (j, k) != (1, 1):
+                minimum &= finite <= padded[:, j:j + n_tau, k:k + n_phi]
+    index = np.flatnonzero(minimum)
+    return index[np.argsort(finite.ravel()[index], kind="stable")[:count]]
 
 
 def _trace_model(params, elapsed, coefficient, phase_scale, work):
@@ -534,12 +547,13 @@ def fit_fpi_trace(
     The cavity phase at pump-on is not known a priori, so the starts come
     from a scan: the cost over a (dn_total, tau, phi0) grid around the
     fringe-count estimate, on the trace thinned to about 128 samples.  LM
-    descends from the grid points in order of rising cost, at most
-    ``_MAX_DESCENTS`` times, and keeps the best fit; it stops at the first
-    fit whose reduced chi-square reaches the noise floor estimated from the
-    trace's second differences.  The result's evaluation counts are the
-    totals over all descents.  The model is evaluated once per LM point: the
-    Jacobian reuses what the residual computed at the point LM accepted.
+    descends from the grid's basins (see ``_basin_starts``) in order of
+    rising cost, at most ``_MAX_DESCENTS`` times, and keeps the best fit; it
+    stops at the first fit whose reduced chi-square reaches the noise floor
+    estimated from the trace's second differences.  The result's evaluation
+    counts are the totals over all descents.  The model is evaluated once per
+    LM point: the Jacobian reuses what the residual computed at the point LM
+    accepted.
 
     Two outcomes are flagged unconverged, with a warning: no descent
     reaching 1.5 times the noise floor (the scan missed the basin; the
@@ -601,23 +615,29 @@ def fit_fpi_trace(
     # Scan: the cost over a (dn_total, tau, phi0) grid, on a thinned copy of
     # the trace.  1 + F*sin^2(phi0 + a) is linear in (1, cos 2a, sin 2a), so
     # one matrix product per dn_total value gives the model's denominator
-    # over the whole (phi0, tau, t) slice.
+    # over the whole (phi0, tau, t) slice.  The pre-pump samples have a = 0
+    # at every (dn_total, tau): their share depends on phi0 alone and is
+    # summed once, before the slices add the pumped samples' share.
     stride = max(len(t) // 128, 1)
     elapsed_thin, y_thin = elapsed[::stride], y[::stride]
     dn_grid = np.clip(dn_start + quantum * np.linspace(-1.5, 1.5, 13), lower[0], upper[0])
     dn_grid = dn_grid[np.diff(dn_grid, prepend=-np.inf) > 0]  # clipping repeats a bound
     tau_grid = span * np.geomspace(1e-2, 1.0, 12)
     phi_grid = np.linspace(0.0, math.pi, 32, endpoint=False)
-    rise = 1.0 - np.exp(-elapsed_thin / tau_grid[:, None])  # (tau, t)
     half = 0.5 * coefficient
     mix = np.column_stack((
         np.full(len(phi_grid), 1.0 + half),
         -half * np.cos(2.0 * phi_grid),
         half * np.sin(2.0 * phi_grid),
     ))
+    pumped = elapsed_thin > 0.0
+    y_prepump, y_pumped = y_thin[~pumped], y_thin[pumped]
+    level = 1.0 / (mix[:, 0] + mix[:, 1])  # the model at a = 0, per phi0
     costs = np.empty((len(dn_grid), len(tau_grid), len(phi_grid)))
+    costs[...] = level * (len(y_prepump) * level - 2.0 * y_prepump.sum()) + y_thin @ y_thin
+    rise = 1.0 - np.exp(-elapsed_thin[pumped] / tau_grid[:, None])  # (tau, t)
     inverse = np.empty((len(phi_grid), rise.size))  # (phi0, (tau, t)), reused
-    samples = inverse.reshape(-1, len(y_thin))  # one row per (phi0, tau)
+    samples = inverse.reshape(len(phi_grid) * len(tau_grid), -1)  # one row per (phi0, tau)
     rise = rise.ravel()
     # (1, cos 2a, sin 2a) at a = phase_scale*dn_total*rise and a scratch row, reused:
     # from u = tan a, cos 2a = (1 - u^2)/(1 + u^2) and sin 2a = 2u/(1 + u^2).
@@ -633,8 +653,7 @@ def fit_fpi_trace(
         np.reciprocal(np.matmul(mix, basis[:3], out=inverse), out=inverse)
         # sum((inverse - y)^2), expanded so that no model array is formed
         squares = np.einsum("ij,ij->i", samples, samples)
-        costs[i] = (squares - 2.0 * (samples @ y_thin)).reshape(len(phi_grid), -1).T
-    costs += y_thin @ y_thin
+        costs[i] += (squares - 2.0 * (samples @ y_pumped)).reshape(len(phi_grid), -1).T
 
     # Noise variance from second differences (white noise of variance s^2
     # gives them variance 6 s^2), over evenly spaced samples only, so that a
@@ -646,7 +665,7 @@ def fit_fpi_trace(
     floor = 1.5 * noise_variance
     best: FitResult | None = None
     residual_evaluations = jacobian_evaluations = 0
-    for index in _cheapest(costs, _MAX_DESCENTS):
+    for index in _basin_starts(costs, _MAX_DESCENTS):
         i, j, k = np.unravel_index(index, costs.shape)
         problem = FitProblem(
             residual=residual,

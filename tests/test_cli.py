@@ -247,6 +247,21 @@ class TestUnsortedGrids:
         fitted = json.loads((out / "fit_dn_T30.json").read_text())
         assert fitted["fitted"]["initial_slope_per_mw"] == pytest.approx(1.1e-5, rel=0.05)
 
+    def test_fit_dn_names_the_input_it_refuses(self, config_path, tmp_path):
+        """coupler-sweep writes a three-point sweep; fit-dn needs four points
+        and names the file and its key when it refuses it."""
+        out = tmp_path / "out"
+        self.configure(config_path, "coupler_sweep", pump_powers_mw=[5.0, 0.0, 1.0])
+        assert run("coupler-sweep", config_path, out) == 0
+        assert run("fit-dn", config_path, out) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == (
+            f"run.fit_dn.inputs[0].path ({out / 'coupler_sweep_T30.csv'}): "
+            "30.0 C sweep has 3 points; need at least 4"
+        )
+        assert manifest["outputs"] == []
+
     def test_squeeze_budget(self, config_path, tmp_path):
         """The unsorted run's rows are the sorted run's rows, permuted."""
         sorted_out, out = tmp_path / "sorted", tmp_path / "out"

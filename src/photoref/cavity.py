@@ -36,6 +36,7 @@ __all__ = [
     "fpi_transmission",
     "fpi_characteristics",
     "simulate_fpi_trace",
+    "MAX_GRID_POINTS",
     "delta_n_to_detuning",
     "opo_extremal_spectra",
     "opo_optimal_levels",
@@ -168,7 +169,7 @@ def fpi_characteristics(
     return fsr_pm, fsr_pm / conventional
 
 
-_MAX_TRACE_SAMPLES = 10**7
+MAX_GRID_POINTS = 10**7  # of any sampled grid (trace, OPO, SPDC): 80 MB per float64 array
 
 
 def simulate_fpi_trace(
@@ -196,10 +197,10 @@ def simulate_fpi_trace(
     if not duration_s >= 0:
         raise ValueError(f"duration_s must be >= 0, got {duration_s!r}")
     ratio = duration_s / sample_period_s
-    if ratio >= _MAX_TRACE_SAMPLES:  # 80 MB per float64 array of the grid
+    if ratio >= MAX_GRID_POINTS:
         raise ValueError(
             f"duration_s / sample_period_s = {ratio:g} asks for more than "
-            f"{_MAX_TRACE_SAMPLES} samples"
+            f"{MAX_GRID_POINTS} samples"
         )
     t = np.arange(int(math.floor(ratio)) + 1) * sample_period_s
     dn = delta_n_temporal(params, schedule, t)

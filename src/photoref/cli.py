@@ -22,6 +22,7 @@ import yaml
 
 from . import __version__
 from .cavity import (
+    MAX_GRID_POINTS,
     finesse,
     fpi_characteristics,
     opo_extremal_spectra,
@@ -208,6 +209,9 @@ def _run_opo_spectrum(runner: _Runner, section: dict) -> None:
     sigma = pump_parameter_for_squeezing_db(section["initial_squeezing_db"])
     eta = section["detection_efficiency"]
     step, omega_max = section["omega_step"], section["omega_max"]
+    if omega_max / step >= MAX_GRID_POINTS:
+        raise ConfigError(f"run.opo_spectrum.omega_step: omega_max / omega_step = "
+                          f"{omega_max / step:g} asks for more than {MAX_GRID_POINTS} samples")
     omega = np.arange(0.0, omega_max + step / 2, step)
     detunings = section["detunings"]
     names = [f"opo_spectrum_delta{_fmt(delta)}.csv" for delta in detunings]
@@ -322,15 +326,13 @@ def _run_fit_fpi(runner: _Runner, section: dict) -> None:
     for i, (start, end) in enumerate(section["mask_intervals_s"]):
         if start > end:
             raise ConfigError(f"run.fit_fpi.mask_intervals_s[{i}]: start {start} after end {end}")
-    trace = read_trace_csv(section["input"])
+    path = section["input"]
+    trace = read_trace_csv(path)
     for start, end in section["mask_intervals_s"]:
         trace = trace.with_masked_interval(start, end)
-    fit = fit_fpi_trace(
-        trace,
-        runner.config.fpi_cavity(),
-        probe_wavelength_nm=section["probe_wavelength_nm"],
-        pump_on_time_s=section["pump_on_time_s"],
-    )
+    cavity, probe = runner.config.fpi_cavity(), section["probe_wavelength_nm"]
+    with _invariants(f"run.fit_fpi.input ({path})"):
+        fit = fit_fpi_trace(trace, cavity, probe, pump_on_time_s=section["pump_on_time_s"])
     payload = fit.result.to_json_dict()
     payload["model"] = (
         "Airy transmission T/T_max driven by dn(t) = dn_total*(1 - exp(-(t - t0)/tau))"

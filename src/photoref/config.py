@@ -25,7 +25,7 @@ from typing import Any, Mapping
 
 import yaml
 
-from .cavity import FpiCavity, SqueezerCavity
+from .cavity import MAX_GRID_POINTS, FpiCavity, SqueezerCavity
 from .coupler import CouplerGeometry, coupling_length
 from .material import (
     DEFAULT_MODE_TARGETS,
@@ -215,7 +215,7 @@ _SCHEMA: dict[str, Any] = _derive_schema(DEFAULT_CONFIG)
 _DB_FLOOR = 20.0 * math.log10(math.ulp(1.0))
 _RANGES: dict[str, tuple[float, float, str]] = {
     "seed": (0, 2**64, "[)"),
-    "points": (2, math.inf, "[)"),
+    "points": (2, MAX_GRID_POINTS, "[]"),
     "initial_squeezing_db": (_DB_FLOOR, 0.0, "[)"),
     **dict.fromkeys(("squeezing_db", "initial_levels_db"), (_DB_FLOOR, 0.0, "[]")),
     **dict.fromkeys(("reflectivity", "detection_efficiency"), (0.0, 1.0, "[]")),

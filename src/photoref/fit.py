@@ -107,11 +107,10 @@ class FitResult:
     """Outcome of a least-squares run.
 
     ``covariance`` is the Gauss-Newton estimate from the final Jacobian,
-    scaled by the reduced chi-square; ``residual_history`` records the
-    accepted residual norms, starting from the initial point.
-    ``residual_evaluations`` counts calls of the problem's residual and
-    ``jacobian_evaluations`` calls of its Jacobian.  ``termination`` names
-    the test that stopped the run (see ``least_squares``).
+    scaled by the reduced chi-square.  ``residual_evaluations`` counts calls
+    of the problem's residual and ``jacobian_evaluations`` calls of its
+    Jacobian.  ``termination`` names the test that stopped the run (see
+    ``least_squares``).
     """
 
     parameters: np.ndarray
@@ -121,7 +120,6 @@ class FitResult:
     converged: bool
     termination: str
     warnings: list[str] = field(default_factory=list)
-    residual_history: list[float] = field(default_factory=list)
     residual_evaluations: int = 0
     jacobian_evaluations: int = 0
 
@@ -215,7 +213,6 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
             f"need at least as many data points ({len(r)}) as parameters ({len(point)})"
         )
     cost = float(r @ r)
-    history = [math.sqrt(cost)]
     warnings: list[str] = []
     damping = _INITIAL_DAMPING
     jac = _jacobian(problem, problem.initial_guess)
@@ -228,13 +225,12 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
         # of the step, so that clipping does not stall the others beside it.
         free = [i for i, (p, d, lo, hi) in enumerate(zip(point, gradient, lower, upper))
                 if not (p == lo and d > 0 or p == hi and d < 0)]
-        every = len(free) == len(point)
-        g = gradient if every else [gradient[i] for i in free]
+        g = [gradient[i] for i in free]
         if max(map(abs, g), default=0.0) < _GRAD_TOL:
             termination = "grad_tol"
             break
         hessian = np.einsum("ji,jk->ik", jac, jac).tolist()  # half BLAS's time on tall J
-        reduced = hessian if every else [[hessian[i][j] for j in free] for i in free]
+        reduced = [[hessian[i][j] for j in free] for i in free]
         solution = _solve(reduced, g)
         gain = math.nan if solution is None else sum(a * b for a, b in zip(g, solution))
         if gain <= _GAIN_FLOOR * cost:
@@ -271,7 +267,6 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
         largest = max(abs(b - a) for a, b in zip(point, moved))
         point, r, cost = moved, r_trial, cost_trial
         iterations += 1
-        history.append(math.sqrt(cost))
         jac = _jacobian(problem, trial)
         jacobians += 1
         if largest < _STEP_TOL * (1.0 + max(map(abs, point))):
@@ -296,7 +291,6 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
         converged=termination in ("grad_tol", "gain_floor", "step_tol"),
         termination=termination,
         warnings=warnings,
-        residual_history=history,
         residual_evaluations=evaluations,
         jacobian_evaluations=jacobians,
     )
@@ -496,25 +490,19 @@ def _basin_starts(costs: np.ndarray, count: int) -> np.ndarray:
     return index[np.argsort(finite.ravel()[index], kind="stable")[:count]]
 
 
-def _trace_model(params, elapsed, coefficient, phase_scale, work):
-    """(decay, rise, tan psi, transmission) of the pump-on trace model.
+def _trace_model(params, elapsed, coefficient, phase_scale):
+    """(decay, rise, tan psi, transmission) of the pump-on trace model, as fresh arrays.
 
     decay = exp(-elapsed/tau), rise = 1 - decay, psi = phi0 + phase_scale*dn_total*rise
-    and the transmission T/T_max = 1/(1 + F*sin^2 psi); the arrays are the rows of
-    ``work``, overwritten in place.  T at psi is
+    and the transmission T/T_max = 1/(1 + F*sin^2 psi).  T at psi is
     (1 + q)/(1 + (1 + F) q) = 1/(1 + F) + F/(1 + F)^2/(q + 1/(1 + F)), q = tan^2 psi.
     """
     dn_total, tau, phi0 = params
-    decay, rise, tangent, transmission = work
-    np.exp(np.divide(elapsed, -tau, out=decay), out=decay)
-    np.subtract(1.0, decay, out=rise)
-    np.multiply(rise, dn_total, out=tangent)
-    tangent *= phase_scale
-    tangent += phi0
+    decay = np.exp(elapsed / -tau)
+    rise = 1.0 - decay
+    tangent = np.tan(rise * dn_total * phase_scale + phi0)
     lowest = 1.0 / (1.0 + coefficient)  # T at psi = pi/2
-    np.add(np.square(np.tan(tangent, out=tangent), out=transmission), lowest, out=transmission)
-    np.divide(coefficient * lowest * lowest, transmission, out=transmission)
-    transmission += lowest
+    transmission = coefficient * lowest * lowest / (np.square(tangent) + lowest) + lowest
     return decay, rise, tangent, transmission
 
 
@@ -578,14 +566,13 @@ def fit_fpi_trace(
     phase_scale = 2.0 * math.pi * cavity.length_mm * 1e6 / probe_wavelength_nm
     elapsed = np.clip(t - t0, 0.0, None)
 
-    work, spare, columns = np.empty((4, len(t))), np.empty(len(t)), np.empty((3, len(t)))
-    last: dict[bytes, tuple] = {}  # the point whose model ``work`` holds
+    last: dict[bytes, tuple] = {}  # the model at the last point evaluated
 
     def model(params):
         key = params.tobytes()
         if key not in last:
             last.clear()
-            last[key] = _trace_model(params, elapsed, coefficient, phase_scale, work)
+            last[key] = _trace_model(params, elapsed, coefficient, phase_scale)
         return last[key]
 
     def residual(params):
@@ -593,19 +580,13 @@ def fit_fpi_trace(
 
     def jacobian(params):
         # dT/dpsi = -F*sin(2*psi)*T^2, with sin(2*psi) = 2t/(1 + t^2) at t = tan psi;
-        # it is also the phi0 column.
+        # it is also the phi0 column.  The stack's transpose is column-major.
         dn_total, tau, _ = params
         decay, rise, tangent, transmission = model(params)
-        slope, scratch = columns[2], spare
-        np.divide(tangent, np.add(np.square(tangent, out=scratch), 1.0, out=scratch), out=slope)
-        slope *= -2.0 * coefficient
-        slope *= np.square(transmission, out=scratch)
-        np.multiply(np.multiply(slope, phase_scale, out=scratch), rise, out=columns[0])
-        np.multiply(decay, -phase_scale * dn_total, out=scratch)
-        scratch *= elapsed
-        scratch /= tau**2
-        np.multiply(slope, scratch, out=columns[1])
-        return columns.T
+        slope = tangent / (np.square(tangent) + 1.0) * (-2.0 * coefficient) * np.square(transmission)
+        d_dn = slope * phase_scale * rise
+        d_tau = slope * (decay * (-phase_scale * dn_total) * elapsed / tau**2)
+        return np.array([d_dn, d_tau, slope]).T
 
     quantum = probe_wavelength_nm / (4.0 * cavity.length_mm * 1e6)
     dn_start = -(estimate_delta_n_from_oscillations(trace) + 0.5) * quantum

@@ -451,6 +451,18 @@ class TestExitCodes:
         assert "run.opo_spectrum.omega_step" in manifest["error"]
         assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
 
+    def test_oversized_omega_grid_fails_with_manifest(self, tmp_path):
+        """A frequency grid of 2e13 points is refused by key before any file;
+        numpy would refuse its 146 TiB allocation at once with a traceback."""
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"run": {"opo_spectrum": {"omega_step": 1.0e-12}}}))
+        out = tmp_path / "out"
+        assert main(["opo-spectrum", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith("run.opo_spectrum.omega_step: ")
+        assert manifest["outputs"] == []
+
     @pytest.mark.parametrize(
         "subcommand, section, key, value",
         [
@@ -617,6 +629,27 @@ class TestExitCodes:
             assert manifest["error"] == "run.fit_fpi.mask_intervals_s[1]: start 40.0 after end 20.0"
         else:
             assert manifest["outputs"] == ["fit_fpi.json"]
+
+    @pytest.mark.parametrize("fit_settings, reason", [
+        ({"pump_on_time_s": 100.0}, "trace must extend beyond the pump-on time"),
+        ({"mask_intervals_s": [[0.0, 29.9]]}, "trace too short to fit"),
+    ], ids=["pump-on-after-the-trace", "all-but-one-sample-masked"])
+    def test_fit_fpi_names_the_input_it_refuses(self, tmp_path, fit_settings, reason):
+        out = tmp_path / "out"
+        trace = out / "fpi_trace.csv"
+        payload = {"run": {
+            "fpi_trace": {"duration_s": 30.0, "sample_period_s": 0.1,
+                          "schedule": [{"start_s": 5.0, "end_s": 30.0, "pump_power_mw": 5.0}]},
+            "fit_fpi": {"input": str(trace), "pump_on_time_s": 5.0, **fit_settings},
+        }}
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(payload))
+        assert main(["fpi-trace", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        assert main(["fit-fpi", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == f"run.fit_fpi.input ({trace}): {reason}"
+        assert manifest["outputs"] == []
 
     @pytest.mark.parametrize(
         "subcommand, payload, where",

@@ -1,7 +1,8 @@
 """Waveguide Fabry-Perot cavities and detuned below-threshold squeezer spectra.
 
 Covers the parasitic resonator formed by waveguide end-facets (Airy
-transmission driven by the photorefractive index shift), the conversion of
+transmission driven by the photorefractive index shift: one kernel, which
+the trace simulator and the trace fit both evaluate), the conversion of
 an index shift into a normalized cavity detuning, and the quadrature noise
 spectra of a degenerate parametric oscillator below threshold with a
 detuned cavity, from the standard linearized input-output treatment
@@ -33,7 +34,7 @@ __all__ = [
     "FpiCavity",
     "SqueezerCavity",
     "finesse",
-    "fpi_transmission",
+    "airy_transmission",
     "fpi_characteristics",
     "simulate_fpi_trace",
     "MAX_GRID_POINTS",
@@ -83,6 +84,13 @@ class FpiCavity:
     def mode_for(self, wavelength_nm: float) -> str:
         return self.pump_mode if wavelength_nm < _BAND_SPLIT_NM else self.probe_mode
 
+    def airy_constants(self, wavelength_nm: float) -> tuple[float, float]:
+        """``(F, 2*pi*L/lambda)``: the coefficient of finesse, 0 for angled
+        facets, and the cavity phase psi per unit index, psi = (2*pi*L/lambda)*n."""
+        r = self.reflectivity_at(wavelength_nm)
+        coefficient = 0.0 if self.angled_facets else finesse(r, r)[0]
+        return coefficient, 2.0 * math.pi * self.length_mm * 1e6 / wavelength_nm
+
 
 @dataclass(frozen=True)
 class SqueezerCavity:
@@ -123,28 +131,15 @@ def finesse(reflectivity_1: float, reflectivity_2: float) -> tuple[float, float]
     return coefficient, conventional
 
 
-def fpi_transmission(
-    cavity: FpiCavity, wavelength_nm: float, temperature_c: float, delta_n
-):
-    """Airy transmission of the facet cavity at a given index shift.
+def airy_transmission(coefficient: float, tangent):
+    """Airy transmission T/T_max = 1/(1 + F*sin^2 psi), from t = tan psi.
 
-    T = 1 / (1 + F*sin^2(2*pi*L*(n_eff + dn)/lam)) with F the coefficient
-    of finesse.  Angle-polished facets (or F = 0) bypass the cavity term and
-    return exactly 1.
+    With q = t^2, T = (1 + q)/(1 + (1 + F) q) = 1/(1 + F) + F/(1 + F)^2/(q + 1/(1 + F)),
+    so the caller takes one tan, which numpy vectorizes under AVX-512, in place
+    of a scalar-libm sin.  F = 0 (no cavity) gives exactly 1.
     """
-    dn = np.asarray(delta_n, dtype=float)
-    r = cavity.reflectivity_at(wavelength_nm)
-    coefficient, _ = finesse(r, r)
-    if cavity.angled_facets or coefficient == 0:
-        out = np.ones_like(dn)
-        return float(out) if np.isscalar(delta_n) else out
-    n_eff = refractive_index(
-        cavity.material, wavelength_nm, temperature_c, cavity.mode_for(wavelength_nm)
-    )
-    length_nm = cavity.length_mm * 1e6
-    phase = 2.0 * math.pi * length_nm * (n_eff + dn) / wavelength_nm
-    t = 1.0 / (1.0 + coefficient * np.sin(phase) ** 2)
-    return float(t) if np.isscalar(delta_n) else t
+    lowest = 1.0 / (1.0 + coefficient)  # T at psi = pi/2
+    return coefficient * lowest * lowest / (np.square(tangent) + lowest) + lowest
 
 
 def fpi_characteristics(
@@ -185,8 +180,9 @@ def simulate_fpi_trace(
 
     Samples the Airy transmission at the instantaneous index shift as
     T/T_max, the fraction of the fringe maximum, so the pre-pump level
-    T(phi0) stays in the trace.  Mode hopping and input-coupling drift are
-    outside the model.
+    T(phi0) stays in the trace.  The phase is psi = phi0 + (2*pi*L/lambda)*dn
+    with phi0 = (2*pi*L/lambda)*n_eff mod pi, the phase the trace fit reports.
+    Mode hopping and input-coupling drift are outside the model.
     """
     if sample_period_s <= 0:
         raise ValueError("sample period must be > 0")
@@ -203,8 +199,13 @@ def simulate_fpi_trace(
             f"{MAX_GRID_POINTS} samples"
         )
     t = np.arange(int(math.floor(ratio)) + 1) * sample_period_s
+    coefficient, scale = cavity.airy_constants(probe_wavelength_nm)
+    n_eff = refractive_index(
+        cavity.material, probe_wavelength_nm, temperature_c, cavity.mode_for(probe_wavelength_nm)
+    )
     dn = delta_n_temporal(params, schedule, t)
-    return Trace(time_s=t, value=fpi_transmission(cavity, probe_wavelength_nm, temperature_c, dn))
+    tangent = np.tan(dn * scale + scale * n_eff % math.pi)
+    return Trace(time_s=t, value=airy_transmission(coefficient, tangent))
 
 
 def delta_n_to_detuning(

@@ -14,7 +14,8 @@ of a coarse (a, c) scan.  The trace fit scans a start grid in one broadcast
 cost evaluation per excursion (the pre-pump samples' share once), then
 descends from the grid's basins, cheapest first, until a fit reaches the
 trace's noise floor, and flags the fit when none does.
-The Airy model, its Jacobian and the start scan take sines and cosines from one tan,
+The Airy model (``cavity.airy_transmission``, the trace simulator's kernel), its
+Jacobian and the start scan take sines and cosines from one tan,
 which numpy 2.4 vectorizes under AVX-512 while its float64 sin and cos run through
 scalar libm (neutral under AVX2 dispatch); the <= 3x3 LM algebra runs in Python floats.
 """
@@ -27,7 +28,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .cavity import FpiCavity, finesse
+from .cavity import FpiCavity, airy_transmission
 from .coupler import CouplerGeometry, coupler_reflectivity
 from .data import SweepData, Trace
 from .material import PhotorefractionParams
@@ -52,6 +53,7 @@ _GRAD_TOL = 1e-10  # largest free gradient component
 _GAIN_FLOOR = 1e-13  # Gauss-Newton gain, relative to the cost, that rounding hides:
 # a sweep's weighted residual cancels values ~100x its size, and a step promising
 # 1e-14 of the cost moves it by up to 7e-14 with the input's last bits
+_NULL_SPACE_TOL = 1e-8  # diagonal of I - pinv(H) H above which J does not determine a parameter
 _MAX_DESCENTS = 16  # LM descents per trace fit
 _GAUGE_B_MW = 10.0  # b of the saturable law, pinned (only a/b and a/c are identifiable)
 # The sweep fit's start scan: a over seven decades, c from none to strong saturation.
@@ -107,7 +109,9 @@ class FitResult:
     """Outcome of a least-squares run.
 
     ``covariance`` is the Gauss-Newton estimate from the final Jacobian,
-    scaled by the reduced chi-square.  ``residual_evaluations`` counts calls
+    scaled by the reduced chi-square.  ``undetermined`` lists the parameters
+    that the final Jacobian does not determine: they have no one-sigma (NaN,
+    JSON null).  ``residual_evaluations`` counts calls
     of the problem's residual and ``jacobian_evaluations`` calls of its
     Jacobian.  ``termination`` names the test that stopped the run (see
     ``least_squares``).
@@ -122,15 +126,18 @@ class FitResult:
     warnings: list[str] = field(default_factory=list)
     residual_evaluations: int = 0
     jacobian_evaluations: int = 0
+    undetermined: list[int] = field(default_factory=list)
 
     @property
     def uncertainties(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
+        sigma = np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
+        sigma[self.undetermined] = math.nan
+        return sigma
 
     def to_json_dict(self) -> dict:
         return {
             "parameters": [float(x) for x in self.parameters],
-            "one_sigma": [float(x) for x in self.uncertainties],
+            "one_sigma": [None if math.isnan(x) else float(x) for x in self.uncertainties],
             "covariance": [[float(x) for x in row] for row in self.covariance],
             "residual_norm": float(self.residual_norm),
             "iterations": int(self.iterations),
@@ -282,7 +289,7 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
                 f"parameter {j} ends on its {side} bound ({x:g}); "
                 "its covariance is not valid there"
             )
-    covariance = _gauss_newton_covariance(jac, cost, len(r), len(point), warnings)
+    covariance, undetermined = _gauss_newton_covariance(jac, cost, len(r), len(point), warnings)
     return FitResult(
         parameters=np.array(point),
         covariance=covariance,
@@ -293,19 +300,31 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
         warnings=warnings,
         residual_evaluations=evaluations,
         jacobian_evaluations=jacobians,
+        undetermined=undetermined,
     )
 
 
 def _gauss_newton_covariance(jac, cost, n_points, n_params, warnings):
+    """(covariance, undetermined parameters) from H = J^T J.  A singular H
+    falls back to its pseudo-inverse, which gives a direction that J does not
+    determine a variance of 0: a parameter whose diagonal entry of the
+    null-space projector I - pinv(H) H exceeds ``_NULL_SPACE_TOL`` is named."""
     hessian = np.einsum("ji,jk->ik", jac, jac)
     dof = max(n_points - n_params, 1)
+    undetermined = []
     try:
         inv = np.linalg.inv(hessian)
     except np.linalg.LinAlgError:
         inv = np.linalg.pinv(hessian)
         warnings.append("singular Jacobian at the solution; covariance is a pseudo-inverse")
+        projector = np.eye(n_params) - inv @ hessian
+        undetermined = np.flatnonzero(np.diag(projector) > _NULL_SPACE_TOL).tolist()
+        warnings.extend(
+            f"parameter {j} is not determined by the data; it has no one-sigma"
+            for j in undetermined
+        )
     cov = inv * (cost / dof)
-    return 0.5 * (cov + cov.T)
+    return 0.5 * (cov + cov.T), undetermined
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +513,13 @@ def _trace_model(params, elapsed, coefficient, phase_scale):
     """(decay, rise, tan psi, transmission) of the pump-on trace model, as fresh arrays.
 
     decay = exp(-elapsed/tau), rise = 1 - decay, psi = phi0 + phase_scale*dn_total*rise
-    and the transmission T/T_max = 1/(1 + F*sin^2 psi).  T at psi is
-    (1 + q)/(1 + (1 + F) q) = 1/(1 + F) + F/(1 + F)^2/(q + 1/(1 + F)), q = tan^2 psi.
+    and the transmission T/T_max = 1/(1 + F*sin^2 psi) from ``airy_transmission``.
     """
     dn_total, tau, phi0 = params
     decay = np.exp(elapsed / -tau)
     rise = 1.0 - decay
     tangent = np.tan(rise * dn_total * phase_scale + phi0)
-    lowest = 1.0 / (1.0 + coefficient)  # T at psi = pi/2
-    transmission = coefficient * lowest * lowest / (np.square(tangent) + lowest) + lowest
-    return decay, rise, tangent, transmission
+    return decay, rise, tangent, airy_transmission(coefficient, tangent)
 
 
 @dataclass
@@ -552,9 +568,8 @@ def fit_fpi_trace(
     ``temperature_c`` is unused: the fitted phi0 absorbs n_eff(T).  It is
     kept so that calls passing it by position still work.
     """
-    reflectivity = cavity.reflectivity_at(probe_wavelength_nm)
-    coefficient, _ = finesse(reflectivity, reflectivity)
-    if coefficient == 0 or cavity.angled_facets:
+    coefficient, phase_scale = cavity.airy_constants(probe_wavelength_nm)
+    if coefficient == 0:
         raise ValueError("trace fitting needs a resonant cavity (finite finesse)")
     t, y = trace.time_s, trace.value
     if len(t) < 8:
@@ -563,7 +578,6 @@ def fit_fpi_trace(
     span = float(t[-1] - t0)
     if span <= 0:
         raise ValueError("trace must extend beyond the pump-on time")
-    phase_scale = 2.0 * math.pi * cavity.length_mm * 1e6 / probe_wavelength_nm
     elapsed = np.clip(t - t0, 0.0, None)
 
     last: dict[bytes, tuple] = {}  # the model at the last point evaluated

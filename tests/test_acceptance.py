@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 from photoref.cavity import (
-    fpi_transmission,
+    airy_transmission,
     opo_optimal_levels,
     pump_parameter_for_squeezing_db,
 )
@@ -32,6 +32,7 @@ from photoref.material import (
     DEFAULT_PHOTOREFRACTION,
     MaterialModel,
     delta_n_steady,
+    refractive_index,
 )
 from photoref.spdc import (
     QpmDevice,
@@ -86,7 +87,9 @@ def test_criterion_1_half_period_identity(fpi):
     crit = Criterion(1, "half-period identity", 1.0)
     quantum = LAM / (4.0 * fpi.length_mm * 1e6)
     dn = np.linspace(0.0, 8.0 * quantum, 40001)
-    t = fpi_transmission(fpi, LAM, 30.0, dn)
+    coefficient, scale = fpi.airy_constants(LAM)
+    n_eff = refractive_index(fpi.material, LAM, 30.0, fpi.mode_for(LAM))
+    t = airy_transmission(coefficient, np.tan(dn * scale + scale * n_eff % math.pi))
     interior = np.flatnonzero(
         (t[1:-1] > t[:-2]) & (t[1:-1] > t[2:])
         | (t[1:-1] < t[:-2]) & (t[1:-1] < t[2:])

@@ -11,7 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photoref.cavity import delta_n_to_detuning, fpi_characteristics, fpi_transmission
+from photoref.cavity import delta_n_to_detuning, fpi_characteristics, simulate_fpi_trace
 from photoref.cli import main
 from photoref.config import (
     _SCHEMA,
@@ -23,7 +23,7 @@ from photoref.config import (
     parse_config,
 )
 from photoref.coupler import coupler_reflectivity
-from photoref.material import DEFAULT_MODE_TARGETS
+from photoref.material import DEFAULT_MODE_TARGETS, PumpSchedule, PumpSegment
 from photoref.spdc import SpdcOperatingPoint, qpm_mismatch, spdc_spectrum
 
 EXAMPLE = "configs/example.yaml"
@@ -446,8 +446,9 @@ def _perturbed(value):
 
 def _device_readout(config: Config) -> np.ndarray:
     """Fixed model calls over every device the configuration builds."""
-    fpi = config.fpi_cavity()
-    values = [fpi_transmission(fpi, lam, 30.0, np.array([0.0, -1e-5])) for lam in (1550.0, 775.0)]
+    fpi, schedule = config.fpi_cavity(), PumpSchedule([PumpSegment(0.0, 1.0, 5.0)])
+    values = [simulate_fpi_trace(fpi, schedule, config.photorefraction(30.0), lam, 30.0, 0.5).value
+              for lam in (1550.0, 775.0)]
     values += [fpi_characteristics(fpi, lam, 30.0)[0] for lam in (1550.0, 775.0)]
     values.append(delta_n_to_detuning(config.squeezer_cavity(), -1e-6, 1550.0))
     for name, build in (("coupler", config.coupler_geometry),

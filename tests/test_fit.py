@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 from collections import Counter
@@ -230,6 +231,29 @@ class TestLeastSquares:
         assert flagged == [
             "parameter 0 ends on its upper bound (1.5); its covariance is not valid there"
         ]
+
+    def test_parameter_outside_the_model_has_no_one_sigma(self):
+        """J^T J is singular when the residual ignores a parameter: that
+        parameter's one-sigma is null, not the pseudo-inverse's 0, and the
+        warning names it; the other keeps its one-sigma, and the covariance
+        stays finite."""
+        x = np.linspace(0.0, 5.0, 20)
+        y = 2.0 + 0.1 * np.sin(7.0 * x)
+        problem = FitProblem(
+            residual=lambda p: np.full_like(x, p[0]) - y,
+            jacobian=lambda p: np.column_stack((np.ones_like(x), np.zeros_like(x))),
+            initial_guess=np.zeros(2),
+        )
+        result = least_squares(problem)
+        assert result.converged
+        payload = json.loads(json.dumps(result.to_json_dict(), allow_nan=False))
+        spread = math.sqrt(np.sum((y - y.mean()) ** 2) / (len(x) - 2) / len(x))
+        assert payload["one_sigma"][0] == pytest.approx(spread, rel=1e-12)
+        assert payload["one_sigma"][1] is None
+        assert math.isnan(result.uncertainties[1])
+        assert np.all(np.isfinite(result.covariance))
+        assert "parameter 1 is not determined by the data; it has no one-sigma" in result.warnings
+        assert not any("parameter 0 is not determined" in w for w in result.warnings)
 
     def test_interior_solution_not_flagged(self):
         x = np.linspace(0.0, 5.0, 20)
@@ -553,6 +577,30 @@ class TestDeltaNPipeline:
             outcome = fit_delta_n_from_reflectivity({90.0: sweep}, coupler90)[90.0]
             bounded += abs(delta_n_steady(outcome.params, 10.0)) <= 1.3e-5
         assert bounded >= 90
+
+
+    def test_singular_fits_report_no_one_sigma(self, coupler90, params90):
+        """Half of the 90 C draws above end at a = 0, where R does not depend
+        on (a, c) and J^T J is singular: both one-sigmas are null, not 0, and
+        both parameters are named; the covariance stays finite."""
+        singular = 0
+        for seed in range(500, 600):
+            rng = np.random.default_rng(seed)
+            sweep = synthetic_sweep(params90, coupler90, self.powers, 0.01, rng)
+            result = fit_delta_n_from_reflectivity({90.0: sweep}, coupler90)[90.0].result
+            payload = json.loads(json.dumps(result.to_json_dict(), allow_nan=False))
+            assert np.all(np.isfinite(result.covariance))
+            if not any("pseudo-inverse" in w for w in result.warnings):
+                assert None not in payload["one_sigma"]
+                continue
+            singular += 1
+            assert result.parameters[0] == 0.0
+            assert payload["one_sigma"] == [None, None]
+            for j in (0, 1):
+                assert f"parameter {j} is not determined by the data; it has no one-sigma" in (
+                    result.warnings
+                )
+        assert singular >= 40
 
 
 def make_trace_cavity():
@@ -900,26 +948,32 @@ class TestTraceKernel:
             self.assert_close(problem.residual(params), transmission - y)
 
     def test_reproduces_the_simulator(self):
-        """The fit's model is a second copy of the trace simulator for one
-        pumped segment: on the example chip the two agree."""
+        """The fit's model and the trace simulator share one Airy kernel and one
+        cavity phase: on the example chip, for one pumped segment, they agree
+        to the last bits of dn(t)."""
         cfg = parse_config("configs/example.yaml")
         cavity, params = cfg.fpi_cavity(), cfg.photorefraction(30.0)
         schedule = PumpSchedule([PumpSegment(10.0, 60.0, 5.0)])
         trace = simulate_fpi_trace(cavity, schedule, params, LAM, 30.0, 0.05, 60.0)
-        reflectivity = cavity.reflectivity_at(LAM)
-        coefficient, _ = finesse(reflectivity, reflectivity)
-        length_nm = cavity.length_mm * 1e6
+        coefficient, scale = cavity.airy_constants(LAM)
         n_eff = refractive_index(cavity.material, LAM, 30.0, cavity.mode_for(LAM))
-        truth = np.array([
-            delta_n_steady(params, 5.0),
-            params.tau_build_s,
-            (2.0 * math.pi * length_nm * n_eff / LAM) % math.pi,
-        ])
+        truth = np.array([delta_n_steady(params, 5.0), params.tau_build_s, scale * n_eff % math.pi])
         elapsed = np.clip(trace.time_s - 10.0, 0.0, None)
-        *_, transmission = fit_module._trace_model(
-            truth, elapsed, coefficient, 2.0 * math.pi * length_nm / LAM
-        )
-        np.testing.assert_allclose(transmission, trace.value, rtol=0.0, atol=1e-9)
+        *_, transmission = fit_module._trace_model(truth, elapsed, coefficient, scale)
+        np.testing.assert_allclose(transmission, trace.value, rtol=0.0, atol=1e-15)
+
+    def test_noise_free_example_trace_fits_exactly(self):
+        """The example chip's noise-free trace is the fit's own model, so the fit
+        returns the truth and leaves a residual at rounding level."""
+        cfg = parse_config("configs/example.yaml")
+        cavity, params = cfg.fpi_cavity(), cfg.photorefraction(30.0)
+        schedule = PumpSchedule([PumpSegment(10.0, 60.0, 5.0)])
+        trace = simulate_fpi_trace(cavity, schedule, params, LAM, 30.0, 0.05, 60.0)
+        fit = fit_fpi_trace(trace, cavity, LAM, pump_on_time_s=10.0)
+        assert fit.result.converged
+        assert fit.result.residual_norm <= 1e-13
+        assert fit.delta_n_total == pytest.approx(delta_n_steady(params, 5.0), rel=1e-13)
+        assert fit.tau_build_s == pytest.approx(params.tau_build_s, rel=1e-13)
 
 
 def count_calls(monkeypatch, *names):

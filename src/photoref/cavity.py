@@ -136,10 +136,11 @@ def airy_transmission(coefficient: float, tangent):
 
     With q = t^2, T = (1 + q)/(1 + (1 + F) q) = 1/(1 + F) + F/(1 + F)^2/(q + 1/(1 + F)),
     so the caller takes one tan, which numpy vectorizes under AVX-512, in place
-    of a scalar-libm sin.  F = 0 (no cavity) gives exactly 1.
+    of a scalar-libm sin.  F = 0 (no cavity) gives exactly 1.  Rounding can put
+    the sum one ulp above 1 near t = 0, so the result is bounded by 1.
     """
     lowest = 1.0 / (1.0 + coefficient)  # T at psi = pi/2
-    return coefficient * lowest * lowest / (np.square(tangent) + lowest) + lowest
+    return np.minimum(coefficient * lowest * lowest / (np.square(tangent) + lowest) + lowest, 1.0)
 
 
 def fpi_characteristics(

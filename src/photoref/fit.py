@@ -51,7 +51,7 @@ _MIN_DAMPING = 1e-16
 _STEP_TOL = 1e-10  # accepted step, relative to 1 + max |parameter|
 _GRAD_TOL = 1e-10  # largest free gradient component
 _GAIN_FLOOR = 1e-13  # Gauss-Newton gain, relative to the cost, that rounding hides:
-# a sweep's weighted residual cancels values ~100x its size, and a step promising
+# a sweep's residual over sigma cancels values ~100x its size, and a step promising
 # 1e-14 of the cost moves it by up to 7e-14 with the input's last bits
 _NULL_SPACE_TOL = 1e-8  # diagonal of I - pinv(H) H above which J does not determine a parameter
 _MAX_DESCENTS = 16  # LM descents per trace fit
@@ -67,14 +67,12 @@ class FitError(RuntimeError):
 
 @dataclass
 class FitProblem:
-    """A weighted residual function with bounded parameters.
+    """A residual function with bounded parameters.
 
-    ``residual`` maps a parameter vector to (predictions - observations),
-    and ``jacobian`` maps it to the derivatives of the (unweighted) residual,
-    one row per point and one column per parameter.  ``weights`` are
-    per-point standard deviations; residuals are divided by them.  The
-    initial guess must lie inside the bounds and the number of residuals
-    must be at least the number of parameters.
+    ``residual`` maps a parameter vector to the residual vector, and
+    ``jacobian`` maps it to the residual's derivatives, one row per point and
+    one column per parameter.  The initial guess must lie inside the bounds
+    and the number of residuals must be at least the number of parameters.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
@@ -82,7 +80,6 @@ class FitProblem:
     initial_guess: np.ndarray
     lower_bounds: np.ndarray | None = None
     upper_bounds: np.ndarray | None = None
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         p0 = np.atleast_1d(np.asarray(self.initial_guess, dtype=float))
@@ -97,11 +94,6 @@ class FitProblem:
         if np.any(p0 < lo) or np.any(p0 > hi):
             raise ValueError("initial guess outside bounds")
         self.initial_guess, self.lower_bounds, self.upper_bounds = p0, lo, hi
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if np.any(w <= 0):
-                raise ValueError("weights (standard deviations) must be > 0")
-            self.weights = w
 
 
 @dataclass
@@ -149,21 +141,13 @@ class FitResult:
         }
 
 
-def _weighted_residual(problem: FitProblem, params: np.ndarray) -> np.ndarray:
-    r = np.atleast_1d(np.asarray(problem.residual(params), dtype=float))
-    if problem.weights is not None:
-        if len(problem.weights) != len(r):
-            raise ValueError("weights length must match the residual vector")
-        r = r / problem.weights
-    return r
+def _residual(problem: FitProblem, params: np.ndarray) -> np.ndarray:
+    return np.atleast_1d(np.asarray(problem.residual(params), dtype=float))
 
 
 def _jacobian(problem: FitProblem, params: np.ndarray) -> np.ndarray:
-    """Jacobian of the weighted residual, column-major for einsum's J^T J."""
-    jac = np.asarray(problem.jacobian(params), dtype=float, order="F")
-    if problem.weights is not None:
-        jac = jac / problem.weights[:, None]
-    return jac
+    """The problem's Jacobian, column-major for einsum's J^T J."""
+    return np.asarray(problem.jacobian(params), dtype=float, order="F")
 
 
 def _solve(matrix: list, rhs: list, shift=()) -> list | None:
@@ -192,7 +176,7 @@ def _solve(matrix: list, rhs: list, shift=()) -> list | None:
 
 
 def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
-    """Damped Gauss-Newton minimization of the weighted residual sum of squares.
+    """Damped Gauss-Newton minimization of the residual sum of squares.
 
     The step solves (H + lambda*diag(H)) dx = -g, Marquardt's scaled shift,
     so the damping lambda is dimensionless: it starts at ``_INITIAL_DAMPING``
@@ -214,7 +198,7 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
     """
     lower, upper = problem.lower_bounds.tolist(), problem.upper_bounds.tolist()
     point = problem.initial_guess.tolist()  # the <= 3x3 algebra below runs in floats
-    r = _weighted_residual(problem, problem.initial_guess)
+    r = _residual(problem, problem.initial_guess)
     if len(r) < len(point):
         raise ValueError(
             f"need at least as many data points ({len(r)}) as parameters ({len(point)})"
@@ -255,7 +239,7 @@ def least_squares(problem: FitProblem, max_iter: int = 200) -> FitResult:
             for i, x in zip(free, step):
                 moved[i] = min(max(point[i] + x, lower[i]), upper[i])
             trial = np.array(moved)
-            r_trial = _weighted_residual(problem, trial)
+            r_trial = _residual(problem, trial)
             evaluations += 1
             cost_trial = float(r_trial @ r_trial)
             if math.isfinite(cost_trial) and cost_trial <= cost:
@@ -349,12 +333,12 @@ def fit_delta_n_from_reflectivity(
 
     One forward fit per temperature: the law |dn| = a*P/(b + c*P) gives the
     mismatch delta_beta = 2*pi*|dn|/lambda, the coupled-mode model gives R
-    from it, and LM fits R itself, weighted by the sweep's sigma when it has
-    one.  The law is invariant under common rescaling of (a, b, c), so
-    ``b`` is pinned to ``_GAUGE_B_MW`` and (a, c) are fitted; the physical
-    content (initial slope a/b, saturation a/c) is gauge independent.  R is
-    flat at zero mismatch, so LM cannot start from a = 0: it starts from the
-    cheapest point of a coarse (a, c) scan instead.
+    from it, and LM fits R itself, its residual divided by the sweep's sigma
+    (each > 0) when it has one.  The law is invariant under common rescaling
+    of (a, b, c), so ``b`` is pinned to ``_GAUGE_B_MW`` and (a, c) are fitted;
+    the physical content (initial slope a/b, saturation a/c) is gauge
+    independent.  R is flat at zero mismatch, so LM cannot start from a = 0:
+    it starts from the cheapest point of a coarse (a, c) scan instead.
     """
     to_beta = 2.0 * math.pi / (probe_wavelength_nm * 1e-6)
     outcomes: dict[float, DeltaNFit] = {}
@@ -371,6 +355,11 @@ def fit_delta_n_from_reflectivity(
                 f"{temperature} C sweep point {i}: reflectivity {float(sweep.value[i])!r} "
                 "outside the reachable range of the coupler model"
             )
+        if sweep.sigma is not None and np.any(sweep.sigma <= 0.0):
+            i = int(np.flatnonzero(sweep.sigma <= 0.0)[0])
+            raise ValueError(
+                f"{temperature} C sweep point {i}: sigma {float(sweep.sigma[i])!r} must be > 0"
+            )
         result = _fit_sweep(sweep, geometry, to_beta)
         a, c = (float(x) for x in result.parameters)
         powers = sweep.abscissa
@@ -383,15 +372,17 @@ def fit_delta_n_from_reflectivity(
 
 
 def _fit_sweep(sweep: SweepData, geometry: CouplerGeometry, to_beta: float) -> FitResult:
-    """LM fit of (a, c) to one sweep's R, from the cheapest point of the scan."""
-    powers, sigma = sweep.abscissa, sweep.sigma
+    """LM fit of (a, c) to one sweep's R, each residual over its sigma, from the
+    cheapest point of the scan; a sweep without sigma has sigma 1 (x/1.0 is exact)."""
+    powers = sweep.abscissa
+    sigma = np.ones(len(powers)) if sweep.sigma is None else sweep.sigma
     k2 = 4.0 * geometry.coupling_constant_per_mm**2
     length = geometry.interaction_length_mm
 
     def residual(params):
         a, c = params
         delta_beta = to_beta * a * powers / (_GAUGE_B_MW + c * powers)
-        return coupler_reflectivity(geometry, delta_beta) - sweep.value
+        return (coupler_reflectivity(geometry, delta_beta) - sweep.value) / sigma
 
     def jacobian(params):
         # dR/d(delta_beta) = 4k^2*db*sin x*(2 sin x/q^2 - L cos x/q)/q^2,
@@ -404,24 +395,21 @@ def _fit_sweep(sweep: SweepData, geometry: CouplerGeometry, to_beta: float) -> F
         x = 0.5 * length * q
         sin, cos = np.sin(x), np.cos(x)
         d_a = k2 * db * sin * (2.0 * sin / q2 - length * cos / q) / q2 * to_beta * shape
-        return np.column_stack((d_a, -a * shape * d_a))
+        return np.column_stack((d_a, -a * shape * d_a)) / sigma[:, None]
 
     # Bounds keep the fit off the degenerate ridge a, c -> inf at fixed
     # a/c that opens up when the sweep carries no curvature information.
-    # The problem refuses a sigma <= 0 before the scan divides by it.
     problem = FitProblem(
         residual=residual,
         jacobian=jacobian,
         initial_guess=np.zeros(2),
         lower_bounds=np.zeros(2),
         upper_bounds=np.array([1.0, 100.0]),
-        weights=sigma,
     )
     shape = powers / (_GAUGE_B_MW + _SWEEP_SCAN_C[:, None] * powers)  # (c, P)
     misfit = coupler_reflectivity(geometry, to_beta * _SWEEP_SCAN_A[:, None, None] * shape)
     misfit -= sweep.value
-    if sigma is not None:
-        misfit /= sigma
+    misfit /= sigma
     costs = np.einsum("ijk,ijk->ij", misfit, misfit)
     i, j = np.unravel_index(costs.argmin(), costs.shape)
     problem.initial_guess = np.array([_SWEEP_SCAN_A[i], _SWEEP_SCAN_C[j]])

@@ -79,6 +79,10 @@ class TestTransmission:
     def test_bounded_in_unit_interval(self, fpi, dn):
         t = transmission(fpi, LAM, T_C, dn)
         assert 0.0 < t <= 1.0
+        # Coefficients whose unbounded kernel rounds to 1 + 2.2e-16 at tan psi = 0.
+        for coefficient in (0.02998, 0.06994, 0.124885):
+            t = airy_transmission(coefficient, np.array([0.0, -0.0, 1e-300, 1e-9]))
+            assert np.all((0.0 < t) & (t <= 1.0)), (coefficient, t)
 
     def test_periodic_in_delta_n(self, fpi):
         period = LAM / (2 * fpi.length_mm * 1e6)

@@ -218,6 +218,22 @@ class TestSubcommands:
         assert manifest["warnings"] == [f"T30: {w}" for w in fitted["warnings"]]
         assert any("parameter 0 ends on its lower bound" in w for w in manifest["warnings"])
 
+    @pytest.mark.parametrize("bad", [0.0, -0.002])
+    def test_fit_dn_names_the_sigma_it_refuses(self, config_path, tmp_path, bad):
+        """A sigma <= 0 is refused by its point, after the file and its key."""
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "coupler_sweep_T30.csv"
+        powers = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+        write_sweep_csv(path, SweepData(powers, [0.2] * 6, [0.002, bad] + [0.002] * 4))
+        assert run("fit-dn", config_path, out) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == (
+            f"run.fit_dn.inputs[0].path ({path}): 30.0 C sweep point 1: sigma {bad!r} must be > 0"
+        )
+        assert manifest["outputs"] == []
+
 
 class TestUnsortedGrids:
     """A pump-power grid in any order runs, and its CSV rows keep that order."""

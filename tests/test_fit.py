@@ -87,12 +87,12 @@ FD_ABSOLUTE_FLOOR = 1e-12
 
 
 def fd_jacobian(problem, params):
-    """Forward-difference Jacobian of the weighted residual.
+    """Forward-difference Jacobian of the problem's residual.
 
     Each step is relative to the parameter, with an absolute floor, and
     steps back off the upper bound when needed.
     """
-    r0 = fit_module._weighted_residual(problem, params)
+    r0 = fit_module._residual(problem, params)
     jac = np.empty((len(r0), len(params)))
     for j in range(len(params)):
         h = max(FD_RELATIVE_STEP * abs(params[j]), FD_ABSOLUTE_FLOOR)
@@ -100,7 +100,7 @@ def fd_jacobian(problem, params):
             h = -h
         stepped = params.copy()
         stepped[j] += h
-        jac[:, j] = (fit_module._weighted_residual(problem, stepped) - r0) / h
+        jac[:, j] = (fit_module._residual(problem, stepped) - r0) / h
     return jac
 
 
@@ -168,19 +168,19 @@ class TestLeastSquares:
     @pytest.mark.parametrize("factor", [1e6, 1e-6])
     def test_rescaled_parameter_takes_the_same_steps(self, rng, factor):
         """The damping shifts each diagonal entry of J^T J in proportion to
-        itself, so a parameter in other units takes the same steps."""
+        itself, so a parameter in other units takes the same steps.  Residual
+        and Jacobian are divided by the noise level, 0.01."""
         x = np.linspace(0.0, 2.0, 40)
         y = 1.5 * np.exp(-1.3 * x) + 0.01 * rng.standard_normal(40)
         results = []
         for scale in (np.ones(2), np.array([factor, 1.0])):
             def jacobian(q, scale=scale):
-                return exponential_jacobian(x)(q / scale) / scale
+                return exponential_jacobian(x)(q / scale) / scale / 0.01
 
             results.append(least_squares(FitProblem(
-                residual=lambda q, scale=scale: q[0] / scale[0] * np.exp(q[1] * x) - y,
+                residual=lambda q, scale=scale: (q[0] / scale[0] * np.exp(q[1] * x) - y) / 0.01,
                 jacobian=jacobian,
                 initial_guess=np.array([1.0, -1.0]) * scale,
-                weights=np.full(40, 0.01),
             )))
             results[-1].parameters /= scale
         base, rescaled = results
@@ -342,15 +342,6 @@ class TestLeastSquares:
         np.testing.assert_array_equal(a.parameters, b.parameters)
         assert visited_a == visited_b
         assert a.iterations == b.iterations
-
-    def test_weights_change_solution(self):
-        x = np.array([0.0, 1.0, 2.0, 3.0])
-        y = np.array([0.0, 1.0, 2.0, 9.0])
-        plain = least_squares(linear_problem(x, y))
-        weighted = least_squares(
-            linear_problem(x, y, weights=np.array([1e-3, 1e-3, 1e-3, 1e3]))
-        )
-        assert abs(weighted.parameters[1] - 1.0) < abs(plain.parameters[1] - 1.0)
 
     def test_covariance_shrinks_with_sample_size(self, rng):
         x_all = rng.uniform(0.0, 10.0, 400)
@@ -527,6 +518,29 @@ class TestDeltaNPipeline:
         sweep = SweepData([0.0, 1.0, 2.0, 3.0], [0.2, 0.3, 1.3, 0.4])
         with pytest.raises(ValueError, match=r"point 2: reflectivity 1\.3 outside the reachable"):
             fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.01])
+    def test_sigma_not_positive_rejected_by_point(self, coupler30, bad):
+        sweep = SweepData([0.0, 1.0, 2.0, 3.0], [0.2, 0.3, 0.35, 0.4], [0.01, 0.01, 0.01, bad])
+        with pytest.raises(ValueError, match=rf"30\.0 C sweep point 3: sigma {bad!r} must be > 0"):
+            fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
+
+    def test_outlier_sigma_moves_the_law(self, coupler30):
+        """A point 0.05 above a noise-free sweep pulls the law when every sigma
+        is 0.01; a sigma of 1e3 on it takes it out, and the truth returns."""
+        value = synthetic_sweep(self.truth, coupler30, self.powers).value
+        value[8] += 0.05
+        equal = np.full(len(value), 0.01)
+        discounted = equal.copy()
+        discounted[8] = 1e3
+        pulled, restored = (
+            fit_delta_n_from_reflectivity({30.0: SweepData(self.powers, value, sigma)}, coupler30)
+            [30.0].params
+            for sigma in (equal, discounted)
+        )
+        assert abs(pulled.c - self.truth.c) > 0.02
+        assert restored.a == pytest.approx(self.truth.a, rel=1e-6)
+        assert restored.c == pytest.approx(self.truth.c, abs=1e-6)
 
     def test_too_few_points_rejected(self, coupler30):
         sweep = SweepData([0.0, 1.0, 2.0], [0.16, 0.17, 0.18])
@@ -827,28 +841,28 @@ class TestAnalyticJacobians:
         self.assert_matches_differences(problems[0], points)
 
     def test_sweep_jacobian_with_weights(self, monkeypatch, coupler30):
+        """The problem's Jacobian is divided by the sweep's sigma."""
         sweep = seeded_sweep(coupler30)
+        assert sweep.sigma is not None
         problems = capture_problems(monkeypatch)
         fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
         (problem,) = problems
-        assert problem.weights is not None
         rng = np.random.default_rng(12)
         for params in rng.uniform(0.0, 1.0, (20, 2)) * problem.upper_bounds:
-            analytic = fit_module._jacobian(problem, params)
+            analytic = problem.jacobian(params)
             numeric = complex_step_sweep_jacobian(coupler30, sweep, params)
             error = np.max(np.abs(analytic - numeric), axis=0)
             assert np.all(error <= 1e-5 * np.max(np.abs(numeric), axis=0)), params
 
-
     def test_sweep_jacobian_without_weights(self, monkeypatch, coupler30):
         sweep = synthetic_sweep(TestDeltaNPipeline.truth, coupler30, TestDeltaNPipeline.powers)
+        assert sweep.sigma is None
         problems = capture_problems(monkeypatch)
         fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
         (problem,) = problems
-        assert problem.weights is None
         rng = np.random.default_rng(14)
         for params in rng.uniform(0.0, 1.0, (20, 2)) * problem.upper_bounds:
-            analytic = fit_module._jacobian(problem, params)
+            analytic = problem.jacobian(params)
             numeric = complex_step_sweep_jacobian(coupler30, sweep, params)
             error = np.max(np.abs(analytic - numeric), axis=0)
             assert np.all(error <= 1e-5 * np.max(np.abs(numeric), axis=0)), params
@@ -1016,12 +1030,12 @@ def seeded_sweep(geometry):
 class TestResidualEvaluationCounts:
     """Deterministic guard on fit work: exact residual, Jacobian and descent counts."""
 
-    TRACE_COUNTS = {"_weighted_residual": 5, "_jacobian": 5, "least_squares": 1}
-    SWEEP_COUNTS = {"_weighted_residual": 7, "_jacobian": 7, "least_squares": 1}
+    TRACE_COUNTS = {"_residual": 5, "_jacobian": 5, "least_squares": 1}
+    SWEEP_COUNTS = {"_residual": 7, "_jacobian": 7, "least_squares": 1}
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        return count_calls(monkeypatch, "_weighted_residual", "_jacobian", "least_squares")
+        return count_calls(monkeypatch, "_residual", "_jacobian", "least_squares")
 
     def test_seeded_noisy_trace_fit(self, calls):
         trace, cavity = synthetic_trace(noise=0.02, rng=np.random.default_rng(4000))
@@ -1062,14 +1076,14 @@ class TestResidualEvaluationCounts:
         trace, cavity = synthetic_trace(noise=0.02, rng=np.random.default_rng(4000))
         fit = fit_fpi_trace(trace, cavity, LAM, 30.0)
         assert calls == {"_trace_model": 5}
-        assert fit.result.residual_evaluations == self.TRACE_COUNTS["_weighted_residual"]
+        assert fit.result.residual_evaluations == self.TRACE_COUNTS["_residual"]
         assert fit.result.jacobian_evaluations == self.TRACE_COUNTS["_jacobian"]
 
     def test_sweep_fit_reports_counts(self, coupler30):
         (outcome,) = fit_delta_n_from_reflectivity(
             {30.0: seeded_sweep(coupler30)}, coupler30
         ).values()
-        assert outcome.result.residual_evaluations == self.SWEEP_COUNTS["_weighted_residual"]
+        assert outcome.result.residual_evaluations == self.SWEEP_COUNTS["_residual"]
         assert outcome.result.jacobian_evaluations == self.SWEEP_COUNTS["_jacobian"]
 
     def test_coupler_model_calls(self, monkeypatch, coupler30):

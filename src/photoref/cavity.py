@@ -57,8 +57,9 @@ class FpiCavity:
     """Parasitic Fabry-Perot formed by the chip end-facets.
 
     Per-facet reflectivities are configuration inputs (one per wavelength
-    band, so coated facets can be modelled).  Angle-polished facets suppress
-    the cavity entirely: transmission is 1 independent of phase.
+    band, so coated facets can be modelled).  Angle-polished facets reflect
+    nothing back into the guided mode: ``reflectivity_at`` is 0 there, so
+    the finesse is 0 and the transmission is 1 independent of phase.
     """
 
     length_mm: float
@@ -77,6 +78,9 @@ class FpiCavity:
                 raise ValueError("facet reflectivities must lie in [0, 1)")
 
     def reflectivity_at(self, wavelength_nm: float) -> float:
+        """Facet reflectivity into the guided mode: 0 for angled facets."""
+        if self.angled_facets:
+            return 0.0
         if wavelength_nm < _BAND_SPLIT_NM:
             return self.facet_reflectivity_pump
         return self.facet_reflectivity_probe
@@ -88,8 +92,7 @@ class FpiCavity:
         """``(F, 2*pi*L/lambda)``: the coefficient of finesse, 0 for angled
         facets, and the cavity phase psi per unit index, psi = (2*pi*L/lambda)*n."""
         r = self.reflectivity_at(wavelength_nm)
-        coefficient = 0.0 if self.angled_facets else finesse(r, r)[0]
-        return coefficient, 2.0 * math.pi * self.length_mm * 1e6 / wavelength_nm
+        return finesse(r, r)[0], 2.0 * math.pi * self.length_mm * 1e6 / wavelength_nm
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,7 @@ def fpi_characteristics(
     fsr_pm = wavelength_nm**2 / (2.0 * n_eff * length_nm) * 1000.0
     r = cavity.reflectivity_at(wavelength_nm)
     coefficient, conventional = finesse(r, r)
-    if cavity.angled_facets or coefficient <= 1.0:
+    if coefficient <= 1.0:
         return fsr_pm, None
     return fsr_pm, fsr_pm / conventional
 
@@ -175,7 +178,7 @@ def simulate_fpi_trace(
     probe_wavelength_nm: float,
     temperature_c: float,
     sample_period_s: float,
-    duration_s: float | None = None,
+    duration_s: float,
 ) -> Trace:
     """Probe transmission versus time while the pump schedule drives dn(t).
 
@@ -189,8 +192,6 @@ def simulate_fpi_trace(
         raise ValueError("sample period must be > 0")
     if not schedule.segments:
         raise ValueError("pump schedule is empty")
-    if duration_s is None:
-        duration_s = schedule.horizon_s
     if not duration_s >= 0:
         raise ValueError(f"duration_s must be >= 0, got {duration_s!r}")
     ratio = duration_s / sample_period_s
@@ -210,8 +211,7 @@ def simulate_fpi_trace(
 
 
 def delta_n_to_detuning(
-    cavity: SqueezerCavity, delta_n: float, wavelength_nm: float,
-    temperature_c: float = 30.0,
+    cavity: SqueezerCavity, delta_n: float, wavelength_nm: float, temperature_c: float
 ) -> float:
     """Normalized cavity detuning produced by an index shift.
 

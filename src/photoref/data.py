@@ -3,8 +3,9 @@
 Two container kinds are used throughout: time traces (transmission versus
 time, holding only the samples a fit uses) and power sweeps (a quantity
 versus pump power in the order given, optionally with per-point standard
-deviations).  A trace file may carry a ``masked`` column: its rows marked
-non-zero, e.g. spoilt by mode hopping, are dropped when the file is read.
+deviations).  A trace file has exactly the columns ``time_s,transmission``;
+samples spoilt by mode hopping are excluded by the fit's mask intervals
+(``run.fit_fpi.mask_intervals_s``), never by the file.
 CSV files are UTF-8, comma-separated, one header row with ``name_unit``
 column names, blank and ``#``-prefixed comment lines ignored, floats
 rendered with 17 significant digits so containers round-trip bit-exactly.
@@ -39,7 +40,6 @@ _FLOAT_FMT = "%.17g"
 
 TRACE_TIME_COLUMN = "time_s"
 TRACE_VALUE_COLUMN = "transmission"  # T/T_max, the fraction of the fringe maximum
-TRACE_MASK_COLUMN = "masked"
 SWEEP_POWER_COLUMN = "pump_power_mW"
 SWEEP_VALUE_COLUMN = "value"
 SWEEP_SIGMA_COLUMN = "sigma"
@@ -182,13 +182,7 @@ def _read_columns(path, required: list[str], optional: list[str], build):
 
 
 def _trace_from_columns(cols: dict[str, np.ndarray]) -> Trace:
-    # Every row is checked, masked or not; a NaN in ``masked`` masks its row.
-    trace = Trace(cols[TRACE_TIME_COLUMN], cols[TRACE_VALUE_COLUMN])
-    masked = cols.get(TRACE_MASK_COLUMN)
-    if masked is None:
-        return trace
-    keep = masked == 0.0
-    return Trace(trace.time_s[keep], trace.value[keep])
+    return Trace(cols[TRACE_TIME_COLUMN], cols[TRACE_VALUE_COLUMN])
 
 
 def _sweep_from_columns(cols: dict[str, np.ndarray]) -> SweepData:
@@ -198,11 +192,8 @@ def _sweep_from_columns(cols: dict[str, np.ndarray]) -> SweepData:
 
 
 def read_trace_csv(path) -> Trace:
-    """Load a trace without its masked rows, which pass the same checks first."""
-    return _read_columns(
-        path, [TRACE_TIME_COLUMN, TRACE_VALUE_COLUMN], [TRACE_MASK_COLUMN],
-        _trace_from_columns,
-    )
+    """Load a trace; every row is kept and checked."""
+    return _read_columns(path, [TRACE_TIME_COLUMN, TRACE_VALUE_COLUMN], [], _trace_from_columns)
 
 
 def read_sweep_csv(path) -> SweepData:

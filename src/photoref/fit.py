@@ -31,7 +31,7 @@ import numpy as np
 from .cavity import FpiCavity, airy_transmission
 from .coupler import CouplerGeometry, coupler_reflectivity
 from .data import SweepData, Trace
-from .material import PhotorefractionParams
+from .material import PhotorefractionParams, delta_n_steady
 
 __all__ = [
     "FitError",
@@ -331,7 +331,7 @@ def fit_delta_n_from_reflectivity(
 ) -> dict[float, DeltaNFit]:
     """Recover the saturable index-shift law from reflectivity sweeps.
 
-    One forward fit per temperature: the law |dn| = a*P/(b + c*P) gives the
+    One forward fit per temperature: the law |dn| = a*P/(b + c*P), P >= 0, gives the
     mismatch delta_beta = 2*pi*|dn|/lambda, the coupled-mode model gives R
     from it, and LM fits R itself, its residual divided by the sweep's sigma
     (each > 0) when it has one.  The law is invariant under common rescaling
@@ -348,34 +348,36 @@ def fit_delta_n_from_reflectivity(
             raise ValueError(
                 f"{temperature} C sweep has {len(sweep)} points; need at least 4"
             )
-        outside = ~((sweep.value >= 0.0) & (sweep.value <= 1.0))
-        if np.any(outside):
-            i = int(np.flatnonzero(outside)[0])
-            raise ValueError(
-                f"{temperature} C sweep point {i}: reflectivity {float(sweep.value[i])!r} "
-                "outside the reachable range of the coupler model"
-            )
-        if sweep.sigma is not None and np.any(sweep.sigma <= 0.0):
-            i = int(np.flatnonzero(sweep.sigma <= 0.0)[0])
-            raise ValueError(
-                f"{temperature} C sweep point {i}: sigma {float(sweep.sigma[i])!r} must be > 0"
-            )
-        result = _fit_sweep(sweep, geometry, to_beta)
+        # A sweep without sigma has sigma 1 (x/1.0 is exact).
+        sigma = np.ones(len(sweep)) if sweep.sigma is None else sweep.sigma
+        for name, values, ok, rule in (
+            ("pump power", sweep.abscissa, sweep.abscissa >= 0.0, "must be >= 0"),
+            ("reflectivity", sweep.value, (sweep.value >= 0.0) & (sweep.value <= 1.0),
+             "outside the reachable range of the coupler model"),
+            ("sigma", sigma, sigma > 0.0, "must be > 0"),
+        ):
+            if not ok.all():
+                i = int(np.flatnonzero(~ok)[0])
+                raise ValueError(
+                    f"{temperature} C sweep point {i}: {name} {float(values[i])!r} {rule}"
+                )
+        result = _fit_sweep(sweep, sigma, geometry, to_beta)
         a, c = (float(x) for x in result.parameters)
-        powers = sweep.abscissa
+        params = PhotorefractionParams(a=a, b=_GAUGE_B_MW, c=c)
         outcomes[temperature] = DeltaNFit(
-            params=PhotorefractionParams(a=a, b=_GAUGE_B_MW, c=c),
-            delta_n_points=SweepData(powers, a * powers / (_GAUGE_B_MW + c * powers)),
+            params=params,
+            delta_n_points=SweepData(sweep.abscissa, -delta_n_steady(params, sweep.abscissa)),
             result=result,
         )
     return outcomes
 
 
-def _fit_sweep(sweep: SweepData, geometry: CouplerGeometry, to_beta: float) -> FitResult:
+def _fit_sweep(
+    sweep: SweepData, sigma: np.ndarray, geometry: CouplerGeometry, to_beta: float
+) -> FitResult:
     """LM fit of (a, c) to one sweep's R, each residual over its sigma, from the
-    cheapest point of the scan; a sweep without sigma has sigma 1 (x/1.0 is exact)."""
+    cheapest point of the scan."""
     powers = sweep.abscissa
-    sigma = np.ones(len(powers)) if sweep.sigma is None else sweep.sigma
     k2 = 4.0 * geometry.coupling_constant_per_mm**2
     length = geometry.interaction_length_mm
 

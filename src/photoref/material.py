@@ -330,10 +330,6 @@ class PumpSchedule:
                 )
         object.__setattr__(self, "segments", segs)
 
-    @property
-    def horizon_s(self) -> float:
-        return self.segments[-1].end_s if self.segments else 0.0
-
 
 def _segment_conditions(
     params: PhotorefractionParams, segment: PumpSegment

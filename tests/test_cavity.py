@@ -138,7 +138,7 @@ class TestTraceSimulation:
     def test_zero_power_constant(self, fpi, params30):
         """With no pump the trace holds the Airy level at phi0, worked by hand."""
         schedule = PumpSchedule([PumpSegment(0.0, 10.0, 0.0)])
-        trace = simulate_fpi_trace(fpi, schedule, params30, LAM, T_C, 0.1)
+        trace = simulate_fpi_trace(fpi, schedule, params30, LAM, T_C, 0.1, 10.0)
         phase0 = 2 * math.pi * 15e6 * 2.13 / LAM
         level = 1.0 / (1.0 + 0.56 / 0.7396 * math.sin(phase0) ** 2)
         assert np.ptp(trace.value) == 0.0
@@ -147,13 +147,13 @@ class TestTraceSimulation:
     def test_angled_cavity_constant(self, material, params30):
         cavity = FpiCavity(15.0, 0.14, 0.13, material, angled_facets=True)
         schedule = PumpSchedule([PumpSegment(0.0, 40.0, 5.0)])
-        trace = simulate_fpi_trace(cavity, schedule, params30, LAM, T_C, 0.1)
+        trace = simulate_fpi_trace(cavity, schedule, params30, LAM, T_C, 0.1, 40.0)
         assert np.ptp(trace.value) < 1e-12
 
     def test_pump_on_produces_full_oscillation(self, fpi, params30):
         """5 mW at 30 C sweeps more than two half-periods of transmission."""
         schedule = PumpSchedule([PumpSegment(10.0, 120.0, 5.0)])
-        trace = simulate_fpi_trace(fpi, schedule, params30, LAM, T_C, 0.02)
+        trace = simulate_fpi_trace(fpi, schedule, params30, LAM, T_C, 0.02, 120.0)
         values = trace.value
         interior = np.flatnonzero(
             (values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])
@@ -167,7 +167,7 @@ class TestTraceSimulation:
 
     def test_empty_schedule_rejected(self, fpi, params30):
         with pytest.raises(ValueError, match="empty"):
-            simulate_fpi_trace(fpi, PumpSchedule([]), params30, LAM, T_C, 0.1)
+            simulate_fpi_trace(fpi, PumpSchedule([]), params30, LAM, T_C, 0.1, 10.0)
 
     @pytest.mark.parametrize("period", [1e-6, 5e-324])
     def test_oversized_grid_refused(self, fpi, params30, period):
@@ -180,7 +180,7 @@ class TestTraceSimulation:
     def test_is_the_airy_transmission_of_the_shift(self, fpi, params30):
         """T/T_max at dn(t), bit for bit: not divided by the pre-pump level."""
         schedule = PumpSchedule([PumpSegment(10.0, 40.0, 5.0)])
-        trace = simulate_fpi_trace(fpi, schedule, params30, LAM, T_C, 0.5)
+        trace = simulate_fpi_trace(fpi, schedule, params30, LAM, T_C, 0.5, 40.0)
         dn = delta_n_temporal(params30, schedule, trace.time_s)
         np.testing.assert_array_equal(trace.value, transmission(fpi, LAM, T_C, dn))
 
@@ -189,7 +189,7 @@ class TestTraceSimulation:
         from photoref.material import delta_n_steady
 
         schedule = PumpSchedule([PumpSegment(0.0, 30.0, 5.0)])
-        trace = simulate_fpi_trace(fpi, schedule, params30, LAM, T_C, 1.0)
+        trace = simulate_fpi_trace(fpi, schedule, params30, LAM, T_C, 1.0, 30.0)
         n_eff = 2.13
         coefficient = 0.56 / 0.7396
         phase0 = 2 * math.pi * 15e6 * n_eff / LAM
@@ -203,11 +203,11 @@ class TestTraceSimulation:
 
 class TestDetuning:
     def test_zero_shift(self, squeezer):
-        assert delta_n_to_detuning(squeezer, 0.0, LAM) == 0.0
+        assert delta_n_to_detuning(squeezer, 0.0, LAM, T_C) == 0.0
 
     def test_linear_in_shift(self, squeezer):
-        one = delta_n_to_detuning(squeezer, 1e-5, LAM)
-        two = delta_n_to_detuning(squeezer, 2e-5, LAM)
+        one = delta_n_to_detuning(squeezer, 1e-5, LAM, T_C)
+        two = delta_n_to_detuning(squeezer, 2e-5, LAM, T_C)
         assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_hand_chain_for_reference_cavity(self, squeezer):
@@ -218,10 +218,10 @@ class TestDetuning:
         t_rt = 2 * n * 15e-3 / SPEED_OF_LIGHT_M_S
         kappa = (1 - math.sqrt(0.77 * 0.99)) / t_rt
         expected = domega / kappa
-        got = delta_n_to_detuning(squeezer, 2.6e-5, LAM)
+        got = delta_n_to_detuning(squeezer, 2.6e-5, LAM, T_C)
         assert got == pytest.approx(expected, rel=1e-9)
         assert got == pytest.approx(25.0, abs=0.5)
 
     def test_rejects_large_shift(self, squeezer):
         with pytest.raises(ValueError):
-            delta_n_to_detuning(squeezer, 0.5, LAM)
+            delta_n_to_detuning(squeezer, 0.5, LAM, T_C)

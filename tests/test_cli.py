@@ -234,6 +234,34 @@ class TestSubcommands:
         )
         assert manifest["outputs"] == []
 
+    def test_fit_dn_names_the_pump_power_it_refuses(self, config_path, tmp_path):
+        """A negative pump power is refused by its point, not by a numpy error."""
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "coupler_sweep_T30.csv"
+        path.write_text("pump_power_mW,value\n0,0.5\n-1,0.52\n2,0.55\n4,0.6\n", encoding="utf-8")
+        assert run("fit-dn", config_path, out) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["error"] == (
+            f"run.fit_dn.inputs[0].path ({path}): 30.0 C sweep point 1: pump power -1.0 must be >= 0"
+        )
+        assert manifest["outputs"] == []
+
+    def test_fpi_char_with_angled_facets_reports_no_finesse(self, config_path, tmp_path):
+        """Angled facets reflect nothing into the guided mode: F = 0, as the
+        trace simulator and the trace fit use."""
+        payload = yaml.safe_load(Path(config_path).read_text())
+        payload["devices"] = {"fpi": {"angled_facets": True}}
+        angled = tmp_path / "angled.yaml"
+        angled.write_text(yaml.safe_dump(payload))
+        out = tmp_path / "out"
+        assert run("fpi-char", str(angled), out) == 0
+        report = json.loads((out / "fpi_characteristics.json").read_text())
+        for key in ("1550", "775"):
+            assert report[key]["coefficient_of_finesse"] == 0.0
+            assert report[key]["conventional_finesse"] == 0.0
+            assert report[key]["fwhm_pm"] is None
+
 
 class TestUnsortedGrids:
     """A pump-power grid in any order runs, and its CSV rows keep that order."""
@@ -937,6 +965,28 @@ class TestMaskedFit:
         fitted = json.loads((out / "fit_fpi.json").read_text())
         expected = -1.1e-4 * 5.0 / (10.0 + 0.02 * 5.0)
         assert fitted["fitted"]["delta_n_total"] == pytest.approx(expected, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "rows, refusal",
+        [
+            ("0,1\n1,nan\n2,1\n", "non-finite value in value at index 1"),
+            ("0,1\n2,1\n1,1\n3,1\n", "time must be strictly increasing (sample 2)"),
+        ],
+        ids=["nan-value", "time-reversal"],
+    )
+    def test_rows_inside_a_mask_interval_are_checked(self, config_path, tmp_path, rows, refusal):
+        """Masking applies to a trace the reader has checked row by row."""
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "fpi_trace.csv"
+        path.write_text("time_s,transmission\n" + rows, encoding="utf-8")
+        payload = yaml.safe_load(Path(config_path).read_text())
+        payload["run"]["fit_fpi"]["mask_intervals_s"] = [[0.5, 2.5]]
+        masked_config = tmp_path / "masked.yaml"
+        masked_config.write_text(yaml.safe_dump(payload))
+        assert run("fit-fpi", str(masked_config), out) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["error"] == f"{path}: {refusal}"
 
 
 class TestGenerateDatasets:

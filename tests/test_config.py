@@ -447,10 +447,11 @@ def _perturbed(value):
 def _device_readout(config: Config) -> np.ndarray:
     """Fixed model calls over every device the configuration builds."""
     fpi, schedule = config.fpi_cavity(), PumpSchedule([PumpSegment(0.0, 1.0, 5.0)])
-    values = [simulate_fpi_trace(fpi, schedule, config.photorefraction(30.0), lam, 30.0, 0.5).value
+    values = [simulate_fpi_trace(fpi, schedule, config.photorefraction(30.0), lam, 30.0, 0.5,
+                                 1.0).value
               for lam in (1550.0, 775.0)]
     values += [fpi_characteristics(fpi, lam, 30.0)[0] for lam in (1550.0, 775.0)]
-    values.append(delta_n_to_detuning(config.squeezer_cavity(), -1e-6, 1550.0))
+    values.append(delta_n_to_detuning(config.squeezer_cavity(), -1e-6, 1550.0, 30.0))
     for name, build in (("coupler", config.coupler_geometry),
                         ("homodyne_coupler", config.homodyne_geometry)):
         for key in config.resolved["devices"][name]["coupling_constant_per_mm"]:

@@ -126,11 +126,12 @@ class TestCsvParsing:
         with pytest.raises(ValueError, match="row 3"):
             read_trace_csv(path)
 
-    def test_unknown_column_rejected(self, tmp_path):
+    @pytest.mark.parametrize("column", ["foo", "masked"])
+    def test_unknown_column_rejected(self, tmp_path, column):
+        """A trace has exactly two columns: a ``masked`` column is refused too."""
         path = tmp_path / "t.csv"
-        path.write_text("time_s,transmission,foo\n0.0,1.0,2.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="unexpected column"):
-            read_trace_csv(path)
+        path.write_text(f"time_s,transmission,{column}\n0.0,1.0,0.0\n", encoding="utf-8")
+        assert read_outcome(read_trace_csv, path) == f"{path}: unexpected column {column!r}"
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -143,19 +144,6 @@ class TestCsvParsing:
         path.write_text("time_s,transmission\n0.0,abc\n", encoding="utf-8")
         with pytest.raises(ValueError, match="row 2.*abc"):
             read_trace_csv(path)
-
-    def test_masked_interval_column(self, tmp_path):
-        path = tmp_path / "t.csv"
-        rows = ["time_s,transmission,masked"]
-        for t in range(120):
-            masked = 1.0 if 25.0 <= t <= 85.0 else 0.0
-            rows.append(f"{float(t)},1.0,{masked}")
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        trace = read_trace_csv(path)
-        np.testing.assert_array_equal(
-            trace.time_s, [t for t in range(120) if not 25.0 <= t <= 85.0]
-        )
-        np.testing.assert_array_equal(trace.value, np.ones(len(trace)))
 
 
 READERS = [read_trace_csv, read_sweep_csv]
@@ -227,15 +215,13 @@ class TestOneReader:
         rng = np.random.default_rng(seed)
         time = np.cumsum(rng.uniform(0.01, 1.0, rows))
         value = rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20)
-        masked = rng.uniform(size=rows) < 0.3
         path = tmp_path_factory.mktemp("trace") / "trace.csv"
-        write_columns_csv(path, ["time_s", "transmission", "masked"], [time, value, masked],
-                          comments=["seeded", "trace"])
+        write_trace_csv(path, Trace(time, value), comments=["seeded", "trace"])
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join(comment_lines(rng, lines)) + "\n", encoding="utf-8")
         back = read_trace_csv(path)
-        assert_bit_exact(back.time_s, time[~masked])
-        assert_bit_exact(back.value, value[~masked])
+        assert_bit_exact(back.time_s, time)
+        assert_bit_exact(back.value, value)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 20))
@@ -257,7 +243,7 @@ class TestOneReader:
     @pytest.mark.parametrize(
         "reader, content",
         [
-            (read_trace_csv, "# note\n\ntime_s,transmission,masked\n\n# end\n"),
+            (read_trace_csv, "# note\n\ntime_s,transmission\n\n# end\n"),
             (read_sweep_csv, "pump_power_mW,value,sigma\n"),
         ],
         ids=["trace", "sweep"],
@@ -316,13 +302,6 @@ class TestOneReader:
             (b'time_s,transmission\n0,"1.0\n1,2.0\n2,3.0\n', "row 2: unclosed quote"),
             (b'# c\n"time_s,transmission\n0,1.0\n', "row 2: unclosed quote"),
             (b'# say "hi\ntime_s,transmission\n0,1.0\n', ([0.0], [1.0])),
-            (b"time_s,transmission,masked\n0,1,0\n1,2,1\n2,3,0.5\n3,4,-1\n4,5,0\n",
-             ([0.0, 4.0], [1.0, 5.0])),
-            (b"time_s,transmission,masked\n0,1,0\n1,2,nan\n2,3,0\n", ([0.0, 2.0], [1.0, 3.0])),
-            (b"time_s,transmission,masked\n0,1,0\n1,nan,1\n2,3,0\n",
-             "non-finite value in value at index 1"),
-            (b"time_s,transmission,masked\n0,1,0\n2,2,1\n1,3,1\n3,4,0\n",
-             "time must be strictly increasing (sample 2)"),
         ],
         ids=[
             "inline-hash", "quoted-cell", "quoted-header", "crlf", "cr-only", "oversized-field",
@@ -330,7 +309,6 @@ class TestOneReader:
             "underscore-digits", "blank-cell-row", "repeated-column", "repeated-time",
             "row-is-file-line", "sample-is-index", "unclosed-only-row", "unclosed-last-row",
             "unclosed-runs-on", "unclosed-header", "quote-in-comment",
-            "masked-rows-dropped", "nan-mask-drops", "masked-nan-value", "masked-time-reversal",
         ],
     )
     def test_named_cases(self, tmp_path, content, expected):

@@ -525,6 +525,11 @@ class TestDeltaNPipeline:
         with pytest.raises(ValueError, match=rf"30\.0 C sweep point 3: sigma {bad!r} must be > 0"):
             fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
 
+    def test_negative_pump_power_rejected_by_point(self, coupler30):
+        sweep = SweepData([0.0, -1.0, 2.0, 3.0], [0.2, 0.52, 0.35, 0.4])
+        with pytest.raises(ValueError, match=r"30\.0 C sweep point 1: pump power -1\.0 must be >= 0"):
+            fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
+
     def test_outlier_sigma_moves_the_law(self, coupler30):
         """A point 0.05 above a noise-free sweep pulls the law when every sigma
         is 0.01; a sigma of 1e3 on it takes it out, and the truth returns."""
@@ -625,7 +630,7 @@ def synthetic_trace(dn_total=-8e-5, tau=5.0, n=481, horizon=24.0, noise=0.0, rng
     cavity = make_trace_cavity()
     params = PhotorefractionParams(a=-dn_total, b=1.0, c=0.0, tau_build_s=tau)
     schedule = PumpSchedule([PumpSegment(0.0, horizon, 1.0)])
-    trace = simulate_fpi_trace(cavity, schedule, params, LAM, 30.0, horizon / (n - 1))
+    trace = simulate_fpi_trace(cavity, schedule, params, LAM, 30.0, horizon / (n - 1), horizon)
     values = trace.value
     if noise > 0:
         values = values * (1.0 + noise * rng.standard_normal(len(values)))
@@ -1289,7 +1294,7 @@ class TestScanStarts:
         pump_on = 480.5 * step
         law = PhotorefractionParams(a=8e-5, b=1.0, c=0.0, tau_build_s=0.01)
         schedule = PumpSchedule([PumpSegment(pump_on, 24.0, 1.0)])
-        trace = simulate_fpi_trace(cavity, schedule, law, LAM, 30.0, step)
+        trace = simulate_fpi_trace(cavity, schedule, law, LAM, 30.0, step, 24.0)
         assert len(trace.time_s) == 483
         costs, _, fit = self.scan(monkeypatch, trace, cavity, pump_on)
         oracle = oracle_scan_costs(trace, cavity, pump_on)

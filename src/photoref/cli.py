@@ -58,13 +58,13 @@ def _fmt(value: float) -> str:
 
 
 def _refuse_repeats(where: str, values: list, names: list[str]) -> None:
-    """Refuse, by index, a grid entry whose output name an earlier entry has:
-    its output would overwrite that entry's.  ``where`` holds ``{}`` for the index."""
+    """Refuse a grid entry whose output name an earlier entry has: its output would
+    overwrite that entry's.  ``where`` holds ``{0}`` for the index, ``{1}`` for the value."""
     for i, name in enumerate(names):
         first = names.index(name)
         if first < i:
-            raise ConfigError(f"{where.format(i)}: {values[i]} names the same output"
-                              f" as {where.format(first)}")
+            raise ConfigError(f"{where.format(i, values[i])}: {values[i]} names the same output"
+                              f" as {where.format(first, values[first])}")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -164,22 +164,24 @@ def _run_fpi_char(runner: _Runner, section: dict) -> None:
 
 def _run_coupler_sweep(runner: _Runner, section: dict) -> None:
     config = runner.config
-    probe = section["probe_wavelength_nm"]
-    powers = section["pump_powers_mw"]
+    probe, powers = section["probe_wavelength_nm"], section["pump_powers_mw"]
     noise = section["noise_fraction"]
     rng = np.random.default_rng(runner.seed)
-    temperatures = section["temperatures_c"]
+    temperatures = config.temperatures("devices.coupler.coupling_constant_per_mm")
     names = [f"coupler_sweep_T{_fmt(t)}" for t in temperatures]
-    _refuse_repeats("run.coupler_sweep.temperatures_c[{}]", temperatures, names)
-    # Every temperature's tables are looked up before the first file is written.
+    _refuse_repeats("devices.coupler.coupling_constant_per_mm.{1}", temperatures, names)
+    # Every temperature's sweep is computed and checked before the first file is written.
     models = [(t, config.coupler_geometry(t), config.photorefraction(t)) for t in temperatures]
-    for name, (temperature, geometry, params) in zip(names, models):
-        sweep = reflectivity_vs_pump(geometry, params, probe, powers)
-        sigma = None
-        values = sweep.value
+    sweeps = [reflectivity_vs_pump(geometry, law, probe, powers) for _, geometry, law in models]
+    for t, sweep in zip(temperatures, sweeps):
+        zero = np.flatnonzero(sweep.value == 0.0)
+        if noise > 0 and zero.size:
+            raise ConfigError(f"run.coupler_sweep.noise_fraction: relative noise gives sigma 0"
+                              f" where R = 0, at {t} C and {powers[zero[0]]} mW")
+    for name, (temperature, geometry, _), sweep in zip(names, models, sweeps):
         if noise > 0:
-            sigma = noise * np.abs(values)
-            values = values * (1.0 + noise * rng.standard_normal(len(values)))
+            sigma = noise * np.abs(sweep.value)
+            values = sweep.value * (1.0 + noise * rng.standard_normal(len(sweep)))
             sweep = SweepData(sweep.abscissa, values, sigma)
         runner.write(f"{name}.csv", write_sweep_csv, sweep)
         runner.write_json(
@@ -192,7 +194,7 @@ def _run_coupler_sweep(runner: _Runner, section: dict) -> None:
                 "noise_fraction": noise,
                 "pump_power_mW": [float(x) for x in sweep.abscissa],
                 "value": [float(x) for x in sweep.value],
-                "sigma": None if sigma is None else [float(x) for x in sigma],
+                "sigma": None if sweep.sigma is None else [float(x) for x in sweep.sigma],
             },
         )
 
@@ -240,14 +242,13 @@ def _run_spdc_spectrum(runner: _Runner, section: dict) -> None:
     config = runner.config
     device = config.qpm_device()
     span, points = section["wavelength_span_nm"], section["points"]
-    temperatures, powers = section["temperatures_c"], section["pump_powers_mw"]
+    pumps, powers = section["pump_wavelength_nm"], section["pump_powers_mw"]
+    temperatures = config.temperatures("run.spdc_spectrum.pump_wavelength_nm")
     tags = [f"T{_fmt(t)}" for t in temperatures]
-    _refuse_repeats("run.spdc_spectrum.temperatures_c[{}]", temperatures, tags)
+    _refuse_repeats("run.spdc_spectrum.pump_wavelength_nm.{1}", temperatures, tags)
     power_tags = [f"P{_fmt(power)}" for power in powers]
     _refuse_repeats("run.spdc_spectrum.pump_powers_mw[{}]", powers, power_tags)
-    pumps = "run.spdc_spectrum.pump_wavelength_nm"
-    models = [(t, config.temperature_entry(pumps, t), config.photorefraction(t))
-              for t in temperatures]
+    models = [(t, pumps[repr(t)], config.photorefraction(t)) for t in temperatures]
     for tag, (temperature, lam_p, params) in zip(tags, models):
         grid = np.linspace(2 * lam_p - span / 2, 2 * lam_p + span / 2, points)
         for power_tag, power in zip(power_tags, powers):

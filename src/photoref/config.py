@@ -110,7 +110,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
         },
         "fpi_char": {"temperature_c": 30.0, "wavelengths_nm": [1550.0, 775.0]},
         "coupler_sweep": {
-            "temperatures_c": [30.0, 60.0, 90.0],
             "probe_wavelength_nm": 1550.0,
             "pump_powers_mw": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0],
             "noise_fraction": 0.0,
@@ -128,7 +127,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
             "omega_step": 0.05,
         },
         "spdc_spectrum": {
-            "temperatures_c": [30.0, 90.0],
             "pump_wavelength_nm": {"30.0": 770.73, "90.0": 774.63},
             "pump_powers_mw": [0.25, 1.0, 2.0, 5.0],
             "wavelength_span_nm": 220.0,
@@ -156,8 +154,8 @@ DEFAULT_CONFIG: dict[str, Any] = {
 
 
 # Maps keyed by data rather than by field name: any key of the given type is
-# allowed, and each entry has the shape of the first default entry.  Float
-# keys are temperatures, canonicalized so that "30" and "30.0" are one key.
+# allowed, and each entry has the shape of the first default entry.  Float keys
+# are in-range temperatures; "30" and "30.0" are one key, and one map may not hold both.
 _KEYED_MAPS = {
     "photorefraction": float,
     "devices.coupler.coupling_constant_per_mm": float,
@@ -219,7 +217,7 @@ _RANGES: dict[str, tuple[float, float, str]] = {
     "initial_squeezing_db": (_DB_FLOOR, 0.0, "[)"),
     **dict.fromkeys(("squeezing_db", "initial_levels_db"), (_DB_FLOOR, 0.0, "[]")),
     **dict.fromkeys(("reflectivity", "detection_efficiency"), (0.0, 1.0, "[]")),
-    **dict.fromkeys(("temperature_c", "temperatures_c"), (*TEMPERATURE_RANGE_C, "[]")),
+    "temperature_c": (*TEMPERATURE_RANGE_C, "[]"),
     **dict.fromkeys(("probe_wavelength_nm", "wavelengths_nm"), (*WAVELENGTH_RANGE_NM, "[]")),
     **dict.fromkeys(("pump_wavelength_nm", "spdc_pump_wavelength_nm"),
                     (*PUMP_WAVELENGTH_RANGE_NM, "[]")),
@@ -276,11 +274,15 @@ def _walk_schema(value: Any, node: Any, where: str, unknown: list[str]) -> Any:
         if not isinstance(value, Mapping):
             raise ConfigError(f"{where}: expected a mapping")
         keyed = next((k for k in node if isinstance(k, type)), None)
-        out = {}
-        for key, item in value.items():
-            at = f"{where}.{key}" if where else str(key)
-            if keyed:
-                key = (repr if keyed is float else str)(_coerce(key, keyed, f"{at} (key)"))
+        out, seen = {}, {}
+        for raw, item in value.items():
+            at = f"{where}.{raw}" if where else str(raw)
+            key = _coerce(raw, keyed, f"{at} (key)") if keyed else raw
+            if keyed is float:
+                _check_ranges(key, "temperature_c", f"{at} (key)")
+                key = repr(key)
+                if seen.setdefault(key, raw) is not raw:
+                    raise ConfigError(f'{where}: "{seen[key]}" and "{raw}" name one temperature')
             sub = node.get(keyed or key)
             if sub is None:
                 unknown.append(at)
@@ -349,6 +351,10 @@ class Config:
 
     # -- builders ------------------------------------------------------------
 
+    def temperatures(self, path: str) -> list[float]:
+        table = functools.reduce(operator.getitem, path.split("."), self.resolved)
+        return sorted(map(float, table))
+
     def temperature_entry(self, path: str, temperature_c: float) -> Any:
         """The entry at ``temperature_c`` of the temperature-keyed map at ``path``."""
         table = functools.reduce(operator.getitem, path.split("."), self.resolved)
@@ -368,9 +374,6 @@ class Config:
                 for mode, entry in section["modes"].items()
             }
             return MaterialModel.calibrated(targets, coeffs)
-
-    def photorefraction_temperatures(self) -> list[float]:
-        return sorted(float(k) for k in self.resolved["photorefraction"])
 
     def photorefraction(self, temperature_c: float) -> PhotorefractionParams:
         # Time constants left out fall back to the PhotorefractionParams defaults.
@@ -485,10 +488,10 @@ def _validate(config: Config) -> None:
     """Construct every configured domain object so invariants are enforced."""
     config.fpi_cavity()
     config.squeezer_cavity()
-    for t in config.photorefraction_temperatures():
+    for t in config.temperatures("photorefraction"):
         config.photorefraction(t)
     for name, build in (("coupler", config.coupler_geometry),
                         ("homodyne_coupler", config.homodyne_geometry)):
-        for key in config.resolved["devices"][name]["coupling_constant_per_mm"]:
-            build(float(key))
+        for t in config.temperatures(f"devices.{name}.coupling_constant_per_mm"):
+            build(t)
     config.qpm_device()

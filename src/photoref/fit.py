@@ -348,13 +348,14 @@ def fit_delta_n_from_reflectivity(
             raise ValueError(
                 f"{temperature} C sweep has {len(sweep)} points; need at least 4"
             )
-        # A sweep without sigma has sigma 1 (x/1.0 is exact).
+        # A sweep without sigma has sigma 1 (x/1.0 is exact) and no slack outside [0, 1].
         sigma = np.ones(len(sweep)) if sweep.sigma is None else sweep.sigma
+        slack = 0.0 if sweep.sigma is None else 5.0 * sigma
         for name, values, ok, rule in (
             ("pump power", sweep.abscissa, sweep.abscissa >= 0.0, "must be >= 0"),
-            ("reflectivity", sweep.value, (sweep.value >= 0.0) & (sweep.value <= 1.0),
-             "outside the reachable range of the coupler model"),
             ("sigma", sigma, sigma > 0.0, "must be > 0"),
+            ("reflectivity", sweep.value, (sweep.value >= -slack) & (sweep.value <= 1.0 + slack),
+             "outside the reachable range of the coupler model"),
         ):
             if not ok.all():
                 i = int(np.flatnonzero(~ok)[0])

@@ -380,7 +380,7 @@ def test_criterion_11_determinism(tmp_path):
             "schedule": [{"start_s": 5.0, "end_s": 30.0, "pump_power_mw": 5.0}],
         },
         "coupler_sweep": {
-            "temperatures_c": [30.0], "probe_wavelength_nm": LAM,
+            "probe_wavelength_nm": LAM,
             "pump_powers_mw": [0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
             "noise_fraction": 0.01,
         },
@@ -389,7 +389,7 @@ def test_criterion_11_determinism(tmp_path):
             "detection_efficiency": 1.0, "omega_max": 5.0, "omega_step": 0.1,
         },
         "spdc_spectrum": {
-            "temperatures_c": [30.0], "pump_wavelength_nm": {"30.0": 770.73},
+            "pump_wavelength_nm": {"30.0": 770.73},
             "pump_powers_mw": [0.25, 5.0], "wavelength_span_nm": 200.0,
             "points": 101,
         },

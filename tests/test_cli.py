@@ -31,7 +31,6 @@ TRIMMED_RUN = {
         "schedule": [{"start_s": 5.0, "end_s": 40.0, "pump_power_mw": 5.0}],
     },
     "coupler_sweep": {
-        "temperatures_c": [30.0, 90.0],
         "probe_wavelength_nm": 1550.0,
         "pump_powers_mw": [0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
         "noise_fraction": 0.01,
@@ -44,7 +43,6 @@ TRIMMED_RUN = {
         "omega_step": 0.1,
     },
     "spdc_spectrum": {
-        "temperatures_c": [30.0],
         "pump_wavelength_nm": {"30.0": 770.73},
         "pump_powers_mw": [0.25, 5.0],
         "wavelength_span_nm": 200.0,
@@ -276,7 +274,7 @@ class TestUnsortedGrids:
         out = tmp_path / "out"
         self.configure(config_path, "coupler_sweep", pump_powers_mw=[5.0, 0.0, 1.0])
         assert run("coupler-sweep", config_path, out) == 0
-        for name in ("coupler_sweep_T30", "coupler_sweep_T90"):
+        for name in ("coupler_sweep_T30", "coupler_sweep_T60", "coupler_sweep_T90"):
             assert read_sweep_csv(out / f"{name}.csv").abscissa.tolist() == [5.0, 0.0, 1.0]
             payload = json.loads((out / f"{name}.json").read_text())
             assert payload["pump_power_mW"] == [5.0, 0.0, 1.0]
@@ -326,6 +324,44 @@ class TestUnsortedGrids:
             np.testing.assert_array_equal(sweep.value, reference.value[permutation])
 
 
+class TestNoisySweepEnds:
+    """A noisy coupler sweep at the ends of R's range: coupler-sweep refuses a
+    point that its relative noise leaves with sigma 0, and fit-dn accepts a
+    draw within 5 sigma of the range."""
+
+    @staticmethod
+    def configure(config_path, coupling_constant_per_mm) -> None:
+        payload = yaml.safe_load(Path(config_path).read_text(encoding="utf-8"))
+        payload["devices"] = {"coupler": {"coupling_constant_per_mm": {
+            "30.0": coupling_constant_per_mm}}}
+        Path(config_path).write_text(yaml.safe_dump(payload), encoding="utf-8")
+
+    def test_zero_reflectivity_refused_before_any_file(self, config_path, tmp_path):
+        """k L = pi/2 gives R = 0 at 0 mW, where 1 % relative noise draws nothing."""
+        out = tmp_path / "out"
+        self.configure(config_path, 0.3653014713476504)
+        assert run("coupler-sweep", config_path, out) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["error"] == (
+            "run.coupler_sweep.noise_fraction: relative noise gives sigma 0"
+            " where R = 0, at 30.0 C and 0.0 mW"
+        )
+        assert manifest["outputs"] == []
+        assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
+
+    def test_reflectivity_drawn_above_one_is_fitted(self, config_path, tmp_path):
+        """k L = pi gives R = 1 at 0 mW; the example seed draws R = 1.00487
+        there, half a sigma above 1, and fit-dn fits the sweep."""
+        out = tmp_path / "out"
+        self.configure(config_path, 0.7306029426953008)
+        assert run("coupler-sweep", config_path, out, "--seed", "20260810") == 0
+        sweep = read_sweep_csv(out / "coupler_sweep_T30.csv")
+        assert 1.0 < sweep.value[0] < 1.0 + sweep.sigma[0]
+        assert run("fit-dn", config_path, out) == 0
+        fitted = json.loads((out / "fit_dn_T30.json").read_text())
+        assert fitted["converged"]
+
+
 class TestExitCodes:
     def test_missing_config_is_validation_error(self, tmp_path):
         assert main(
@@ -367,37 +403,59 @@ class TestExitCodes:
         assert any("devices.fpi.lenght_mm" in rec.getMessage() for rec in caplog.records)
         assert not out.exists()
 
+    def test_two_spellings_of_one_temperature_are_refused(self, tmp_path):
+        """Two keys naming 30 C, in the laws and in the coupler table: exit 1
+        before the output directory is made, both spellings named."""
+        law = {"b": 10.0, "c": 0.02}
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({
+            "photorefraction": {"30": {"a": 1.1e-4, **law}, "30.0": {"a": 5.0e-4, **law}},
+            "devices": {"coupler": {"coupling_constant_per_mm": {"30": 0.46, "30.00": 0.9}}},
+        }, sort_keys=False))
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "photoref.cli", "coupler-sweep", "--config", str(path),
+             "--out", str(out), "--quiet"],
+            env=src_env(), capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert 'photorefraction: "30" and "30.0" name one temperature' in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+
     def test_strict_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["fpi-char", "--config", "configs/example.yaml", "--out", str(tmp_path), "--strict"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "subcommand, section, payload, message",
+        "subcommand, payload, message",
         [
-            ("coupler-sweep", "coupler_sweep", {"temperatures_c": [30, 30]},
-             "run.coupler_sweep.temperatures_c[1]: 30.0 names the same output"
-             " as run.coupler_sweep.temperatures_c[0]"),
-            ("spdc-spectrum", "spdc_spectrum", {"pump_powers_mw": [1, 1]},
+            ("coupler-sweep",
+             {"devices": {"coupler": {"coupling_constant_per_mm": {"30.0000001": 0.46}}}},
+             "devices.coupler.coupling_constant_per_mm.30.0000001: 30.0000001 names the"
+             " same output as devices.coupler.coupling_constant_per_mm.30.0"),
+            ("spdc-spectrum", {"run": {"spdc_spectrum": {"pump_powers_mw": [1, 1]}}},
              "run.spdc_spectrum.pump_powers_mw[1]: 1.0 names the same output"
              " as run.spdc_spectrum.pump_powers_mw[0]"),
-            ("spdc-spectrum", "spdc_spectrum",
-             {"temperatures_c": [30, 30.0000001],
-              "pump_wavelength_nm": {"30": 770.73, "30.0000001": 770.73}},
-             "run.spdc_spectrum.temperatures_c[1]: 30.0000001 names the same output"
-             " as run.spdc_spectrum.temperatures_c[0]"),
-            ("opo-spectrum", "opo_spectrum", {"detunings": [0.5, 1.0, 0.5]},
+            ("spdc-spectrum",
+             {"run": {"spdc_spectrum": {"pump_wavelength_nm": {"30.0000001": 770.73}}}},
+             "run.spdc_spectrum.pump_wavelength_nm.30.0000001: 30.0000001 names the"
+             " same output as run.spdc_spectrum.pump_wavelength_nm.30.0"),
+            ("opo-spectrum", {"run": {"opo_spectrum": {"detunings": [0.5, 1.0, 0.5]}}},
              "run.opo_spectrum.detunings[2]: 0.5 names the same output"
              " as run.opo_spectrum.detunings[0]"),
-            ("squeeze-budget", "squeeze_budget", {"initial_levels_db": [-3.0, -3.0000001]},
+            ("squeeze-budget",
+             {"run": {"squeeze_budget": {"initial_levels_db": [-3.0, -3.0000001]}}},
              "run.squeeze_budget.initial_levels_db[1]: -3.0000001 names the same output"
              " as run.squeeze_budget.initial_levels_db[0]"),
-            ("fpi-char", "fpi_char", {"wavelengths_nm": [1550, 1550.0000001]},
+            ("fpi-char", {"run": {"fpi_char": {"wavelengths_nm": [1550, 1550.0000001]}}},
              "run.fpi_char.wavelengths_nm[1]: 1550.0000001 names the same output"
              " as run.fpi_char.wavelengths_nm[0]"),
-            ("fit-dn", "fit_dn",
-             {"inputs": [{"path": "missing_a.csv", "temperature_c": 30},
-                         {"path": "missing_b.csv", "temperature_c": 30.0000001}]},
+            ("fit-dn",
+             {"run": {"fit_dn": {"inputs": [
+                 {"path": "missing_a.csv", "temperature_c": 30},
+                 {"path": "missing_b.csv", "temperature_c": 30.0000001}]}}},
              "run.fit_dn.inputs[1].temperature_c: 30.0000001 names the same output"
              " as run.fit_dn.inputs[0].temperature_c"),
         ],
@@ -405,12 +463,13 @@ class TestExitCodes:
              "budget-level", "fpi-char-wavelength", "fit-dn-temperature"],
     )
     def test_grid_entry_naming_an_output_twice_is_refused(
-        self, tmp_path, subcommand, section, payload, message
+        self, tmp_path, subcommand, payload, message
     ):
-        """Two grid values that render to one file name would write that file
-        twice: refused by index before any data file is written."""
+        """Two grid values, or two temperature keys, that render to one file
+        name would write that file twice: refused by index or by key before
+        any data file is written."""
         path = tmp_path / "config.yaml"
-        path.write_text(yaml.safe_dump({"run": {section: payload}}))
+        path.write_text(yaml.safe_dump(payload))
         out = tmp_path / "out"
         assert main([subcommand, "--config", str(path), "--out", str(out), "--quiet"]) == 1
         manifest = json.loads((out / "run_manifest.json").read_text())
@@ -565,20 +624,18 @@ class TestExitCodes:
         [
             ("fpi-trace", {"run": {"fpi_trace": {"sample_period_s": 1.0e-9}}},
              ["sample_period_s", "duration_s"]),
-            ("spdc-spectrum", {"run": {"spdc_spectrum": {"temperatures_c": [60.0]}}},
-             ["run.spdc_spectrum.pump_wavelength_nm", "60"]),
-            ("coupler-sweep", {"run": {"coupler_sweep": {"temperatures_c": [30.0, 45.0]}}},
-             ["devices.coupler.coupling_constant_per_mm", "45"]),
-            ("spdc-spectrum", {"run": {"spdc_spectrum": {"temperatures_c": [30.0, 60.0]}}},
-             ["run.spdc_spectrum.pump_wavelength_nm", "60"]),
+            ("coupler-sweep",
+             {"devices": {"coupler": {"coupling_constant_per_mm": {"45": 0.47}}}},
+             ["photorefraction: no entry at 45.0 C"]),
+            ("spdc-spectrum", {"run": {"spdc_spectrum": {"pump_wavelength_nm": {"45": 772.0}}}},
+             ["photorefraction: no entry at 45.0 C"]),
         ],
-        ids=["trace-grid", "spdc-pump-map", "coupler-second-temperature",
-             "spdc-second-temperature"],
+        ids=["trace-grid", "coupler-second-temperature", "spdc-second-temperature"],
     )
     def test_refusal_logged_without_traceback(self, tmp_path, subcommand, payload, named):
-        """An oversized trace grid and a temperature missing from a
-        temperature-keyed map, also after a good one: exit 1, the refusal on
-        stderr, a failed manifest and no data file."""
+        """An oversized trace grid, and a key of a sweep's temperature-keyed
+        map that has no law, after a good one: exit 1, the refusal on stderr,
+        a failed manifest and no data file."""
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump(payload))
         out = tmp_path / "out"
@@ -712,8 +769,9 @@ class TestExitCodes:
             ("fpi-char", {"run": {"seed": "abc"}}, "run.seed: expected int, got 'abc'"),
             ("fit-fpi", {"run": {"fit_fpi": {"mask_intervals_s": [[1]]}}},
              "run.fit_fpi.mask_intervals_s[0]: expected a list of 2, got [1]"),
-            ("coupler-sweep", {"run": {"coupler_sweep": {"temperatures_c": [30, "abc"]}}},
-             "run.coupler_sweep.temperatures_c[1]: expected float, got 'abc'"),
+            ("coupler-sweep",
+             {"devices": {"coupler": {"coupling_constant_per_mm": {"30": 0.46, "abc": 0.5}}}},
+             "devices.coupler.coupling_constant_per_mm.abc (key): expected float, got 'abc'"),
             ("fpi-char", {"devices": {"fpi": {"angled_facets": "no"}}},
              "devices.fpi.angled_facets: expected bool, got 'no'"),
             ("fpi-trace",

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from photoref.cavity import delta_n_to_detuning, fpi_characteristics, simulate_fpi_trace
 from photoref.cli import main
 from photoref.config import (
+    _KEYED_MAPS,
     _SCHEMA,
     DEFAULT_CONFIG,
     Config,
@@ -169,6 +170,11 @@ class TestDerivedSchema:
              "devices.qpm.calibration.temperature"),
             ({"photorefraction": {"30.0": {"tau_bulid_s": 5.0}}},
              r"photorefraction\.30\.0\.tau_bulid_s"),
+            # A sweep runs at the keys of its own table, so no list names them.
+            ({"run": {"coupler_sweep": {"temperatures_c": [30.0]}}},
+             r"run\.coupler_sweep\.temperatures_c"),
+            ({"run": {"spdc_spectrum": {"temperatures_c": [30.0]}}},
+             r"run\.spdc_spectrum\.temperatures_c"),
         ],
     )
     def test_misspelled_key_rejected(self, tmp_path, payload, where):
@@ -196,6 +202,50 @@ class TestDerivedSchema:
         path = write_config(tmp_path, payload)
         with pytest.raises(ConfigError, match=f"^{where}: expected a mapping$"):
             parse_config(path)
+
+
+TEMPERATURE_MAPS = [path for path, kind in _KEYED_MAPS.items() if kind is float]
+
+
+def _with_map(path: str, table: dict) -> dict:
+    """A configuration that sets the keyed map at the dotted ``path`` to ``table``."""
+    for key in reversed(path.split(".")):
+        table = {key: table}
+    return table
+
+
+class TestTemperatureKeys:
+    """Every temperature-keyed map of the schema, one case each."""
+
+    @staticmethod
+    def default_entry(path: str):
+        return next(iter(functools.reduce(operator.getitem, path.split("."),
+                                          DEFAULT_CONFIG).values()))
+
+    @pytest.mark.parametrize("path", TEMPERATURE_MAPS)
+    @pytest.mark.parametrize("first, second", [("30", "30.0"), ("30.0", "30.00"), (30, "30.0")],
+                             ids=["30-30.0", "30.0-30.00", "int-30-30.0"])
+    def test_two_spellings_of_one_temperature_refused(self, tmp_path, path, first, second):
+        entry = self.default_entry(path)
+        payload = _with_map(path, {first: entry, "60": entry, second: entry})
+        message = f'{path}: "{first}" and "{second}" name one temperature'
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(write_config(tmp_path, payload))
+
+    @pytest.mark.parametrize("path", TEMPERATURE_MAPS)
+    @pytest.mark.parametrize("key", ["19.99", "200.01", "-40"])
+    def test_key_outside_the_temperature_range_refused_by_path(self, tmp_path, path, key):
+        payload = _with_map(path, {key: self.default_entry(path)})
+        message = f"{path}.{key} (key) must lie in [20.0, 200.0], got {float(key)!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(write_config(tmp_path, payload))
+
+    @pytest.mark.parametrize("path", TEMPERATURE_MAPS)
+    def test_keys_at_the_range_ends_accepted(self, tmp_path, path):
+        entry = self.default_entry(path)
+        config = parse_config(write_config(tmp_path, _with_map(path, {"20": entry,
+                                                                      "200": entry})))
+        assert {20.0, 200.0} <= set(config.temperatures(path))
 
 
 class TestMalformedValues:
@@ -516,14 +566,13 @@ RUN_LEAVES = [
 # matters, with the tables that a temperature leaf moved to 60 C looks up.
 RUN_BASE = copy.deepcopy(EXAMPLE_TREE)
 RUN_BASE["run"]["homodyne"]["squeezing_db"] = -3.0
-RUN_BASE["run"]["spdc_spectrum"]["pump_wavelength_nm"]["60.0"] = 772.0
 RUN_BASE["devices"]["homodyne_coupler"]["coupling_constant_per_mm"]["60.0"] = 0.48039
 
 
 def _run_perturbed(value, name):
     """A neighbour of a run value inside its key's range: a temperature moved
     to 60 C, an int lowered by one, a float scaled or moved off zero."""
-    if name in ("temperature_c", "temperatures_c"):
+    if name == "temperature_c":
         return 60.0
     if isinstance(value, int):
         return value - 1

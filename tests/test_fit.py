@@ -366,7 +366,6 @@ def synthetic_sweep(params, geometry, powers, noise_fraction=0.0, rng=None):
     if noise_fraction > 0:
         sigma = noise_fraction * np.abs(values)
         values = values * (1.0 + noise_fraction * rng.standard_normal(len(values)))
-        values = np.clip(values, 0.0, 1.0)
     return SweepData(sweep.abscissa, values, sigma)
 
 
@@ -514,9 +513,32 @@ class TestDeltaNPipeline:
         start = (fit_module._SWEEP_SCAN_A[i], fit_module._SWEEP_SCAN_C[j])
         np.testing.assert_array_equal(problem.initial_guess, start)
 
-    def test_reflectivity_above_one_rejected(self, coupler30):
-        sweep = SweepData([0.0, 1.0, 2.0, 3.0], [0.2, 0.3, 1.3, 0.4])
-        with pytest.raises(ValueError, match=r"point 2: reflectivity 1\.3 outside the reachable"):
+    @pytest.mark.parametrize(
+        "value, sigma, refused",
+        [
+            (1.049, 0.01, False),
+            (-0.049, 0.01, False),
+            (1.051, 0.01, True),
+            (-0.051, 0.01, True),
+            (1.3, None, True),
+            (1.001, None, True),
+            (50.0, 0.5, True),
+        ],
+        ids=["4.9-sigma-above", "4.9-sigma-below", "5.1-sigma-above", "5.1-sigma-below",
+             "above-one-without-sigma", "just-above-one-without-sigma", "percent"],
+    )
+    def test_reflectivity_refused_beyond_five_sigma_of_the_range(
+        self, coupler30, value, sigma, refused
+    ):
+        """A noisy R may lie up to 5 sigma outside [0, 1]; without a sigma it
+        may not, so a sweep written in percent stays refused either way."""
+        sigmas = None if sigma is None else [sigma] * 4
+        sweep = SweepData([0.0, 1.0, 2.0, 3.0], [0.2, 0.3, value, 0.4], sigmas)
+        if not refused:
+            fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
+            return
+        message = f"30.0 C sweep point 2: reflectivity {value!r} outside the reachable range"
+        with pytest.raises(ValueError, match=re.escape(message)):
             fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
 
     @pytest.mark.parametrize("bad", [0.0, -0.01])

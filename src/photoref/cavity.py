@@ -22,10 +22,12 @@ import numpy as np
 
 from .data import Trace
 from .material import (
+    BAND_SPLIT_NM,
     MaterialModel,
     PhotorefractionParams,
     PumpSchedule,
     delta_n_temporal,
+    guided_mode,
     refractive_index,
 )
 
@@ -47,19 +49,15 @@ __all__ = [
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
-# Wavelengths below this boundary use the pump-band facet reflectivity and
-# mode; at or above it, the probe band applies.
-_BAND_SPLIT_NM = 1000.0
-
 
 @dataclass(frozen=True)
 class FpiCavity:
     """Parasitic Fabry-Perot formed by the chip end-facets.
 
-    Per-facet reflectivities are configuration inputs (one per wavelength
-    band, so coated facets can be modelled).  Angle-polished facets reflect
-    nothing back into the guided mode: ``reflectivity_at`` is 0 there, so
-    the finesse is 0 and the transmission is 1 independent of phase.
+    Per-facet reflectivities are configuration inputs (one per band of
+    ``material.guided_mode``, so coated facets can be modelled).  Angle-polished
+    facets reflect nothing back into the guided mode: ``reflectivity_at`` is 0
+    there, so the finesse is 0 and the transmission is 1 independent of phase.
     """
 
     length_mm: float
@@ -67,8 +65,6 @@ class FpiCavity:
     facet_reflectivity_pump: float
     material: MaterialModel
     angled_facets: bool = False
-    probe_mode: str = "fundamental-telecom"
-    pump_mode: str = "fundamental-nir"
 
     def __post_init__(self):
         if self.length_mm <= 0:
@@ -81,12 +77,9 @@ class FpiCavity:
         """Facet reflectivity into the guided mode: 0 for angled facets."""
         if self.angled_facets:
             return 0.0
-        if wavelength_nm < _BAND_SPLIT_NM:
+        if wavelength_nm < BAND_SPLIT_NM:
             return self.facet_reflectivity_pump
         return self.facet_reflectivity_probe
-
-    def mode_for(self, wavelength_nm: float) -> str:
-        return self.pump_mode if wavelength_nm < _BAND_SPLIT_NM else self.probe_mode
 
     def airy_constants(self, wavelength_nm: float) -> tuple[float, float]:
         """``(F, 2*pi*L/lambda)``: the coefficient of finesse, 0 for angled
@@ -103,7 +96,6 @@ class SqueezerCavity:
     mirror_r1: float
     mirror_r2: float
     material: MaterialModel
-    mode: str = "fundamental-telecom"
 
     def __post_init__(self):
         if self.length_mm <= 0:
@@ -156,9 +148,8 @@ def fpi_characteristics(
     coefficient of finesse above 1; below that the FWHM is reported as
     ``None`` with the FSR still returned.
     """
-    n_eff = refractive_index(
-        cavity.material, wavelength_nm, temperature_c, cavity.mode_for(wavelength_nm)
-    )
+    n_eff = refractive_index(cavity.material, wavelength_nm, temperature_c,
+                             guided_mode(wavelength_nm))
     length_nm = cavity.length_mm * 1e6
     fsr_pm = wavelength_nm**2 / (2.0 * n_eff * length_nm) * 1000.0
     r = cavity.reflectivity_at(wavelength_nm)
@@ -202,9 +193,8 @@ def simulate_fpi_trace(
         )
     t = np.arange(int(math.floor(ratio)) + 1) * sample_period_s
     coefficient, scale = cavity.airy_constants(probe_wavelength_nm)
-    n_eff = refractive_index(
-        cavity.material, probe_wavelength_nm, temperature_c, cavity.mode_for(probe_wavelength_nm)
-    )
+    n_eff = refractive_index(cavity.material, probe_wavelength_nm, temperature_c,
+                             guided_mode(probe_wavelength_nm))
     dn = delta_n_temporal(params, schedule, t)
     tangent = np.tan(dn * scale + scale * n_eff % math.pi)
     return Trace(time_s=t, value=airy_transmission(coefficient, tangent))
@@ -221,9 +211,8 @@ def delta_n_to_detuning(
     """
     if abs(delta_n) >= 1e-2:
         raise ValueError("index shift out of the perturbative range (|dn| < 1e-2)")
-    n_eff = refractive_index(
-        cavity.material, wavelength_nm, temperature_c, cavity.mode
-    )
+    n_eff = refractive_index(cavity.material, wavelength_nm, temperature_c,
+                             guided_mode(wavelength_nm))
     omega = 2.0 * math.pi * SPEED_OF_LIGHT_M_S / (wavelength_nm * 1e-9)
     domega = omega * abs(delta_n) / n_eff
     t_roundtrip = 2.0 * n_eff * (cavity.length_mm * 1e-3) / SPEED_OF_LIGHT_M_S

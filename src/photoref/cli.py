@@ -46,7 +46,7 @@ from .data import (
     write_trace_csv,
 )
 from .fit import FitError, fit_delta_n_from_reflectivity, fit_fpi_trace
-from .material import PumpSchedule, PumpSegment, refractive_index
+from .material import PumpSchedule, PumpSegment, guided_mode, refractive_index
 from .spdc import SpdcOperatingPoint, effective_squeezing_vs_power, spdc_spectrum
 
 log = logging.getLogger(__name__)
@@ -150,9 +150,7 @@ def _run_fpi_char(runner: _Runner, section: dict) -> None:
         coefficient, conventional = finesse(r, r)
         report[key] = {
             "wavelength_nm": lam,
-            "n_eff": refractive_index(
-                cavity.material, lam, temperature, cavity.mode_for(lam)
-            ),
+            "n_eff": refractive_index(cavity.material, lam, temperature, guided_mode(lam)),
             "facet_reflectivity": r,
             "fsr_pm": fsr_pm,
             "fwhm_pm": fwhm_pm,

@@ -59,20 +59,9 @@ DEFAULT_CONFIG: dict[str, Any] = {
         repr(t): asdict(params) for t, params in DEFAULT_PHOTOREFRACTION.items()
     },
     "devices": {
-        "fpi": {
-            "length_mm": 15.0,
-            "facet_reflectivity_probe": 0.14,
-            "facet_reflectivity_pump": 0.13,
-            "angled_facets": False,
-            "probe_mode": "fundamental-telecom",
-            "pump_mode": "fundamental-nir",
-        },
-        "squeezer": {
-            "length_mm": 15.0,
-            "mirror_r1": 0.77,
-            "mirror_r2": 0.99,
-            "mode": "fundamental-telecom",
-        },
+        "fpi": {"length_mm": 15.0, "facet_reflectivity_probe": 0.14,
+                "facet_reflectivity_pump": 0.13, "angled_facets": False},
+        "squeezer": {"length_mm": 15.0, "mirror_r1": 0.77, "mirror_r2": 0.99},
         "coupler": {
             "interaction_length_mm": 4.3,
             "coupling_constant_per_mm": {
@@ -153,16 +142,12 @@ DEFAULT_CONFIG: dict[str, Any] = {
 }
 
 
-# Maps keyed by data rather than by field name: any key of the given type is
-# allowed, and each entry has the shape of the first default entry.  Float keys
-# are in-range temperatures; "30" and "30.0" are one key, and one map may not hold both.
-_KEYED_MAPS = {
-    "photorefraction": float,
-    "devices.coupler.coupling_constant_per_mm": float,
-    "devices.homodyne_coupler.coupling_constant_per_mm": float,
-    "run.spdc_spectrum.pump_wavelength_nm": float,
-    "material.modes": str,
-}
+# The only maps keyed by data rather than by field name, all by temperature:
+# any in-range temperature is a key, and each entry has the shape of the first
+# default entry.  "30" and "30.0" are one key, and one map may not hold both.
+_KEYED_MAPS = ("photorefraction", "devices.coupler.coupling_constant_per_mm",
+               "devices.homodyne_coupler.coupling_constant_per_mm",
+               "run.spdc_spectrum.pump_wavelength_nm")
 
 # Leaves whose default hides their type: keys with no default (a None default
 # would change the resolved configuration and with it every config hash),
@@ -179,14 +164,13 @@ _DECLARED: dict[str, Any] = {
 
 def _derive_schema(tree: Any, path: str = "") -> Any:
     """Schema node: a scalar type, ``T | None``, ``[node]`` for a list, a tuple
-    of nodes for a fixed-length list, or a dict (a keyed map's one key is the
-    type of its keys)."""
+    of nodes for a fixed-length list, or a dict (a temperature-keyed map's one
+    key is ``float``)."""
     if path in _DECLARED:
         return _DECLARED[path]
     if isinstance(tree, Mapping):
         if path in _KEYED_MAPS:
-            entry = _derive_schema(next(iter(tree.values())), f"{path}.*")
-            return {_KEYED_MAPS[path]: entry}
+            return {float: _derive_schema(next(iter(tree.values())), f"{path}.*")}
         schema = {
             key: _derive_schema(value, f"{path}.{key}" if path else key)
             for key, value in tree.items()
@@ -273,17 +257,17 @@ def _walk_schema(value: Any, node: Any, where: str, unknown: list[str]) -> Any:
     if isinstance(node, Mapping):
         if not isinstance(value, Mapping):
             raise ConfigError(f"{where}: expected a mapping")
-        keyed = next((k for k in node if isinstance(k, type)), None)
+        keyed = float in node
         out, seen = {}, {}
         for raw, item in value.items():
             at = f"{where}.{raw}" if where else str(raw)
-            key = _coerce(raw, keyed, f"{at} (key)") if keyed else raw
-            if keyed is float:
+            key = _coerce(raw, float, f"{at} (key)") if keyed else raw
+            if keyed:
                 _check_ranges(key, "temperature_c", f"{at} (key)")
                 key = repr(key)
                 if seen.setdefault(key, raw) is not raw:
                     raise ConfigError(f'{where}: "{seen[key]}" and "{raw}" name one temperature')
-            sub = node.get(keyed or key)
+            sub = node.get(float if keyed else key)
             if sub is None:
                 unknown.append(at)
             else:
@@ -369,10 +353,8 @@ class Config:
         with _invariants("material.sellmeier"):
             coeffs = SellmeierCoefficients(**section["sellmeier"])
         with _invariants("material.modes"):
-            targets = {
-                mode: (entry["wavelength_nm"], entry["temperature_c"], entry["n_eff"])
-                for mode, entry in section["modes"].items()
-            }
+            target = operator.itemgetter("wavelength_nm", "temperature_c", "n_eff")
+            targets = {mode: target(entry) for mode, entry in section["modes"].items()}
             return MaterialModel.calibrated(targets, coeffs)
 
     def photorefraction(self, temperature_c: float) -> PhotorefractionParams:
@@ -444,6 +426,23 @@ def _invariants(where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader (libyaml's parser when PyYAML has it: about 6x faster),
+    refusing a key repeated in one mapping, of which PyYAML keeps the last
+    value; 30 and 30.0 are one key.  A "<<" merge key is not a key of its own."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and not key_node.tag.endswith(":merge"):
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"repeated key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def parse_config(path) -> Config:
     """Load, merge with defaults, and validate a configuration file.
 
@@ -456,9 +455,7 @@ def parse_config(path) -> Config:
         raise ConfigError(f"configuration file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
-        # libyaml's parser when PyYAML was built with it: about 6x faster.
-        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-        user = yaml.load(text, Loader=loader) or {}
+        user = yaml.load(text, Loader=_UniqueKeyLoader) or {}
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     except yaml.YAMLError as exc:

@@ -35,6 +35,10 @@ __all__ = [
     "PumpSegment",
     "PumpSchedule",
     "delta_n_temporal",
+    "BAND_SPLIT_NM",
+    "NIR_MODE",
+    "TELECOM_MODE",
+    "guided_mode",
     "DEFAULT_MODE_TARGETS",
     "DEFAULT_PHOTOREFRACTION",
 ]
@@ -227,12 +231,24 @@ def _bulk_index(coefficients: SellmeierCoefficients, wavelength_nm, temperature_
     return n
 
 
+# A beam's band picks its guided mode: below the split the near-infrared pump's
+# NIR mode, at or above it the telecom mode of the probe, signal and idler.
+BAND_SPLIT_NM = 1000.0
+NIR_MODE = "fundamental-nir"
+TELECOM_MODE = "fundamental-telecom"
+
+
+def guided_mode(wavelength_nm: float) -> str:
+    """Id of the guided mode that light of this wavelength travels in."""
+    return NIR_MODE if wavelength_nm < BAND_SPLIT_NM else TELECOM_MODE
+
+
 # Default calibration targets for the guided modes of the reference device:
 # mode id -> (wavelength_nm, temperature_c, target effective index).
 DEFAULT_MODE_TARGETS: Mapping[str, tuple[float, float, float]] = MappingProxyType(
     {
-        "fundamental-telecom": (1550.0, 30.0, 2.13),
-        "fundamental-nir": (775.0, 30.0, 2.18),
+        TELECOM_MODE: (1550.0, 30.0, 2.13),
+        NIR_MODE: (775.0, 30.0, 2.18),
     }
 )
 

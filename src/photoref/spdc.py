@@ -16,7 +16,8 @@ import numpy as np
 
 from .coupler import DB_PER_NEPER
 from .data import SweepData
-from .material import MaterialModel, PhotorefractionParams, delta_n_steady, refractive_index
+from .material import (NIR_MODE, TELECOM_MODE, MaterialModel, PhotorefractionParams,
+                       delta_n_steady, refractive_index)
 
 __all__ = [
     "PUMP_WAVELENGTH_RANGE_NM",
@@ -28,11 +29,6 @@ __all__ = [
     "spdc_spectrum",
     "effective_squeezing_vs_power",
 ]
-
-# Guided modes of the beams: the pump in the near-infrared mode, signal and
-# idler in the telecom mode.
-_PUMP_MODE = "fundamental-nir"
-_TELECOM_MODE = "fundamental-telecom"
 
 PUMP_WAVELENGTH_RANGE_NM = (700.0, 800.0)  # nm: the near-infrared pump band
 
@@ -115,9 +111,11 @@ def _mismatch(device: QpmDevice, pump_wavelength_nm: float, temperature_c: float
     lam_s = np.asarray(signal_wavelength_nm, dtype=float)
     lam_i = idler_wavelength(pump_wavelength_nm, lam_s)
     material, t = device.material, temperature_c
-    n_p = refractive_index(material, pump_wavelength_nm, t, _PUMP_MODE) + dn
-    n_s = refractive_index(material, lam_s, t, _TELECOM_MODE)
-    n_i = refractive_index(material, lam_i, t, _TELECOM_MODE)
+    # One mode per beam, the mode of its band (``guided_mode``): the pump's NIR
+    # mode, and the telecom mode for signal and idler at any distance from degeneracy.
+    n_p = refractive_index(material, pump_wavelength_nm, t, NIR_MODE) + dn
+    n_s = refractive_index(material, lam_s, t, TELECOM_MODE)
+    n_i = refractive_index(material, lam_i, t, TELECOM_MODE)
     if device.telecom_shift_fraction:
         n_s = n_s + device.telecom_shift_fraction * dn
         n_i = n_i + device.telecom_shift_fraction * dn

@@ -32,6 +32,7 @@ from photoref.material import (
     DEFAULT_PHOTOREFRACTION,
     MaterialModel,
     delta_n_steady,
+    guided_mode,
     refractive_index,
 )
 from photoref.spdc import (
@@ -88,7 +89,7 @@ def test_criterion_1_half_period_identity(fpi):
     quantum = LAM / (4.0 * fpi.length_mm * 1e6)
     dn = np.linspace(0.0, 8.0 * quantum, 40001)
     coefficient, scale = fpi.airy_constants(LAM)
-    n_eff = refractive_index(fpi.material, LAM, 30.0, fpi.mode_for(LAM))
+    n_eff = refractive_index(fpi.material, LAM, 30.0, guided_mode(LAM))
     t = airy_transmission(coefficient, np.tan(dn * scale + scale * n_eff % math.pi))
     interior = np.flatnonzero(
         (t[1:-1] > t[:-2]) & (t[1:-1] > t[2:])

@@ -14,7 +14,15 @@ from photoref.cavity import (
     fpi_characteristics,
     simulate_fpi_trace,
 )
-from photoref.material import PumpSchedule, PumpSegment, delta_n_temporal, refractive_index
+from photoref.material import (
+    NIR_MODE,
+    TELECOM_MODE,
+    PumpSchedule,
+    PumpSegment,
+    delta_n_temporal,
+    guided_mode,
+    refractive_index,
+)
 
 LAM = 1550.0
 T_C = 30.0
@@ -47,14 +55,14 @@ class TestFinesse:
 
 
 def phase_of(cavity, lam, t_c, dn):
-    n = refractive_index(cavity.material, lam, t_c, cavity.mode_for(lam))
+    n = refractive_index(cavity.material, lam, t_c, guided_mode(lam))
     return 2 * math.pi * cavity.length_mm * 1e6 * (n + dn) / lam
 
 
 def transmission(cavity, lam, t_c, dn):
     """T/T_max at the index shift dn, as the trace simulator evaluates it."""
     coefficient, scale = cavity.airy_constants(lam)
-    n = refractive_index(cavity.material, lam, t_c, cavity.mode_for(lam))
+    n = refractive_index(cavity.material, lam, t_c, guided_mode(lam))
     return airy_transmission(coefficient, np.tan(dn * scale + scale * n % math.pi))
 
 
@@ -125,6 +133,15 @@ class TestCharacteristics:
         assert fsr == pytest.approx(775.0**2 / (2 * 2.18 * 15e6) * 1e3, rel=1e-12)
         assert fsr == pytest.approx(9.2, abs=0.05)
         assert fwhm is None
+
+    @pytest.mark.parametrize("lam, mode, reflectivity",
+                             [(999.9, NIR_MODE, 0.13), (1000.0, TELECOM_MODE, 0.14)])
+    def test_one_band_split_for_facets_and_mode(self, fpi, lam, mode, reflectivity):
+        """The facet reflectivity and the guided mode change band at one wavelength."""
+        fsr, _ = fpi_characteristics(fpi, lam, 30.0)
+        n = refractive_index(fpi.material, lam, 30.0, mode)
+        assert fpi.reflectivity_at(lam) == reflectivity
+        assert fsr == pytest.approx(lam**2 / (2 * n * 15e6) * 1e3, rel=1e-12)
 
     def test_fwhm_present_for_resolvable_fringes(self, material):
         cavity = FpiCavity(15.0, 0.9, 0.9, material)

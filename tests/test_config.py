@@ -24,7 +24,7 @@ from photoref.config import (
     parse_config,
 )
 from photoref.coupler import coupler_reflectivity
-from photoref.material import DEFAULT_MODE_TARGETS, PumpSchedule, PumpSegment
+from photoref.material import PumpSchedule, PumpSegment
 from photoref.spdc import SpdcOperatingPoint, qpm_mismatch, spdc_spectrum
 
 EXAMPLE = "configs/example.yaml"
@@ -66,6 +66,31 @@ class TestParsing:
         path.write_text("material:\n  modes: [\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="line"):
             parse_config(path)
+
+    @pytest.mark.parametrize("text, line, key", [
+        # YAML int 30 and float 30.0 are one key: PyYAML would keep the a = 5e-4 law.
+        ("photorefraction: {30: {a: 1.1e-4, b: 10.0, c: 0.02},"
+         " 30.0: {a: 5.0e-4, b: 10.0, c: 0.02}}\n", 1, "30.0"),
+        ("devices:\n  fpi:\n    length_mm: 15.0\n    length_mm: 12.0\n", 4, "'length_mm'"),
+    ], ids=["int-and-float-temperature", "length-twice"])
+    def test_repeated_key_refused_with_its_line(self, tmp_path, caplog, text, line, key):
+        path = tmp_path / "repeated.yaml"
+        path.write_text(text, encoding="utf-8")
+        message = f"{path}: YAML syntax error (line {line}): repeated key {key}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            parse_config(path)
+        with caplog.at_level("ERROR"):
+            assert main(["fpi-char", "--config", str(path), "--out", str(tmp_path / "o"),
+                         "--quiet"]) == 1
+        assert any(message in rec.message for rec in caplog.records)
+
+    def test_merge_key_may_be_overridden(self, tmp_path):
+        """A "<<" merge is not a repeated key: the mapping's own key overrides it."""
+        path = tmp_path / "merge.yaml"
+        path.write_text("devices:\n  squeezer:\n    <<: {length_mm: 11.0, mirror_r1: 0.7}\n"
+                        "    length_mm: 13.0\n", encoding="utf-8")
+        squeezer = parse_config(path).squeezer_cavity()
+        assert (squeezer.length_mm, squeezer.mirror_r1) == (13.0, 0.7)
 
     def test_invalid_utf8_is_config_error(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -138,14 +163,13 @@ class TestDerivedSchema:
         assert config.qpm_section()["poling_period_um"] == 19.5
 
     def test_new_keys_in_keyed_maps_accepted(self, tmp_path):
+        # Only temperature maps are keyed: the guided modes are the two of the bands.
+        modes = {"material": {"modes": {"first-order-telecom": {
+            "wavelength_nm": 1550.0, "temperature_c": 30.0, "n_eff": 2.12}}}}
+        with pytest.raises(ConfigError, match="unknown configuration keys: "
+                           r"material\.modes\.first-order-telecom$"):
+            parse_config(write_config(tmp_path, modes))
         payload = {
-            "material": {
-                "modes": {
-                    "first-order-telecom": {
-                        "wavelength_nm": 1550.0, "temperature_c": 30.0, "n_eff": 2.12,
-                    }
-                }
-            },
             "photorefraction": {"45": {"a": 1e-5, "b": 10.0, "c": 0.02}},
             "devices": {
                 "coupler": {"coupling_constant_per_mm": {"45": 0.47}},
@@ -158,7 +182,6 @@ class TestDerivedSchema:
         assert config.coupler_geometry(45.0).coupling_constant_per_mm == 0.47
         assert config.homodyne_geometry(45.0).coupling_constant_per_mm == 0.47
         assert config.run_section("spdc_spectrum")["pump_wavelength_nm"]["45.0"] == 772.0
-        assert "first-order-telecom" in config.material().mode_offsets
 
     @pytest.mark.parametrize(
         "payload, where",
@@ -175,6 +198,13 @@ class TestDerivedSchema:
              r"run\.coupler_sweep\.temperatures_c"),
             ({"run": {"spdc_spectrum": {"temperatures_c": [30.0]}}},
              r"run\.spdc_spectrum\.temperatures_c"),
+            # A beam's wavelength band picks its guided mode, so no key names one.
+            ({"devices": {"fpi": {"probe_mode": "fundamental-nir"}}},
+             r"devices\.fpi\.probe_mode"),
+            ({"devices": {"fpi": {"pump_mode": "fundamental-telecom"}}},
+             r"devices\.fpi\.pump_mode"),
+            ({"devices": {"squeezer": {"mode": "fundamental-nir"}}},
+             r"devices\.squeezer\.mode"),
         ],
     )
     def test_misspelled_key_rejected(self, tmp_path, payload, where):
@@ -204,7 +234,7 @@ class TestDerivedSchema:
             parse_config(path)
 
 
-TEMPERATURE_MAPS = [path for path, kind in _KEYED_MAPS.items() if kind is float]
+TEMPERATURE_MAPS = list(_KEYED_MAPS)
 
 
 def _with_map(path: str, table: dict) -> dict:
@@ -314,8 +344,7 @@ class TestLeafTypes:
              "devices.fpi.length_mm: expected float"),
             ({"devices": {"fpi": {"angled_facets": 0}}},
              "devices.fpi.angled_facets: expected bool, got 0"),
-            ({"devices": {"fpi": {"probe_mode": 1}}},
-             "devices.fpi.probe_mode: expected str, got 1"),
+            ({"run": {"output_dir": 1}}, "run.output_dir: expected str, got 1"),
             ({"photorefraction": {"warm": {"a": 1e-4}}},
              r"photorefraction\.warm \(key\): expected float, got 'warm'"),
             ({"devices": {"fpi": {"length_mm": float("nan")}}},
@@ -479,63 +508,97 @@ def _device_leaves(node, default, path=("devices",)):
     if not isinstance(node, dict):
         yield path, default
         return
-    keyed = next((k for k in node if isinstance(k, type)), None)
     for key in default:
-        yield from _device_leaves(node[keyed or key], default[key], path + (key,))
+        yield from _device_leaves(node[float] if float in node else node[key], default[key],
+                                  path + (key,))
 
 
 def _perturbed(value):
-    """A valid neighbour of a default: a number scaled or moved off zero, a
-    flag flipped, a mode id swapped for the other default mode."""
+    """A valid neighbour of a default: a number scaled or moved off zero, or
+    a flag flipped."""
     if isinstance(value, bool):
         return not value
-    if isinstance(value, str):
-        return next(mode for mode in DEFAULT_MODE_TARGETS if mode != value)
     return value * 1.01 if value else 0.5
 
 
-def _device_readout(config: Config) -> np.ndarray:
-    """Fixed model calls over every device the configuration builds."""
+def _device_readout(config: Config) -> dict[str, np.ndarray]:
+    """Fixed model calls over every device the configuration builds, by name."""
     fpi, schedule = config.fpi_cavity(), PumpSchedule([PumpSegment(0.0, 1.0, 5.0)])
-    values = [simulate_fpi_trace(fpi, schedule, config.photorefraction(30.0), lam, 30.0, 0.5,
-                                 1.0).value
-              for lam in (1550.0, 775.0)]
-    values += [fpi_characteristics(fpi, lam, 30.0)[0] for lam in (1550.0, 775.0)]
-    values.append(delta_n_to_detuning(config.squeezer_cavity(), -1e-6, 1550.0, 30.0))
+    values = {}
+    for lam in (1550.0, 775.0):
+        values[f"fpi_trace_{lam:g}"] = simulate_fpi_trace(
+            fpi, schedule, config.photorefraction(30.0), lam, 30.0, 0.5, 1.0).value
+        values[f"fpi_char_{lam:g}"] = fpi_characteristics(fpi, lam, 30.0)[0]
+    values["squeezer_detuning"] = delta_n_to_detuning(config.squeezer_cavity(), -1e-6,
+                                                      1550.0, 30.0)
     for name, build in (("coupler", config.coupler_geometry),
                         ("homodyne_coupler", config.homodyne_geometry)):
         for key in config.resolved["devices"][name]["coupling_constant_per_mm"]:
-            values.append(coupler_reflectivity(build(float(key)), np.array([0.0, 0.3])))
+            values[f"{name}_{key}"] = coupler_reflectivity(build(float(key)),
+                                                           np.array([0.0, 0.3]))
     device, params = config.qpm_device(), config.photorefraction(30.0)
     point = SpdcOperatingPoint(770.73, 30.0, pump_power_mw=5.0)
     grid = np.linspace(1500.0, 1580.0, 5)
-    values.append(qpm_mismatch(device, point, grid, params))
+    values["qpm_mismatch"] = qpm_mismatch(device, point, grid, params)
     # Off the calibration power: there the telecom share of the shift moves dk.
-    values.append(qpm_mismatch(device, SpdcOperatingPoint(770.73, 30.0), grid, params))
-    values.append(spdc_spectrum(device, point, params, grid))  # reads the QPM length
-    return np.concatenate([np.atleast_1d(v) for v in values])
+    values["qpm_mismatch_unpumped"] = qpm_mismatch(device, SpdcOperatingPoint(770.73, 30.0),
+                                                   grid, params)
+    # Off the calibration pump wavelength the grating no longer absorbs a mode
+    # offset: dk moves with the pump index and with the signal and idler index.
+    values["qpm_mismatch_off_calibration"] = qpm_mismatch(
+        device, SpdcOperatingPoint(774.63, 30.0, pump_power_mw=5.0),
+        np.linspace(1510.0, 1590.0, 5), params)
+    values["spdc_spectrum"] = spdc_spectrum(device, point, params, grid)  # reads the QPM length
+    return {name: np.atleast_1d(value) for name, value in values.items()}
 
 
 DEVICE_LEAVES = list(_device_leaves(_SCHEMA["devices"], DEFAULT_CONFIG["devices"]))
+MODE_LEAVES = list(_device_leaves(_SCHEMA["material"]["modes"],
+                                  DEFAULT_CONFIG["material"]["modes"], ("material", "modes")))
+
+
+def _perturbed_config(tmp_path, path, value) -> Config:
+    payload = value
+    for key in reversed(path):
+        payload = {key: payload}
+    return parse_config(write_config(tmp_path, payload))
 
 
 class TestDeviceSettingsRead:
     @pytest.mark.parametrize("path, default", [
-        pytest.param(path, default, id=".".join(path)) for path, default in DEVICE_LEAVES
+        pytest.param(path, default, id=".".join(path))
+        for path, default in DEVICE_LEAVES + MODE_LEAVES
     ])
     def test_every_device_setting_changes_a_model_value(self, tmp_path, path, default):
-        """Perturbing one device default moves some model value or is refused."""
+        """Perturbing one device or mode default moves some model value or is refused."""
         reference = _device_readout(parse_config(write_config(tmp_path, {})))
-        payload = value = _perturbed(default)
-        for key in reversed(path):
-            payload = {key: payload}
+        value = _perturbed(default)
         try:
-            config = parse_config(write_config(tmp_path, payload))
+            config = _perturbed_config(tmp_path, path, value)
         except ConfigError:
             return
-        assert not np.array_equal(_device_readout(config), reference), (
+        readout = _device_readout(config)
+        assert any(not np.array_equal(readout[name], reference[name]) for name in reference), (
             f"{'.'.join(path)} = {value!r} changes no model value"
         )
+
+    @pytest.mark.parametrize("path, default", [
+        pytest.param(path, default, id=".".join(path)) for path, default in MODE_LEAVES
+    ])
+    def test_a_mode_setting_moves_the_consumers_of_its_band(self, tmp_path, path, default):
+        """One band rule serves every consumer: a 1550 nm mode leaf moves the FPI
+        trace and FSR at 1550 nm and, through the signal and idler index, the QPM
+        mismatch off calibration; a 775 nm leaf moves them at 775 nm and, through
+        the pump index, that mismatch.  Nothing else moves beyond round-off: the
+        calibrated poling period absorbs a mode offset at its own pump wavelength,
+        and the squeezer's normalized detuning does not depend on n_eff."""
+        band = f"{DEFAULT_CONFIG['material']['modes'][path[2]]['wavelength_nm']:g}"
+        expected = {f"fpi_trace_{band}", f"fpi_char_{band}", "qpm_mismatch_off_calibration"}
+        reference = _device_readout(parse_config(write_config(tmp_path, {})))
+        readout = _device_readout(_perturbed_config(tmp_path, path, _perturbed(default)))
+        moved = {name for name in reference
+                 if not np.allclose(readout[name], reference[name], rtol=1e-9, atol=1e-9)}
+        assert moved == expected
 
 
 def _run_leaves(node, default, path, name=None):

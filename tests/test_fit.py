@@ -30,6 +30,7 @@ from photoref.material import (
     PumpSchedule,
     PumpSegment,
     delta_n_steady,
+    guided_mode,
     refractive_index,
 )
 
@@ -997,7 +998,7 @@ class TestTraceKernel:
         schedule = PumpSchedule([PumpSegment(10.0, 60.0, 5.0)])
         trace = simulate_fpi_trace(cavity, schedule, params, LAM, 30.0, 0.05, 60.0)
         coefficient, scale = cavity.airy_constants(LAM)
-        n_eff = refractive_index(cavity.material, LAM, 30.0, cavity.mode_for(LAM))
+        n_eff = refractive_index(cavity.material, LAM, 30.0, guided_mode(LAM))
         truth = np.array([delta_n_steady(params, 5.0), params.tau_build_s, scale * n_eff % math.pi])
         elapsed = np.clip(trace.time_s - 10.0, 0.0, None)
         *_, transmission = fit_module._trace_model(truth, elapsed, coefficient, scale)

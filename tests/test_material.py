@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 import photoref.material as material_module
 from photoref.material import (
+    BAND_SPLIT_NM,
+    NIR_MODE,
+    TELECOM_MODE,
     MaterialModel,
     PhotorefractionParams,
     PumpSchedule,
     PumpSegment,
     delta_n_steady,
     delta_n_temporal,
+    guided_mode,
     refractive_index,
 )
 
@@ -41,6 +45,12 @@ class TestDispersion:
     def test_calibrated_targets_are_exact(self, material):
         assert refractive_index(material, 1550.0, 30.0, "fundamental-telecom") == 2.13
         assert refractive_index(material, 775.0, 30.0, "fundamental-nir") == 2.18
+
+    @pytest.mark.parametrize("lam, mode", [(775.0, NIR_MODE), (999.9, NIR_MODE),
+                                           (1000.0, TELECOM_MODE), (1550.0, TELECOM_MODE)])
+    def test_band_split_picks_the_guided_mode(self, lam, mode):
+        assert BAND_SPLIT_NM == 1000.0
+        assert guided_mode(lam) == mode
 
     def test_unknown_mode_rejected(self, material):
         with pytest.raises(KeyError, match="unknown mode"):

@@ -32,7 +32,6 @@ from .material import (
 )
 
 __all__ = [
-    "SPEED_OF_LIGHT_M_S",
     "FpiCavity",
     "SqueezerCavity",
     "finesse",
@@ -46,9 +45,6 @@ __all__ = [
     "detuned_threshold",
     "pump_parameter_for_squeezing_db",
 ]
-
-SPEED_OF_LIGHT_M_S = 299_792_458.0
-
 
 @dataclass(frozen=True)
 class FpiCavity:
@@ -95,7 +91,6 @@ class SqueezerCavity:
     length_mm: float
     mirror_r1: float
     mirror_r2: float
-    material: MaterialModel
 
     def __post_init__(self):
         if self.length_mm <= 0:
@@ -205,19 +200,20 @@ def delta_n_to_detuning(
 ) -> float:
     """Normalized cavity detuning produced by an index shift.
 
-    The resonance shift d_omega = omega*|dn|/n_eff is divided by the cavity
-    amplitude decay rate kappa = (1 - sqrt(r1*r2))/t_roundtrip, i.e. the
-    half-linewidth in angular frequency.  Linear in |dn|.
+    The resonance shift omega*|dn|/n_eff over the cavity amplitude decay rate
+    kappa = (1 - sqrt(r1*r2))*c/(2*n_eff*L), the half-linewidth in angular
+    frequency, is 4*pi*L*|dn|/(lambda*(1 - sqrt(r1*r2))): n_eff and c cancel.
+    Linear in |dn|.
+
+    ``temperature_c`` is unused, since n_eff(T) cancels.  It is kept so that
+    calls passing it by position still work.
     """
-    if abs(delta_n) >= 1e-2:
+    if not abs(delta_n) < 1e-2:
         raise ValueError("index shift out of the perturbative range (|dn| < 1e-2)")
-    n_eff = refractive_index(cavity.material, wavelength_nm, temperature_c,
-                             guided_mode(wavelength_nm))
-    omega = 2.0 * math.pi * SPEED_OF_LIGHT_M_S / (wavelength_nm * 1e-9)
-    domega = omega * abs(delta_n) / n_eff
-    t_roundtrip = 2.0 * n_eff * (cavity.length_mm * 1e-3) / SPEED_OF_LIGHT_M_S
-    kappa = (1.0 - math.sqrt(cavity.mirror_r1 * cavity.mirror_r2)) / t_roundtrip
-    return domega / kappa
+    if not wavelength_nm > 0:
+        raise ValueError(f"wavelength must be > 0 nm, got {wavelength_nm!r}")
+    loss = 1.0 - math.sqrt(cavity.mirror_r1 * cavity.mirror_r2)
+    return 4.0 * math.pi * cavity.length_mm * 1e6 * abs(delta_n) / (wavelength_nm * loss)
 
 
 def detuned_threshold(normalized_detuning: float) -> float:

@@ -300,7 +300,7 @@ def _run_fit_dn(runner: _Runner, section: dict) -> None:
         geometry = runner.config.coupler_geometry(temperature)
         with _invariants(f"run.fit_dn.inputs[{i}].path ({path})"):
             outcomes |= fit_delta_n_from_reflectivity(
-                {temperature: sweep}, geometry, section["probe_wavelength_nm"]
+                {temperature: sweep}, {temperature: geometry}, section["probe_wavelength_nm"]
             )
     for temperature, outcome in sorted(outcomes.items()):
         tag = f"T{_fmt(temperature)}"

@@ -369,9 +369,8 @@ class Config:
             return FpiCavity(material=material, **self.resolved["devices"]["fpi"])
 
     def squeezer_cavity(self) -> SqueezerCavity:
-        material = self.material()
         with _invariants("devices.squeezer"):
-            return SqueezerCavity(material=material, **self.resolved["devices"]["squeezer"])
+            return SqueezerCavity(**self.resolved["devices"]["squeezer"])
 
     def coupler_geometry(self, temperature_c: float) -> CouplerGeometry:
         k = self.temperature_entry("devices.coupler.coupling_constant_per_mm", temperature_c)
@@ -489,6 +488,9 @@ def _validate(config: Config) -> None:
         config.photorefraction(t)
     for name, build in (("coupler", config.coupler_geometry),
                         ("homodyne_coupler", config.homodyne_geometry)):
-        for t in config.temperatures(f"devices.{name}.coupling_constant_per_mm"):
+        path = f"devices.{name}.coupling_constant_per_mm"
+        for t in config.temperatures(path):
             build(t)
+            with _invariants(f"{path}.{t!r}"):
+                config.photorefraction(t)  # the device runs at t under t's law
     config.qpm_device()

@@ -326,15 +326,16 @@ class DeltaNFit:
 
 def fit_delta_n_from_reflectivity(
     sweeps: Mapping[float, SweepData],
-    geometries: Mapping[float, CouplerGeometry] | CouplerGeometry,
-    probe_wavelength_nm: float = 1550.0,
+    geometries: Mapping[float, CouplerGeometry],
+    probe_wavelength_nm: float,
 ) -> dict[float, DeltaNFit]:
     """Recover the saturable index-shift law from reflectivity sweeps.
 
-    One forward fit per temperature: the law |dn| = a*P/(b + c*P), P >= 0, gives the
-    mismatch delta_beta = 2*pi*|dn|/lambda, the coupled-mode model gives R
-    from it, and LM fits R itself, its residual divided by the sweep's sigma
-    (each > 0) when it has one.  The law is invariant under common rescaling
+    One forward fit per temperature, with the coupler that ``geometries`` holds
+    there: the law |dn| = a*P/(b + c*P), P >= 0, gives the mismatch
+    delta_beta = 2*pi*|dn|/lambda, the coupled-mode model gives R from it, and
+    LM fits R itself, its residual divided by the sweep's sigma (each > 0) when
+    it has one.  The law is invariant under common rescaling
     of (a, b, c), so ``b`` is pinned to ``_GAUGE_B_MW`` and (a, c) are fitted;
     the physical content (initial slope a/b, saturation a/c) is gauge
     independent.  R is flat at zero mismatch, so LM cannot start from a = 0:
@@ -343,7 +344,6 @@ def fit_delta_n_from_reflectivity(
     to_beta = 2.0 * math.pi / (probe_wavelength_nm * 1e-6)
     outcomes: dict[float, DeltaNFit] = {}
     for temperature, sweep in sweeps.items():
-        geometry = geometries[temperature] if isinstance(geometries, Mapping) else geometries
         if len(sweep) < 4:
             raise ValueError(
                 f"{temperature} C sweep has {len(sweep)} points; need at least 4"
@@ -362,7 +362,7 @@ def fit_delta_n_from_reflectivity(
                 raise ValueError(
                     f"{temperature} C sweep point {i}: {name} {float(values[i])!r} {rule}"
                 )
-        result = _fit_sweep(sweep, sigma, geometry, to_beta)
+        result = _fit_sweep(sweep, sigma, geometries[temperature], to_beta)
         a, c = (float(x) for x in result.parameters)
         params = PhotorefractionParams(a=a, b=_GAUGE_B_MW, c=c)
         outcomes[temperature] = DeltaNFit(

@@ -41,10 +41,8 @@ def fpi(material) -> FpiCavity:
 
 
 @pytest.fixture(scope="session")
-def squeezer(material) -> SqueezerCavity:
-    return SqueezerCavity(
-        length_mm=15.0, mirror_r1=0.77, mirror_r2=0.99, material=material
-    )
+def squeezer() -> SqueezerCavity:
+    return SqueezerCavity(length_mm=15.0, mirror_r1=0.77, mirror_r2=0.99)
 
 
 @pytest.fixture(scope="session")

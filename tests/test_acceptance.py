@@ -297,7 +297,7 @@ def test_criterion_7_fit_recovery(coupler30, params30):
         noisy = clean.value * (1.0 + 0.01 * rng.standard_normal(len(clean)))
         sweep = SweepData(powers, np.clip(noisy, 0.0, 1.0),
                           0.01 * np.abs(clean.value))
-        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)[30.0]
+        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: coupler30}, LAM)[30.0]
         slope = outcome.params.a / outcome.params.b
         if abs(slope - truth_slope) <= 0.05 * truth_slope:
             hits += 1

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photoref.cavity import (
-    SPEED_OF_LIGHT_M_S,
     FpiCavity,
     airy_transmission,
     delta_n_to_detuning,
     finesse,
     fpi_characteristics,
+    opo_optimal_levels,
+    pump_parameter_for_squeezing_db,
     simulate_fpi_trace,
 )
+from photoref.config import parse_config
 from photoref.material import (
     NIR_MODE,
     TELECOM_MODE,
@@ -227,18 +229,47 @@ class TestDetuning:
         two = delta_n_to_detuning(squeezer, 2e-5, LAM, T_C)
         assert two == pytest.approx(2 * one, rel=1e-12)
 
-    def test_hand_chain_for_reference_cavity(self, squeezer):
-        """Arithmetic oracle: omega*|dn|/n divided by (1 - sqrt(r1 r2))/t_rt."""
-        n = 2.13
-        omega = 2 * math.pi * SPEED_OF_LIGHT_M_S / (LAM * 1e-9)
-        domega = omega * 2.6e-5 / n
-        t_rt = 2 * n * 15e-3 / SPEED_OF_LIGHT_M_S
+    @pytest.mark.parametrize("n_eff", [1.8, 2.13, 2.4])
+    def test_hand_chain_for_reference_cavity(self, squeezer, n_eff):
+        """Dimensional oracle: omega*|dn|/n_eff divided by kappa = (1 - sqrt(r1 r2))/t_rt,
+        with t_rt = 2*n_eff*L/c, at any n_eff, since n_eff and c cancel."""
+        c = 299_792_458.0
+        omega = 2 * math.pi * c / (LAM * 1e-9)
+        domega = omega * 2.6e-5 / n_eff
+        t_rt = 2 * n_eff * 15e-3 / c
         kappa = (1 - math.sqrt(0.77 * 0.99)) / t_rt
         expected = domega / kappa
         got = delta_n_to_detuning(squeezer, 2.6e-5, LAM, T_C)
-        assert got == pytest.approx(expected, rel=1e-9)
+        assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(25.0, abs=0.5)
 
+    def test_round_trip_at_one_db_lost(self):
+        """The example squeezer loses 1 dB of -10 dB at Delta* = 0.3367 kappa;
+        |dn*| = Delta*lambda*(1 - sqrt(r1 r2))/(4*pi*L) = 3.5135e-7 gives it back."""
+        squeezer = parse_config("configs/example.yaml").squeezer_cavity()
+        loss = 1 - math.sqrt(squeezer.mirror_r1 * squeezer.mirror_r2)
+        delta_n = 0.3367 * LAM * loss / (4 * math.pi * squeezer.length_mm * 1e6)
+        assert delta_n == pytest.approx(3.5135e-7, rel=1e-4)
+        assert delta_n_to_detuning(squeezer, -3.5135e-7, LAM, T_C) == pytest.approx(
+            0.3367, abs=1e-4)
+        assert delta_n_to_detuning(squeezer, delta_n, LAM, T_C) == pytest.approx(
+            0.3367, rel=1e-14)
+        best, _ = opo_optimal_levels(pump_parameter_for_squeezing_db(-10.0), 0.3367)
+        assert best == pytest.approx(-9.0, abs=1e-3)
+
+    @pytest.mark.parametrize("wavelength_nm", [0.0, -1550.0, math.nan])
+    def test_rejects_wavelength_not_positive(self, squeezer, wavelength_nm):
+        with pytest.raises(ValueError, match="wavelength must be > 0 nm"):
+            delta_n_to_detuning(squeezer, 1e-6, wavelength_nm, T_C)
+
+    def test_no_dispersion_range(self, squeezer):
+        """The index cancels, so neither the dispersion's wavelength range nor its
+        temperature range bounds the detuning."""
+        expected = delta_n_to_detuning(squeezer, 1e-6, LAM, T_C)
+        assert delta_n_to_detuning(squeezer, 1e-6, LAM, 500.0) == expected
+        assert delta_n_to_detuning(squeezer, 1e-6, 2 * LAM, T_C) == pytest.approx(expected / 2)
+
     def test_rejects_large_shift(self, squeezer):
-        with pytest.raises(ValueError):
-            delta_n_to_detuning(squeezer, 0.5, LAM, T_C)
+        for delta_n in (0.5, -1e-2, math.nan):
+            with pytest.raises(ValueError, match="perturbative range"):
+                delta_n_to_detuning(squeezer, delta_n, LAM, T_C)

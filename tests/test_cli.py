@@ -423,6 +423,27 @@ class TestExitCodes:
         assert "Traceback" not in done.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("device, subcommand", [("coupler", "coupler-sweep"),
+                                                    ("homodyne_coupler", "squeeze-budget")])
+    def test_device_key_without_a_law_is_refused_at_parse_time(self, tmp_path, device,
+                                                               subcommand):
+        """A coupler key at a temperature with no photorefraction law: exit 1,
+        the key named, before the output directory is made."""
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(
+            {"devices": {device: {"coupling_constant_per_mm": {"45": 0.47}}}}))
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "photoref.cli", subcommand, "--config", str(path),
+             "--out", str(out), "--quiet"],
+            env=src_env(), capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert (f"devices.{device}.coupling_constant_per_mm.45.0: photorefraction:"
+                " no entry at 45.0 C") in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+
     def test_strict_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["fpi-char", "--config", "configs/example.yaml", "--out", str(tmp_path), "--strict"])
@@ -432,7 +453,8 @@ class TestExitCodes:
         "subcommand, payload, message",
         [
             ("coupler-sweep",
-             {"devices": {"coupler": {"coupling_constant_per_mm": {"30.0000001": 0.46}}}},
+             {"photorefraction": {"30.0000001": {"a": 1.1e-4, "b": 10.0, "c": 0.02}},
+              "devices": {"coupler": {"coupling_constant_per_mm": {"30.0000001": 0.46}}}},
              "devices.coupler.coupling_constant_per_mm.30.0000001: 30.0000001 names the"
              " same output as devices.coupler.coupling_constant_per_mm.30.0"),
             ("spdc-spectrum", {"run": {"spdc_spectrum": {"pump_powers_mw": [1, 1]}}},
@@ -624,18 +646,15 @@ class TestExitCodes:
         [
             ("fpi-trace", {"run": {"fpi_trace": {"sample_period_s": 1.0e-9}}},
              ["sample_period_s", "duration_s"]),
-            ("coupler-sweep",
-             {"devices": {"coupler": {"coupling_constant_per_mm": {"45": 0.47}}}},
-             ["photorefraction: no entry at 45.0 C"]),
             ("spdc-spectrum", {"run": {"spdc_spectrum": {"pump_wavelength_nm": {"45": 772.0}}}},
              ["photorefraction: no entry at 45.0 C"]),
         ],
-        ids=["trace-grid", "coupler-second-temperature", "spdc-second-temperature"],
+        ids=["trace-grid", "spdc-second-temperature"],
     )
     def test_refusal_logged_without_traceback(self, tmp_path, subcommand, payload, named):
-        """An oversized trace grid, and a key of a sweep's temperature-keyed
-        map that has no law, after a good one: exit 1, the refusal on stderr,
-        a failed manifest and no data file."""
+        """An oversized trace grid, and a key of the SPDC pump map that has no
+        law, after a good one: exit 1, the refusal on stderr, a failed manifest
+        and no data file."""
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump(payload))
         out = tmp_path / "out"

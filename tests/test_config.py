@@ -272,9 +272,13 @@ class TestTemperatureKeys:
 
     @pytest.mark.parametrize("path", TEMPERATURE_MAPS)
     def test_keys_at_the_range_ends_accepted(self, tmp_path, path):
+        """A device key needs a law at its temperature, so the device maps get both."""
         entry = self.default_entry(path)
-        config = parse_config(write_config(tmp_path, _with_map(path, {"20": entry,
-                                                                      "200": entry})))
+        payload = _with_map(path, {"20": entry, "200": entry})
+        if path.startswith("devices."):
+            law = self.default_entry("photorefraction")
+            payload["photorefraction"] = {"20": law, "200": law}
+        config = parse_config(write_config(tmp_path, payload))
         assert {20.0, 200.0} <= set(config.temperatures(path))
 
 
@@ -299,6 +303,10 @@ class TestMalformedValues:
              r"photorefraction\['45.0'\]"),
             ({"devices": {"qpm": {"calibration": {"temperature_c": 45.0}}}},
              r"devices\.qpm\.calibration: photorefraction"),
+            ({"devices": {"coupler": {"coupling_constant_per_mm": {"45": 0.47}}}},
+             r"devices\.coupler\.coupling_constant_per_mm\.45\.0: photorefraction"),
+            ({"devices": {"homodyne_coupler": {"coupling_constant_per_mm": {"45": 0.47}}}},
+             r"devices\.homodyne_coupler\.coupling_constant_per_mm\.45\.0: photorefraction"),
         ],
     )
     def test_bad_value_names_its_path(self, tmp_path, payload, where):

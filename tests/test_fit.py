@@ -376,7 +376,7 @@ class TestDeltaNPipeline:
 
     def test_noise_free_recovery(self, coupler30):
         sweep = synthetic_sweep(self.truth, coupler30, self.powers)
-        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)[30.0]
+        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: coupler30}, LAM)[30.0]
         assert outcome.result.converged
         assert outcome.params.a == pytest.approx(self.truth.a, rel=1e-6)
         assert outcome.params.c == pytest.approx(self.truth.c, abs=1e-6)
@@ -386,13 +386,13 @@ class TestDeltaNPipeline:
 
     def test_noisy_anchor_at_ten_milliwatt(self, coupler30, rng):
         sweep = synthetic_sweep(self.truth, coupler30, self.powers, 0.01, rng)
-        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)[30.0]
+        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: coupler30}, LAM)[30.0]
         dn_10 = abs(delta_n_steady(outcome.params, 10.0))
         assert 0.8e-4 <= dn_10 <= 1.2e-4
 
     def test_fitted_curve_close_to_secant(self, coupler30):
         sweep = synthetic_sweep(self.truth, coupler30, self.powers)
-        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)[30.0]
+        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: coupler30}, LAM)[30.0]
         p = np.linspace(0.5, 10.0, 50)
         curve = np.abs(delta_n_steady(outcome.params, p))
         secant = p * abs(delta_n_steady(outcome.params, 10.0)) / 10.0
@@ -404,7 +404,7 @@ class TestDeltaNPipeline:
         geometry = CouplerGeometry(0.7, 5.0)
         sweep = synthetic_sweep(self.truth, geometry, self.powers)
         assert sweep.value[1] < sweep.value[0]
-        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, geometry)[30.0]
+        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: geometry}, LAM)[30.0]
         assert outcome.result.converged
         assert outcome.params.a == pytest.approx(self.truth.a, rel=1e-6)
         assert outcome.params.c == pytest.approx(self.truth.c, abs=1e-6)
@@ -421,14 +421,14 @@ class TestDeltaNPipeline:
     )
     def test_noise_free_recovery_across_geometries(self, geometry):
         sweep = synthetic_sweep(self.truth, geometry, self.powers)
-        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, geometry)[30.0]
+        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: geometry}, LAM)[30.0]
         assert outcome.result.converged
         assert outcome.params.a == pytest.approx(self.truth.a, rel=1e-6)
         assert outcome.params.c == pytest.approx(self.truth.c, abs=1e-6)
 
     def test_probe_wavelength_sets_the_mismatch(self, coupler30):
         sweep = reflectivity_vs_pump(coupler30, self.truth, 1064.0, self.powers)
-        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, coupler30, 1064.0)[30.0]
+        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: coupler30}, 1064.0)[30.0]
         assert outcome.params.a == pytest.approx(self.truth.a, rel=1e-6)
         assert outcome.params.c == pytest.approx(self.truth.c, abs=1e-6)
 
@@ -438,7 +438,7 @@ class TestDeltaNPipeline:
             30.0: synthetic_sweep(self.truth, coupler30, self.powers),
             60.0: synthetic_sweep(law60, coupler90, self.powers),
         }
-        outcomes = fit_delta_n_from_reflectivity(sweeps, {30.0: coupler30, 60.0: coupler90})
+        outcomes = fit_delta_n_from_reflectivity(sweeps, {30.0: coupler30, 60.0: coupler90}, LAM)
         for temperature, truth in ((30.0, self.truth), (60.0, law60)):
             params = outcomes[temperature].params
             assert params.a == pytest.approx(truth.a, rel=1e-6)
@@ -458,7 +458,7 @@ class TestDeltaNPipeline:
         assert np.any(np.diff(shuffled.abscissa) < 0)
         np.testing.assert_array_equal(shuffled.abscissa, sweep.abscissa[order])
         sorted_fit, shuffled_fit = (
-            fit_delta_n_from_reflectivity({30.0: s}, coupler30)[30.0]
+            fit_delta_n_from_reflectivity({30.0: s}, {30.0: coupler30}, LAM)[30.0]
             for s in (read_sweep_csv(tmp_path / "sorted.csv"), shuffled)
         )
         assert shuffled_fit.result.converged
@@ -474,13 +474,13 @@ class TestDeltaNPipeline:
         fit says that a parameter ended on a bound."""
         level = coupler_reflectivity(coupler30, 0.0)
         sweep = SweepData(self.powers, np.full(len(self.powers), level))
-        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)[30.0]
+        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: coupler30}, LAM)[30.0]
         assert np.max(outcome.delta_n_points.value) <= 1e-9
         assert any("bound" in warning for warning in outcome.result.warnings)
 
     def test_delta_n_points_follow_the_fitted_law(self, coupler30):
         sweep = seeded_sweep(coupler30)
-        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)[30.0]
+        outcome = fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: coupler30}, LAM)[30.0]
         np.testing.assert_array_equal(outcome.delta_n_points.abscissa, self.powers)
         expected = np.abs(delta_n_steady(outcome.params, self.powers))
         np.testing.assert_allclose(outcome.delta_n_points.value, expected, rtol=1e-12)
@@ -491,7 +491,7 @@ class TestDeltaNPipeline:
         sweep = seeded_sweep(coupler30)
         scaled = SweepData(sweep.abscissa, sweep.value, 3.0 * sweep.sigma)
         base, other = (
-            fit_delta_n_from_reflectivity({30.0: s}, coupler30)[30.0].result
+            fit_delta_n_from_reflectivity({30.0: s}, {30.0: coupler30}, LAM)[30.0].result
             for s in (sweep, scaled)
         )
         np.testing.assert_allclose(other.parameters, base.parameters, rtol=1e-6)
@@ -500,7 +500,7 @@ class TestDeltaNPipeline:
     def test_descent_starts_at_the_cheapest_scan_point(self, monkeypatch, coupler30):
         sweep = seeded_sweep(coupler30)
         problems = capture_problems(monkeypatch)
-        fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
+        fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: coupler30}, LAM)
         (problem,) = problems
         costs = np.array([
             [
@@ -536,22 +536,22 @@ class TestDeltaNPipeline:
         sigmas = None if sigma is None else [sigma] * 4
         sweep = SweepData([0.0, 1.0, 2.0, 3.0], [0.2, 0.3, value, 0.4], sigmas)
         if not refused:
-            fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
+            fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: coupler30}, LAM)
             return
         message = f"30.0 C sweep point 2: reflectivity {value!r} outside the reachable range"
         with pytest.raises(ValueError, match=re.escape(message)):
-            fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
+            fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: coupler30}, LAM)
 
     @pytest.mark.parametrize("bad", [0.0, -0.01])
     def test_sigma_not_positive_rejected_by_point(self, coupler30, bad):
         sweep = SweepData([0.0, 1.0, 2.0, 3.0], [0.2, 0.3, 0.35, 0.4], [0.01, 0.01, 0.01, bad])
         with pytest.raises(ValueError, match=rf"30\.0 C sweep point 3: sigma {bad!r} must be > 0"):
-            fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
+            fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: coupler30}, LAM)
 
     def test_negative_pump_power_rejected_by_point(self, coupler30):
         sweep = SweepData([0.0, -1.0, 2.0, 3.0], [0.2, 0.52, 0.35, 0.4])
         with pytest.raises(ValueError, match=r"30\.0 C sweep point 1: pump power -1\.0 must be >= 0"):
-            fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
+            fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: coupler30}, LAM)
 
     def test_outlier_sigma_moves_the_law(self, coupler30):
         """A point 0.05 above a noise-free sweep pulls the law when every sigma
@@ -562,8 +562,8 @@ class TestDeltaNPipeline:
         discounted = equal.copy()
         discounted[8] = 1e3
         pulled, restored = (
-            fit_delta_n_from_reflectivity({30.0: SweepData(self.powers, value, sigma)}, coupler30)
-            [30.0].params
+            fit_delta_n_from_reflectivity({30.0: SweepData(self.powers, value, sigma)},
+                                          {30.0: coupler30}, LAM)[30.0].params
             for sigma in (equal, discounted)
         )
         assert abs(pulled.c - self.truth.c) > 0.02
@@ -573,7 +573,7 @@ class TestDeltaNPipeline:
     def test_too_few_points_rejected(self, coupler30):
         sweep = SweepData([0.0, 1.0, 2.0], [0.16, 0.17, 0.18])
         with pytest.raises(ValueError, match="at least 4"):
-            fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
+            fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: coupler30}, LAM)
 
     def test_slope_recovery_under_noise(self, coupler30):
         """1 percent multiplicative noise, many seeds: slope within 5 percent."""
@@ -583,7 +583,7 @@ class TestDeltaNPipeline:
         for seed in range(n_runs):
             rng = np.random.default_rng(1000 + seed)
             sweep = synthetic_sweep(self.truth, coupler30, self.powers, 0.01, rng)
-            outcome = fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)[30.0]
+            outcome = fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: coupler30}, LAM)[30.0]
             slope = outcome.params.a / outcome.params.b
             if abs(slope - truth_slope) <= 0.05 * truth_slope:
                 hits += 1
@@ -603,7 +603,7 @@ class TestDeltaNPipeline:
         the chi-square that 200 iterations of crawling along the valley reach."""
         rng = np.random.default_rng(seed)
         sweep = synthetic_sweep(params90, coupler90, self.powers, 0.01, rng)
-        result = fit_delta_n_from_reflectivity({90.0: sweep}, coupler90)[90.0].result
+        result = fit_delta_n_from_reflectivity({90.0: sweep}, {90.0: coupler90}, LAM)[90.0].result
         assert result.converged
         assert not any("iteration limit" in w for w in result.warnings)
         assert result.residual_norm**2 == pytest.approx(chi_square, rel=1e-9)
@@ -616,7 +616,7 @@ class TestDeltaNPipeline:
         for seed in range(500, 600):
             rng = np.random.default_rng(seed)
             sweep = synthetic_sweep(params90, coupler90, self.powers, 0.01, rng)
-            outcome = fit_delta_n_from_reflectivity({90.0: sweep}, coupler90)[90.0]
+            outcome = fit_delta_n_from_reflectivity({90.0: sweep}, {90.0: coupler90}, LAM)[90.0]
             bounded += abs(delta_n_steady(outcome.params, 10.0)) <= 1.3e-5
         assert bounded >= 90
 
@@ -629,7 +629,8 @@ class TestDeltaNPipeline:
         for seed in range(500, 600):
             rng = np.random.default_rng(seed)
             sweep = synthetic_sweep(params90, coupler90, self.powers, 0.01, rng)
-            result = fit_delta_n_from_reflectivity({90.0: sweep}, coupler90)[90.0].result
+            outcome = fit_delta_n_from_reflectivity({90.0: sweep}, {90.0: coupler90}, LAM)
+            result = outcome[90.0].result
             payload = json.loads(json.dumps(result.to_json_dict(), allow_nan=False))
             assert np.all(np.isfinite(result.covariance))
             if not any("pseudo-inverse" in w for w in result.warnings):
@@ -873,7 +874,7 @@ class TestAnalyticJacobians:
         sweep = seeded_sweep(coupler30)
         assert sweep.sigma is not None
         problems = capture_problems(monkeypatch)
-        fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
+        fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: coupler30}, LAM)
         (problem,) = problems
         rng = np.random.default_rng(12)
         for params in rng.uniform(0.0, 1.0, (20, 2)) * problem.upper_bounds:
@@ -886,7 +887,7 @@ class TestAnalyticJacobians:
         sweep = synthetic_sweep(TestDeltaNPipeline.truth, coupler30, TestDeltaNPipeline.powers)
         assert sweep.sigma is None
         problems = capture_problems(monkeypatch)
-        fit_delta_n_from_reflectivity({30.0: sweep}, coupler30)
+        fit_delta_n_from_reflectivity({30.0: sweep}, {30.0: coupler30}, LAM)
         (problem,) = problems
         rng = np.random.default_rng(14)
         for params in rng.uniform(0.0, 1.0, (20, 2)) * problem.upper_bounds:
@@ -1071,7 +1072,7 @@ class TestResidualEvaluationCounts:
         assert calls == self.TRACE_COUNTS
 
     def test_seeded_noisy_sweep_fit(self, calls, coupler30):
-        fit_delta_n_from_reflectivity({30.0: seeded_sweep(coupler30)}, coupler30)
+        fit_delta_n_from_reflectivity({30.0: seeded_sweep(coupler30)}, {30.0: coupler30}, LAM)
         assert calls == self.SWEEP_COUNTS
 
     def test_counts_ignore_rounding_noise(self, calls, coupler30):
@@ -1092,7 +1093,7 @@ class TestResidualEvaluationCounts:
             calls.clear()
             jitter = 1.0 + 1e-13 * rng.standard_normal(len(sweep.value))
             perturbed = SweepData(sweep.abscissa, sweep.value * jitter, sweep.sigma)
-            fit_delta_n_from_reflectivity({30.0: perturbed}, coupler30)
+            fit_delta_n_from_reflectivity({30.0: perturbed}, {30.0: coupler30}, LAM)
             assert calls == self.SWEEP_COUNTS
 
     def test_trace_model_once_per_point(self, monkeypatch):
@@ -1109,14 +1110,14 @@ class TestResidualEvaluationCounts:
 
     def test_sweep_fit_reports_counts(self, coupler30):
         (outcome,) = fit_delta_n_from_reflectivity(
-            {30.0: seeded_sweep(coupler30)}, coupler30
+            {30.0: seeded_sweep(coupler30)}, {30.0: coupler30}, LAM
         ).values()
         assert outcome.result.residual_evaluations == self.SWEEP_COUNTS["_residual"]
         assert outcome.result.jacobian_evaluations == self.SWEEP_COUNTS["_jacobian"]
 
     def test_coupler_model_calls(self, monkeypatch, coupler30):
         calls = count_calls(monkeypatch, "coupler_reflectivity")
-        fit_delta_n_from_reflectivity({30.0: seeded_sweep(coupler30)}, coupler30)
+        fit_delta_n_from_reflectivity({30.0: seeded_sweep(coupler30)}, {30.0: coupler30}, LAM)
         assert calls["coupler_reflectivity"] <= 60
 
 

@@ -30,7 +30,7 @@ from .cavity import (
     pump_parameter_for_squeezing_db,
     simulate_fpi_trace,
 )
-from .config import Config, ConfigError, _invariants, parse_config
+from .config import SPDC_PUMPS, Config, ConfigError, _check_ranges, _invariants, parse_config
 from .coupler import (
     homodyne_noise,
     measured_squeezing_vs_residual_pump,
@@ -240,13 +240,14 @@ def _run_spdc_spectrum(runner: _Runner, section: dict) -> None:
     config = runner.config
     device = config.qpm_device()
     span, points = section["wavelength_span_nm"], section["points"]
-    pumps, powers = section["pump_wavelength_nm"], section["pump_powers_mw"]
-    temperatures = config.temperatures("run.spdc_spectrum.pump_wavelength_nm")
+    powers = section["pump_powers_mw"]
+    temperatures = config.temperatures(SPDC_PUMPS)
     tags = [f"T{_fmt(t)}" for t in temperatures]
-    _refuse_repeats("run.spdc_spectrum.pump_wavelength_nm.{1}", temperatures, tags)
+    _refuse_repeats(SPDC_PUMPS + ".{1}", temperatures, tags)
     power_tags = [f"P{_fmt(power)}" for power in powers]
     _refuse_repeats("run.spdc_spectrum.pump_powers_mw[{}]", powers, power_tags)
-    models = [(t, pumps[repr(t)], config.photorefraction(t)) for t in temperatures]
+    models = [(t, config.temperature_entry(SPDC_PUMPS, t), config.photorefraction(t))
+              for t in temperatures]
     for tag, (temperature, lam_p, params) in zip(tags, models):
         grid = np.linspace(2 * lam_p - span / 2, 2 * lam_p + span / 2, points)
         for power_tag, power in zip(power_tags, powers):
@@ -262,10 +263,12 @@ def _run_spdc_spectrum(runner: _Runner, section: dict) -> None:
 
 def _run_squeeze_budget(runner: _Runner, section: dict) -> None:
     config = runner.config
-    temperature = section["temperature_c"]
-    probe = section["probe_wavelength_nm"]
-    params = config.photorefraction(temperature)
-    geometry = config.homodyne_geometry(temperature)
+    temperature, probe = section["temperature_c"], section["probe_wavelength_nm"]
+    with _invariants("run.squeeze_budget.temperature_c"):
+        params = config.photorefraction(temperature)
+        geometry = config.homodyne_geometry(temperature)
+        spdc_pump = config.temperature_entry(SPDC_PUMPS, temperature)
+    _check_ranges(spdc_pump, "pump_wavelength_nm", f"{SPDC_PUMPS}.{temperature!r}")
     levels, powers = section["initial_levels_db"], section["pump_powers_mw"]
     names = [f"homodyne_budget_{_fmt(abs(level))}dB.csv" for level in levels]
     _refuse_repeats("run.squeeze_budget.initial_levels_db[{}]", levels, names)
@@ -276,7 +279,7 @@ def _run_squeeze_budget(runner: _Runner, section: dict) -> None:
     ideal, degraded = effective_squeezing_vs_power(
         config.qpm_device(),
         temperature,
-        section["spdc_pump_wavelength_nm"],
+        spdc_pump,
         params,
         section["mu0_per_sqrt_mw"],
         section["spdc_pump_powers_mw"],

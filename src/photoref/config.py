@@ -40,7 +40,7 @@ from .material import (
 )
 from .spdc import PUMP_WAVELENGTH_RANGE_NM, QpmDevice, calibrate_poling_period
 
-__all__ = ["ConfigError", "Config", "parse_config", "DEFAULT_CONFIG"]
+__all__ = ["ConfigError", "Config", "parse_config", "DEFAULT_CONFIG", "SPDC_PUMPS"]
 
 
 class ConfigError(ValueError):
@@ -128,7 +128,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
             "initial_levels_db": [-3.0, -5.0, -10.0],
             "pump_powers_mw": [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.5, 10.0],
             "mu0_per_sqrt_mw": 0.101,
-            "spdc_pump_wavelength_nm": 770.73,
             "spdc_pump_powers_mw": [0.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0],
         },
         "fit_dn": {"probe_wavelength_nm": 1550.0, "inputs": []},
@@ -145,9 +144,9 @@ DEFAULT_CONFIG: dict[str, Any] = {
 # The only maps keyed by data rather than by field name, all by temperature:
 # any in-range temperature is a key, and each entry has the shape of the first
 # default entry.  "30" and "30.0" are one key, and one map may not hold both.
+SPDC_PUMPS = "run.spdc_spectrum.pump_wavelength_nm"  # the phase-matching pump at each T
 _KEYED_MAPS = ("photorefraction", "devices.coupler.coupling_constant_per_mm",
-               "devices.homodyne_coupler.coupling_constant_per_mm",
-               "run.spdc_spectrum.pump_wavelength_nm")
+               "devices.homodyne_coupler.coupling_constant_per_mm", SPDC_PUMPS)
 
 # Leaves whose default hides their type: keys with no default (a None default
 # would change the resolved configuration and with it every config hash),
@@ -203,8 +202,7 @@ _RANGES: dict[str, tuple[float, float, str]] = {
     **dict.fromkeys(("reflectivity", "detection_efficiency"), (0.0, 1.0, "[]")),
     "temperature_c": (*TEMPERATURE_RANGE_C, "[]"),
     **dict.fromkeys(("probe_wavelength_nm", "wavelengths_nm"), (*WAVELENGTH_RANGE_NM, "[]")),
-    **dict.fromkeys(("pump_wavelength_nm", "spdc_pump_wavelength_nm"),
-                    (*PUMP_WAVELENGTH_RANGE_NM, "[]")),
+    "pump_wavelength_nm": (*PUMP_WAVELENGTH_RANGE_NM, "[]"),
     **dict.fromkeys(("sample_period_s", "omega_step", "wavelength_span_nm", "mu0_per_sqrt_mw"),
                     (0.0, math.inf, "()")),
     **dict.fromkeys(("duration_s", "start_s", "end_s", "noise_fraction", "omega_max",
@@ -360,7 +358,7 @@ class Config:
     def photorefraction(self, temperature_c: float) -> PhotorefractionParams:
         # Time constants left out fall back to the PhotorefractionParams defaults.
         entry = self.temperature_entry("photorefraction", temperature_c)
-        with _invariants(f"photorefraction[{repr(float(temperature_c))!r}]"):
+        with _invariants(f"photorefraction.{float(temperature_c)!r}"):
             return PhotorefractionParams(**entry)
 
     def fpi_cavity(self) -> FpiCavity:

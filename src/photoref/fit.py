@@ -400,23 +400,21 @@ def _fit_sweep(
         d_a = k2 * db * sin * (2.0 * sin / q2 - length * cos / q) / q2 * to_beta * shape
         return np.column_stack((d_a, -a * shape * d_a)) / sigma[:, None]
 
-    # Bounds keep the fit off the degenerate ridge a, c -> inf at fixed
-    # a/c that opens up when the sweep carries no curvature information.
-    problem = FitProblem(
-        residual=residual,
-        jacobian=jacobian,
-        initial_guess=np.zeros(2),
-        lower_bounds=np.zeros(2),
-        upper_bounds=np.array([1.0, 100.0]),
-    )
     shape = powers / (_GAUGE_B_MW + _SWEEP_SCAN_C[:, None] * powers)  # (c, P)
     misfit = coupler_reflectivity(geometry, to_beta * _SWEEP_SCAN_A[:, None, None] * shape)
     misfit -= sweep.value
     misfit /= sigma
     costs = np.einsum("ijk,ijk->ij", misfit, misfit)
     i, j = np.unravel_index(costs.argmin(), costs.shape)
-    problem.initial_guess = np.array([_SWEEP_SCAN_A[i], _SWEEP_SCAN_C[j]])
-    return least_squares(problem)
+    # Bounds keep the fit off the degenerate ridge a, c -> inf at fixed
+    # a/c that opens up when the sweep carries no curvature information.
+    return least_squares(FitProblem(
+        residual=residual,
+        jacobian=jacobian,
+        initial_guess=np.array([_SWEEP_SCAN_A[i], _SWEEP_SCAN_C[j]]),
+        lower_bounds=np.zeros(2),
+        upper_bounds=np.array([1.0, 100.0]),
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -398,7 +398,7 @@ def test_criterion_11_determinism(tmp_path):
             "temperature_c": 30.0, "probe_wavelength_nm": LAM,
             "initial_levels_db": [-3.0, -5.0, -10.0],
             "pump_powers_mw": [0.0, 5.0, 10.0],
-            "mu0_per_sqrt_mw": 0.101, "spdc_pump_wavelength_nm": 770.73,
+            "mu0_per_sqrt_mw": 0.101,
             "spdc_pump_powers_mw": [0.0, 50.0, 100.0],
         },
         "fit_dn": {

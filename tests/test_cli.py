@@ -16,9 +16,10 @@ import pytest
 import yaml
 
 from photoref.cli import SUBCOMMANDS, main
-from photoref.config import _RANGES, _SCHEMA, DEFAULT_CONFIG
+from photoref.config import _RANGES, _SCHEMA, DEFAULT_CONFIG, parse_config
 from photoref.coupler import CouplerGeometry, coupler_reflectivity
 from photoref.data import SweepData, read_sweep_csv, read_trace_csv, write_sweep_csv
+from photoref.spdc import effective_squeezing_vs_power
 
 TRIMMED_RUN = {
     "seed": 77,
@@ -54,7 +55,6 @@ TRIMMED_RUN = {
         "initial_levels_db": [-3.0, -5.0, -10.0],
         "pump_powers_mw": [0.0, 2.0, 5.0, 10.0],
         "mu0_per_sqrt_mw": 0.101,
-        "spdc_pump_wavelength_nm": 770.73,
         "spdc_pump_powers_mw": [0.0, 20.0, 60.0, 100.0],
     },
 }
@@ -166,6 +166,26 @@ class TestSubcommands:
         ideal = read_sweep_csv(out / "squeeze_ideal.csv")
         degraded = read_sweep_csv(out / "squeeze_photorefractive.csv")
         assert np.all(degraded.value >= ideal.value - 1e-12)
+
+    def test_budget_pumps_at_the_table_entry_of_its_temperature(self, tmp_path):
+        """At 90 C the SPDC pump is the table's 90 C entry, 774.63 nm: the 30 C
+        entry, 770.73 nm, would leave the poled waveguide 3.9 nm off phase
+        matching and the squeezing near 0 dB."""
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({
+            "devices": {"homodyne_coupler": {"coupling_constant_per_mm": {"90.0": 0.5307}}},
+            "run": {"squeeze_budget": {"temperature_c": 90.0}},
+        }))
+        out = tmp_path / "out"
+        assert run("squeeze-budget", str(path), out) == 0
+        config = parse_config(path)
+        section = config.run_section("squeeze_budget")
+        _, expected = effective_squeezing_vs_power(
+            config.qpm_device(), 90.0, 774.63, config.photorefraction(90.0),
+            section["mu0_per_sqrt_mw"], section["spdc_pump_powers_mw"])
+        degraded = read_sweep_csv(out / "squeeze_photorefractive.csv")
+        np.testing.assert_array_equal(degraded.abscissa, expected.abscissa)
+        np.testing.assert_allclose(degraded.value, expected.value, rtol=0.0, atol=1e-12)
 
     def test_fpi_trace_oscillates_then_settles(self, tmp_path):
         """Pump-on trace from the shipped config: oscillations, then flat."""
@@ -598,7 +618,7 @@ class TestExitCodes:
             ("spdc-spectrum", "spdc_spectrum", "wavelength_span_nm", 0.0),
             ("spdc-spectrum", "spdc_spectrum", "background", -0.1),
             ("squeeze-budget", "squeeze_budget", "mu0_per_sqrt_mw", 0.0),
-            ("squeeze-budget", "squeeze_budget", "spdc_pump_wavelength_nm", 810.0),
+            ("squeeze-budget", "spdc_spectrum", "pump_wavelength_nm", {"30.0": 810.0}),
             ("squeeze-budget", "squeeze_budget", "pump_powers_mw", [0.0, -1.0]),
             ("squeeze-budget", "squeeze_budget", "spdc_pump_powers_mw", [0.0, -1.0]),
         ],
@@ -648,13 +668,19 @@ class TestExitCodes:
              ["sample_period_s", "duration_s"]),
             ("spdc-spectrum", {"run": {"spdc_spectrum": {"pump_wavelength_nm": {"45": 772.0}}}},
              ["photorefraction: no entry at 45.0 C"]),
+            ("squeeze-budget",
+             {"devices": {"homodyne_coupler": {"coupling_constant_per_mm": {"60.0": 0.48039}}},
+              "run": {"squeeze_budget": {"temperature_c": 60.0}}},
+             ["run.squeeze_budget.temperature_c: run.spdc_spectrum.pump_wavelength_nm:"
+              " no entry at 60.0 C (configured: 30.0, 90.0)"]),
         ],
-        ids=["trace-grid", "spdc-second-temperature"],
+        ids=["trace-grid", "spdc-second-temperature", "squeeze-budget-no-pump"],
     )
     def test_refusal_logged_without_traceback(self, tmp_path, subcommand, payload, named):
-        """An oversized trace grid, and a key of the SPDC pump map that has no
-        law, after a good one: exit 1, the refusal on stderr, a failed manifest
-        and no data file."""
+        """An oversized trace grid; a key of the SPDC pump map that has no law,
+        after a good one; and a squeeze-budget temperature that has a law and a
+        homodyne coupler but no SPDC pump: exit 1, the refusal on stderr, a
+        failed manifest and no data file."""
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump(payload))
         out = tmp_path / "out"

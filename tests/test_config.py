@@ -98,13 +98,6 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"^{path}: 'utf-8' codec"):
             parse_config(path)
 
-    def test_invariant_violation_names_section(self, tmp_path):
-        path = write_config(
-            tmp_path, {"photorefraction": {"30.0": {"a": 1e-4, "b": 0.0, "c": 0.0}}}
-        )
-        with pytest.raises(ConfigError, match=r"photorefraction\['30.0'\]"):
-            parse_config(path)
-
     def test_unknown_key_strict_rejected(self, tmp_path):
         path = write_config(tmp_path, {"devices": {"fpi": {"lenght_mm": 15.0}}})
         with pytest.raises(ConfigError, match="unknown configuration keys.*lenght_mm"):
@@ -205,6 +198,9 @@ class TestDerivedSchema:
              r"devices\.fpi\.pump_mode"),
             ({"devices": {"squeezer": {"mode": "fundamental-nir"}}},
              r"devices\.squeezer\.mode"),
+            # squeeze-budget reads its SPDC pump from the pump table at its temperature.
+            ({"run": {"squeeze_budget": {"spdc_pump_wavelength_nm": 770.73}}},
+             r"run\.squeeze_budget\.spdc_pump_wavelength_nm"),
         ],
     )
     def test_misspelled_key_rejected(self, tmp_path, payload, where):
@@ -300,7 +296,9 @@ class TestMalformedValues:
              "devices.qpm.poling_period_um"),
             ({"material": {"sellmeier": {"a1": -100.0}}}, "material.sellmeier"),
             ({"photorefraction": {"45": {"b": 10.0, "c": 0.02}}},
-             r"photorefraction\['45.0'\]"),
+             r"photorefraction\.45\.0"),
+            ({"photorefraction": {"30.0": {"a": 1.1e-4, "b": 0.0, "c": 0.0}}},
+             r"photorefraction\.30\.0"),
             ({"devices": {"qpm": {"calibration": {"temperature_c": 45.0}}}},
              r"devices\.qpm\.calibration: photorefraction"),
             ({"devices": {"coupler": {"coupling_constant_per_mm": {"45": 0.47}}}},
@@ -638,6 +636,7 @@ RUN_LEAVES = [
 RUN_BASE = copy.deepcopy(EXAMPLE_TREE)
 RUN_BASE["run"]["homodyne"]["squeezing_db"] = -3.0
 RUN_BASE["devices"]["homodyne_coupler"]["coupling_constant_per_mm"]["60.0"] = 0.48039
+RUN_BASE["run"]["spdc_spectrum"]["pump_wavelength_nm"]["60.0"] = 772.8
 
 
 def _run_perturbed(value, name):
